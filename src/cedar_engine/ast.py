@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
 
 I64_MIN = -(2**63)
@@ -476,6 +477,13 @@ class Policy:
 
     def is_template(self) -> bool:
         return bool(self.slots())
+
+    @cached_property
+    def body(self) -> Expr:
+        """``toexp(self)``, desugared on first use and kept with the policy.
+
+        Raises NotClosed for a template (and then caches nothing)."""
+        return toexp(self)
 
 
 def _scope_expr(var: str, scope: Scope) -> Expr:

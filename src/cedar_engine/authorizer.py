@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Optional
 
 from .ast import (
     CedarError,
@@ -36,7 +37,8 @@ class PolicySet:
     """Closed policies plus templates and their links.
 
     Links are materialized into closed policies eagerly at construction, so
-    indexing and evaluation only ever see closed policies.
+    indexing and evaluation only ever see closed policies.  The scope index
+    and the id lookup ``by_id`` are built lazily, once, on first use.
     """
 
     closed_policies: tuple
@@ -68,11 +70,13 @@ class PolicySet:
     def all_policies(self) -> tuple:
         return self.closed_policies + self.templates
 
-    def by_id(self, policy_id: str) -> Optional[Policy]:
-        for p in self.all_policies():
-            if p.id == policy_id:
-                return p
-        return None
+    @cached_property
+    def index(self) -> PolicyIndex:
+        return build_index(self)
+
+    @cached_property
+    def by_id(self) -> Callable[[str], Optional[Policy]]:
+        return {p.id: p for p in self.all_policies()}.get
 
 
 # The index key component for an unconstrained scope.
@@ -139,14 +143,11 @@ def authorize(
     store: EntityStore,
     request: Request,
     use_slicing: bool = True,
-    index: Optional[PolicyIndex] = None,
 ) -> Decision:
     """Allow iff no satisfied forbid policy and at least one satisfied permit."""
     candidates = policies.closed_policies
     if use_slicing:
-        idx = index if index is not None else build_index(policies)
-        selected = slice_policies(idx, store, request)
-        candidates = tuple(p for p in candidates if p.id in selected)
+        candidates = [policies.by_id(pid) for pid in slice_policies(policies.index, store, request)]
     satisfied_permits = set()
     satisfied_forbids = set()
     errors = []

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .ast import CedarError
-from .authorizer import PolicySet, Verdict, authorize, build_index, pof, rof, slice_policies
+from .authorizer import PolicySet, Verdict, authorize, pof, rof, slice_policies
 from .entities import EMPTY_STORE, EntityStore, load_entities, load_request, merge_action_hierarchy, store_to_json, value_to_json
 from .evaluator import EvalError, evaluate
 from .parser import ParseError, parse_expr, parse_policies, parse_schema
@@ -249,15 +249,13 @@ def cmd_slice(args) -> int:
     policies = _load_policies(args.policies)
     store = _load_store(args.entities)
     request = load_request(_read(args.request))
-    index = build_index(policies)
-    selected = slice_policies(index, store, request)
-    by_id = {p.id: p for p in policies.closed_policies}
+    selected = slice_policies(policies.index, store, request)
 
     def key_text(k) -> str:
         return str(k) if not isinstance(k, str) else k
 
     for pid in sorted(selected):
-        p = by_id[pid]
+        p = policies.by_id(pid)
         print(f"{pid}: key=<{key_text(pof(p))}, {key_text(rof(p))}>")
     print(f"selected {len(selected)} of {len(policies.closed_policies)} policies")
     return EXIT_OK
@@ -334,6 +332,12 @@ def main(argv=None) -> int:
     except CedarError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        # Anything else is a bug; report it on one line rather than let Python
+        # exit with status 1, which a script would read as DENY.
+        detail = " ".join(str(err).split())
+        print(f"error: internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -89,30 +89,37 @@ class Request:
 
 
 def close_hierarchy(parents: Mapping) -> dict:
-    """Transitive closure of a direct-parent map; raises HierarchyCycle."""
+    """Transitive closure of a direct-parent map; raises HierarchyCycle.
+
+    Depth-first with an explicit stack, so parent chains of any length close
+    without recursion.  A ref is closed once all its parents are; meeting a
+    ref that is still on the stack is a cycle.
+    """
     closed: dict = {}
-    state: dict = {}
-
-    def visit(ref) -> frozenset:
-        mark = state.get(ref)
-        if mark == "done":
-            return closed[ref]
-        if mark == "active":
-            raise HierarchyCycle(ref)
-        state[ref] = "active"
-        out = set()
-        for p in parents.get(ref, ()):
-            out.add(p)
-            if p in parents:
-                out |= visit(p)
-        if ref in out:
-            raise HierarchyCycle(ref)
-        closed[ref] = frozenset(out)
-        state[ref] = "done"
-        return closed[ref]
-
-    for ref in parents:
-        visit(ref)
+    for root in parents:
+        if root in closed:
+            continue
+        active = {root}
+        stack = [(root, iter(parents[root]), set())]
+        while stack:
+            ref, todo, out = stack[-1]
+            for p in todo:
+                if p in parents and p not in closed:
+                    if p in active:
+                        raise HierarchyCycle(p)
+                    active.add(p)
+                    stack.append((p, iter(parents[p]), set()))
+                    break
+                out.add(p)
+                out |= closed.get(p, _EMPTY_ANCESTORS)
+            else:
+                stack.pop()
+                active.remove(ref)
+                closed[ref] = done = frozenset(out)
+                if stack:  # ref is a parent of the ref below it on the stack
+                    below = stack[-1][2]
+                    below.add(ref)
+                    below |= done
     return closed
 
 

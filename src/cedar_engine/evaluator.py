@@ -44,7 +44,6 @@ from .ast import (
     VSet,
     VString,
     Value,
-    toexp,
     vrecord,
 )
 from .entities import EntityStore, Request
@@ -250,7 +249,7 @@ NOT_SATISFIED = PolicyOutcome(PolicyEvalStatus.NOT_SATISFIED)
 def evaluate_policy(policy: Policy, store: EntityStore, request: Request) -> PolicyOutcome:
     """Satisfied iff the desugared policy evaluates to boolean true."""
     try:
-        v = evaluate(toexp(policy), store, request)
+        v = evaluate(policy.body, store, request)
     except EvalError as err:
         return PolicyOutcome(PolicyEvalStatus.ERRORED, err)
     except CedarError as err:

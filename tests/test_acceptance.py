@@ -34,7 +34,7 @@ from cedar_engine.ast import (
     substitute_action,
     vrecord,
 )
-from cedar_engine.authorizer import PolicySet, Verdict, authorize, build_index
+from cedar_engine.authorizer import PolicySet, Verdict, authorize
 from cedar_engine.entities import Request, build_store, merge_action_hierarchy
 from cedar_engine.evaluator import EvalError, PolicyEvalStatus, evaluate, evaluate_policy
 from cedar_engine.parser import ParseError, parse_policies, parse_schema, render_policies
@@ -109,11 +109,9 @@ def test_criterion_1_semantics_properties(gen_seed):
         policies = gen_policies(cfg)
         ps = PolicySet.from_policies(policies)
         store = gen_store(cfg)
-        index = build_index(ps)
         shuffled = list(ps.closed_policies)
         random.Random(seed).shuffle(shuffled)
         ps_shuffled = PolicySet(tuple(shuffled), (), ())
-        index_shuffled = build_index(ps_shuffled)
         for k in range(n_requests):
             request = gen_request(GenConfig(seed * 1000 + k), store)
             triples += 1
@@ -122,7 +120,7 @@ def test_criterion_1_semantics_properties(gen_seed):
                 sat = {pid for pid, o in outcomes.items() if o.status is PolicyEvalStatus.SATISFIED}
                 sat_permits = {pid for pid in sat if ps.by_id(pid).effect is Effect.PERMIT}
                 sat_forbids = sat - sat_permits
-                decision = authorize(ps, store, request, index=index)
+                decision = authorize(ps, store, request)
                 if sat_forbids:
                     assert decision.verdict is Verdict.DENY, "forbid trumps permit"
                     assert decision.determining == frozenset(sat_forbids)
@@ -131,7 +129,7 @@ def test_criterion_1_semantics_properties(gen_seed):
                 if decision.verdict is Verdict.ALLOW:
                     assert sat_permits, "explicit allow"
                     assert decision.determining == frozenset(sat_permits)
-                other = authorize(ps_shuffled, store, request, index=index_shuffled)
+                other = authorize(ps_shuffled, store, request)
                 assert other.verdict == decision.verdict, "order independence"
                 assert other.determining == decision.determining
             except AssertionError:
@@ -159,11 +157,10 @@ def test_criterion_2_sound_slicing(gen_seed):
         policies = gen_policies(cfg)
         ps = PolicySet.from_policies(policies)
         store = gen_store(cfg)
-        index = build_index(ps)
         for k in range(25):
             request = gen_request(GenConfig(seed * 911 + k), store)
             triples += 1
-            sliced = authorize(ps, store, request, use_slicing=True, index=index)
+            sliced = authorize(ps, store, request, use_slicing=True)
             full = authorize(ps, store, request, use_slicing=False)
             same = (
                 sliced.verdict == full.verdict
@@ -182,11 +179,10 @@ def test_criterion_2_sound_slicing(gen_seed):
         store = gen_store(cfg)
         template, links = gen_template_links(cfg, store, probability=0.05)
         ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
-        index = build_index(ps)
         for k in range(25):
             request = gen_request(GenConfig(seed * 337 + k), store)
             triples += 1
-            sliced = authorize(ps, store, request, use_slicing=True, index=index)
+            sliced = authorize(ps, store, request, use_slicing=True)
             full = authorize(ps, store, request, use_slicing=False)
             assert sliced.verdict == full.verdict
             assert sliced.determining == full.determining
@@ -627,7 +623,6 @@ def test_criterion_8_performance_smoke():
     ps = PolicySet.from_policies(policies)
     store, users, lists = _fifty_entity_store()
     store = merge_action_hierarchy(store, schema)
-    index = build_index(ps)
     actions = [a.ref for a in schema.actions.values()]
     rng = random.Random(8)
     requests = []
@@ -643,7 +638,7 @@ def test_criterion_8_performance_smoke():
     samples = []
     for request in requests:
         t0 = time.perf_counter()
-        authorize(ps, store, request, use_slicing=True, index=index)
+        authorize(ps, store, request, use_slicing=True)
         samples.append(time.perf_counter() - t0)
     median_ms = statistics.median(samples) * 1000
     assert median_ms < 1.0, f"median authorize latency {median_ms:.3f} ms"

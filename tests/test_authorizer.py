@@ -187,3 +187,119 @@ def test_sound_slicing_with_template_links():
         unsliced = authorize(ps, store, request, use_slicing=False)
         assert sliced.verdict == unsliced.verdict
         assert sliced.determining == unsliced.determining
+
+
+# ---------------------------------------------------------------------------
+# Compile once: the set's index and each policy's desugared body are built
+# on first use and reused by every later request.
+# ---------------------------------------------------------------------------
+
+
+def _decision_key(decision):
+    return decision.verdict, decision.determining, [(pid, e.kind) for pid, e in decision.errors]
+
+
+def _gen_requests(seed, store, n):
+    return [gen_request(GenConfig(seed * 1000 + k), store) for k in range(n)]
+
+
+def test_index_built_once_per_policy_set(monkeypatch):
+    import cedar_engine.authorizer as authorizer
+
+    calls = []
+    real = authorizer.build_index
+    monkeypatch.setattr(authorizer, "build_index", lambda ps: calls.append(ps) or real(ps))
+    cfg = GenConfig(7)
+    store = gen_store(cfg)
+    template, links = gen_template_links(cfg, store, probability=0.3)
+    ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
+    assert calls == []  # nothing is built at construction
+    for request in _gen_requests(7, store, 50):
+        authorize(ps, store, request)
+    assert calls == [ps]
+    other = PolicySet.from_policies(gen_policies(cfg))
+    authorize(other, store, gen_request(cfg, store))
+    assert calls == [ps, other]
+
+
+def test_each_policy_desugared_at_most_once(monkeypatch):
+    import cedar_engine.ast as ast
+
+    counts = {}
+    real = ast.toexp
+
+    def counting(policy, *args, **kwargs):
+        counts[policy.id] = counts.get(policy.id, 0) + 1
+        return real(policy, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "toexp", counting)
+    for seed in range(20):
+        cfg = GenConfig(seed)
+        store = gen_store(cfg)
+        counts.clear()
+        # Fresh policy objects, so no body is cached before the count starts.
+        template, links = gen_template_links(cfg, store, probability=0.2)
+        ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
+        for request in _gen_requests(seed, store, 30):
+            authorize(ps, store, request)
+            authorize(ps, store, request, use_slicing=False)
+        assert set(counts) == {p.id for p in ps.closed_policies}
+        assert set(counts.values()) == {1}
+
+
+def test_one_policy_set_over_two_stores():
+    # The index must not depend on the store it was first used with.
+    ps = pset('permit(principal in Team::"a", action, resource);')
+    user, team_a, team_b = EntityRef("User", "u"), EntityRef("Team", "a"), EntityRef("Team", "b")
+    in_a = build_store([(user, vrecord({}), [team_a]), (team_a, vrecord({}), [])])
+    in_b = build_store([(user, vrecord({}), [team_b]), (team_b, vrecord({}), [])])
+    request = Request(user, EntityRef("Action", "x"), EntityRef("R", "r"), vrecord({}))
+    assert authorize(ps, in_a, request).verdict is Verdict.ALLOW
+    assert authorize(ps, in_b, request).verdict is Verdict.DENY
+    assert authorize(ps, in_a, request).verdict is Verdict.ALLOW
+    for seed in range(60):
+        cfg = GenConfig(seed)
+        template, links = gen_template_links(cfg, gen_store(cfg), probability=0.2)
+        ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
+        for store_seed in (seed, seed + 10_000, seed):
+            store = gen_store(GenConfig(store_seed))
+            for request in _gen_requests(store_seed, store, 10):
+                sliced = authorize(ps, store, request)
+                full = authorize(ps, store, request, use_slicing=False)
+                assert _decision_key(sliced) == _decision_key(full)
+
+
+def test_linked_and_errored_policies_report_the_same(tinytodo_store):
+    ps = PolicySet.from_policies(
+        parse_policies(
+            """
+            @id("missing") permit(principal, action, resource) when { resource.nope == 1 };
+            @id("grant") permit(principal in ?principal, action, resource == ?resource);
+            @id("bar") forbid(principal == ?principal, action, resource) when { principal.nope };
+            """
+        ),
+        links=[
+            ("grant", {"?principal": EntityRef("Team", "interns"), "?resource": EntityRef("List", "0")}, "g0"),
+            ("grant", {"?principal": EntityRef("User", "kesha"), "?resource": EntityRef("List", "0")}, "g1"),
+            ("bar", {"?principal": EntityRef("User", "aaron")}, "b0"),
+        ],
+    )
+    aaron = Request(EntityRef("User", "aaron"), EntityRef("Action", "GetList"), EntityRef("List", "0"), vrecord({}))
+    andrew = Request(EntityRef("User", "andrew"), EntityRef("Action", "GetList"), EntityRef("List", "0"), vrecord({}))
+    for _ in range(3):
+        for request, verdict, determining, errored in (
+            (aaron, Verdict.ALLOW, {"g0"}, ["b0", "missing"]),
+            (andrew, Verdict.DENY, set(), ["missing"]),
+        ):
+            for use_slicing in (True, False):
+                decision = authorize(ps, tinytodo_store, request, use_slicing=use_slicing)
+                assert decision.verdict is verdict
+                assert decision.determining == frozenset(determining)
+                assert [pid for pid, _ in decision.errors] == errored
+                assert {e.kind.value for _, e in decision.errors} == {"AttrNotFound"}
+    assert ps.by_id("g0").id == "g0"
+    assert ps.by_id("grant").is_template()
+    assert ps.by_id("nope") is None
+    # A template is never closed: evaluating one directly still reports the error.
+    outcome = evaluate_policy(ps.by_id("grant"), tinytodo_store, aaron)
+    assert outcome.status is PolicyEvalStatus.ERRORED

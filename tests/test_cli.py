@@ -234,3 +234,50 @@ def test_missing_file_is_input_error(capsys):
     )
     assert code == 2
     assert "cannot read" in err
+
+
+def test_long_parent_chain_authorizes(tmp_path, capsys):
+    # A user at the bottom of a 1500-group chain is in the topmost group.
+    n = 1500
+    entities = [{"uid": {"type": "User", "id": "u"}, "parents": [{"type": "G", "id": "0"}]}]
+    entities += [
+        {"uid": {"type": "G", "id": str(i)}, "parents": [{"type": "G", "id": str(i + 1)}] if i + 1 < n else []}
+        for i in range(n)
+    ]
+    (tmp_path / "entities.json").write_text(json.dumps(entities))
+    (tmp_path / "policies.cedar").write_text(f'permit(principal in G::"{n - 1}", action, resource);')
+    (tmp_path / "request.json").write_text(
+        json.dumps(
+            {
+                "principal": {"type": "User", "id": "u"},
+                "action": {"type": "Action", "id": "view"},
+                "resource": {"type": "Doc", "id": "d"},
+            }
+        )
+    )
+    code, out, err = run(
+        capsys,
+        "authorize",
+        "--policies", str(tmp_path / "policies.cedar"),
+        "--entities", str(tmp_path / "entities.json"),
+        "--request", str(tmp_path / "request.json"),
+    )
+    assert (code, out.splitlines()[0], err) == (0, "ALLOW", "")
+
+
+def test_internal_failure_exits_3_on_one_line(tmp_path, capsys):
+    # 150 nested parentheses exhaust the recursive-descent parser's stack: an
+    # internal failure, which must not read as DENY (exit 1).
+    deep = tmp_path / "deep.cedar"
+    deep.write_text("permit(principal, action, resource) when { " + "(" * 150 + "true" + ")" * 150 + " };")
+    code, out, err = run(
+        capsys,
+        "authorize",
+        "--policies", str(deep),
+        "--entities", F("tinytodo", "entities.json"),
+        "--request", F("tinytodo", "requests", "aaron_createlist.json"),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -65,6 +65,31 @@ def test_cycle_rejected():
         build_store([(ref("E", "a"), vrecord({}), [ref("E", "a")])])
 
 
+def _chain_json(n, close_cycle=False):
+    """Groups G::"0" in G::"1" in ... in G::"n-1" (and back to G::"0")."""
+    def uid(i):
+        return {"type": "G", "id": str(i)}
+
+    def parents(i):
+        if i + 1 < n:
+            return [uid(i + 1)]
+        return [uid(0)] if close_cycle else []
+
+    return json.dumps([{"uid": uid(i), "parents": parents(i)} for i in range(n)])
+
+
+def test_long_parent_chain_closes():
+    # Deeper than the interpreter's recursion limit; the closure has n(n-1)/2
+    # pairs, about 1.1 million here.
+    n = 1500
+    store = load_entities(_chain_json(n))
+    assert len(store.ancestors_of(ref("G", "0"))) == n - 1
+    assert store.ancestors_of(ref("G", str(n - 2))) == frozenset({ref("G", str(n - 1))})
+    assert store.ancestors_of(ref("G", str(n - 1))) == frozenset()
+    with pytest.raises(HierarchyCycle):
+        load_entities(_chain_json(n, close_cycle=True))
+
+
 def test_duplicate_rejected():
     with pytest.raises(DuplicateEntity):
         build_store(

@@ -8,10 +8,10 @@ extensional: order and duplicates in a set literal never matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -49,12 +49,34 @@ class UnknownSlot(CedarError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EntityRef:
-    """A typed entity identifier.  Identity is nominal: both fields compare."""
+    """A typed entity identifier.  Identity is nominal: both fields compare.
+
+    The hash is computed once, at construction, and equals
+    ``hash((entity_type, entity_id))``, so sets of refs iterate in the same
+    order as they would with the plain dataclass hash."""
 
     entity_type: str
     entity_id: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.entity_type, self.entity_id)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not EntityRef:
+            return NotImplemented
+        return self.entity_id == other.entity_id and self.entity_type == other.entity_type
+
+    def __reduce__(self):
+        # Pickle the fields only: string hashes differ between processes.
+        return EntityRef, (self.entity_type, self.entity_id)
 
     def __str__(self) -> str:
         return f"{self.entity_type}::{quote_string(self.entity_id)}"
@@ -356,6 +378,16 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
         yield from subexpressions(c)
 
 
+def expr_depth(e: Expr) -> int:
+    """Height of the expression tree (a leaf is 1), found without recursion."""
+    depth, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in children(node))
+    return depth
+
+
 def expr_slots(e: Expr):
     return {s.name for s in subexpressions(e) if isinstance(s, ESlot)}
 
@@ -479,11 +511,14 @@ class Policy:
         return bool(self.slots())
 
     @cached_property
-    def body(self) -> Expr:
-        """``toexp(self)``, desugared on first use and kept with the policy.
+    def compiled(self) -> Callable:
+        """``compile_expr(toexp(self))``: desugared and compiled on first use,
+        then kept with the policy.
 
         Raises NotClosed for a template (and then caches nothing)."""
-        return toexp(self)
+        from .evaluator import compile_expr  # local import to avoid a cycle
+
+        return compile_expr(toexp(self))
 
 
 def _scope_expr(var: str, scope: Scope) -> Expr:

@@ -48,24 +48,22 @@ class PolicySet:
     @staticmethod
     def from_policies(policies: Iterable[Policy], links: Iterable = ()) -> "PolicySet":
         closed = []
-        templates = {}
+        templates = []
         for p in policies:
-            if p.is_template():
-                templates[p.id] = p
-            else:
-                closed.append(p)
+            (templates if p.is_template() else closed).append(p)
+        template_by_id = {t.id: t for t in templates}
         link_rows = []
         for template_id, bindings, link_id in links:
-            if template_id not in templates:
+            if template_id not in template_by_id:
                 raise CedarError(f"link references unknown template {template_id}")
-            closed.append(link(templates[template_id], dict(bindings), link_id))
+            closed.append(link(template_by_id[template_id], dict(bindings), link_id))
             link_rows.append((template_id, tuple(sorted(bindings.items())), link_id))
         seen = set()
-        for p in closed + list(templates.values()):
+        for p in closed + templates:
             if p.id in seen:
                 raise DuplicatePolicyId(f"duplicate policy id {p.id}")
             seen.add(p.id)
-        return PolicySet(tuple(closed), tuple(templates.values()), tuple(link_rows))
+        return PolicySet(tuple(closed), tuple(templates), tuple(link_rows))
 
     def all_policies(self) -> tuple:
         return self.closed_policies + self.templates

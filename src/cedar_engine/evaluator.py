@@ -4,13 +4,17 @@ Call-by-value, left to right.  Stuck states surface as EvalError with a kind
 naming the failure class; the semantics is otherwise forgiving about entity
 references that are absent from the store (equality and hierarchy tests work,
 attribute projection does not).
+
+Expressions are compiled, not interpreted: ``compile_expr`` turns a tree into
+closures once, and each policy keeps its compiled body (``Policy.compiled``),
+so a request pays only for evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .ast import (
     CedarError,
@@ -30,7 +34,6 @@ from .ast import (
     ESet,
     ESlot,
     EVar,
-    EntityRef,
     Expr,
     FALSE,
     I64_MAX,
@@ -75,159 +78,177 @@ def _type_name(v: Value) -> str:
     }[type(v)]
 
 
-class _Evaluator:
-    def __init__(self, store: EntityStore, request: Request):
-        self.store = store
-        self.request = request
+def _fail(kind: EvalErrorKind, detail: str, at: Expr):
+    from .parser import render_expr  # local import to avoid a cycle
 
-    def _err(self, kind: EvalErrorKind, detail: str, at: Expr):
-        from .parser import render_expr  # local import to avoid a cycle
+    raise EvalError(kind, detail, trace=render_expr(at))
 
-        raise EvalError(kind, detail, trace=render_expr(at))
 
-    def _long(self, v: Value, at: Expr) -> int:
-        if not isinstance(v, VLong):
-            self._err(EvalErrorKind.TYPE_MISMATCH, f"expected long, got {_type_name(v)}", at)
-        return v.i
+def _long(v: Value, at: Expr) -> int:
+    if not isinstance(v, VLong):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"expected long, got {_type_name(v)}", at)
+    return v.i
 
-    def _bool(self, v: Value, at: Expr) -> bool:
-        if not isinstance(v, VBool):
-            self._err(EvalErrorKind.TYPE_MISMATCH, f"expected bool, got {_type_name(v)}", at)
-        return v.b
 
-    def _check64(self, i: int, at: Expr) -> VLong:
-        if not (I64_MIN <= i <= I64_MAX):
-            self._err(EvalErrorKind.ARITHMETIC_OVERFLOW, "signed 64-bit overflow", at)
-        return VLong(i)
+def _bool(v: Value, at: Expr) -> bool:
+    if not isinstance(v, VBool):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"expected bool, got {_type_name(v)}", at)
+    return v.b
 
-    def eval(self, e: Expr) -> Value:
-        if isinstance(e, ELit):
-            return e.value
-        if isinstance(e, EVar):
-            if e.name == "principal":
-                return VEntity(self.request.principal)
-            if e.name == "action":
-                return VEntity(self.request.action)
-            if e.name == "resource":
-                return VEntity(self.request.resource)
-            return self.request.context
-        if isinstance(e, ESlot):
-            self._err(EvalErrorKind.TYPE_MISMATCH, f"unfilled template slot {e.name}", e)
-        if isinstance(e, ESet):
-            return VSet(frozenset(self.eval(x) for x in e.elems))
-        if isinstance(e, ERecord):
-            return vrecord({k: self.eval(x) for k, x in e.fields})
-        if isinstance(e, EGetAttr):
-            v = self.eval(e.obj)
-            if isinstance(v, VEntity):
-                data = self.store.get(v.ref)
-                if data is None:
-                    self._err(EvalErrorKind.ENTITY_NOT_FOUND, f"entity {v.ref} does not exist", e)
-                out = data.attrs.get(e.attr)
-                if out is None:
-                    self._err(
-                        EvalErrorKind.ATTR_NOT_FOUND, f"{v.ref} has no attribute {e.attr!r}", e
-                    )
-                return out
-            if isinstance(v, VRecord):
-                out = v.get(e.attr)
-                if out is None:
-                    self._err(
-                        EvalErrorKind.ATTR_NOT_FOUND, f"record has no attribute {e.attr!r}", e
-                    )
-                return out
-            self._err(
-                EvalErrorKind.TYPE_MISMATCH, f"attribute access on {_type_name(v)}", e
-            )
-        if isinstance(e, EHas):
-            v = self.eval(e.obj)
-            if isinstance(v, VEntity):
-                data = self.store.get(v.ref)
-                return VBool(data is not None and data.attrs.has(e.attr))
-            if isinstance(v, VRecord):
-                return VBool(v.has(e.attr))
-            self._err(EvalErrorKind.TYPE_MISMATCH, f"has test on {_type_name(v)}", e)
-        if isinstance(e, EIs):
-            v = self.eval(e.obj)
-            return VBool(isinstance(v, VEntity) and v.ref.entity_type == e.entity_type)
-        if isinstance(e, ELike):
-            v = self.eval(e.obj)
-            if not isinstance(v, VString):
-                self._err(EvalErrorKind.TYPE_MISMATCH, f"like on {_type_name(v)}", e)
-            return VBool(e.pattern.matches(v.s))
-        if isinstance(e, EAnd):
-            if not self._bool(self.eval(e.left), e.left):
-                return FALSE
-            return VBool(self._bool(self.eval(e.right), e.right))
-        if isinstance(e, EOr):
-            if self._bool(self.eval(e.left), e.left):
-                return TRUE
-            return VBool(self._bool(self.eval(e.right), e.right))
-        if isinstance(e, ENot):
-            return VBool(not self._bool(self.eval(e.arg), e.arg))
-        if isinstance(e, ENeg):
-            return self._check64(-self._long(self.eval(e.arg), e.arg), e)
-        if isinstance(e, EMul):
-            return self._check64(e.factor * self._long(self.eval(e.arg), e.arg), e)
-        if isinstance(e, EIf):
-            if self._bool(self.eval(e.cond), e.cond):
-                return self.eval(e.then)
-            return self.eval(e.els)
-        if isinstance(e, EBinop):
-            return self._binop(e)
-        raise TypeError(f"not an expression: {e!r}")
 
-    def _entity_in(self, lhs: EntityRef, rhs: EntityRef) -> bool:
-        # Reflexive even for absent entities; otherwise closed-set membership.
-        return lhs == rhs or rhs in self.store.ancestors_of(lhs)
+def _check64(i: int, at: Expr) -> VLong:
+    if not (I64_MIN <= i <= I64_MAX):
+        _fail(EvalErrorKind.ARITHMETIC_OVERFLOW, "signed 64-bit overflow", at)
+    return VLong(i)
 
-    def _binop(self, e: EBinop) -> Value:
-        v1 = self.eval(e.left)
-        v2 = self.eval(e.right)
-        op = e.op
-        if op == "==":
-            return VBool(v1 == v2)
-        if op == "+":
-            return self._check64(self._long(v1, e.left) + self._long(v2, e.right), e)
-        if op == "-":
-            return self._check64(self._long(v1, e.left) - self._long(v2, e.right), e)
-        if op == "<":
-            return VBool(self._long(v1, e.left) < self._long(v2, e.right))
-        if op == "<=":
-            return VBool(self._long(v1, e.left) <= self._long(v2, e.right))
-        if op == "in":
-            if not isinstance(v1, VEntity):
-                self._err(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v1)} left operand", e)
-            if isinstance(v2, VEntity):
-                return VBool(self._entity_in(v1.ref, v2.ref))
-            if isinstance(v2, VSet):
-                for elem in v2.elems:
-                    if not isinstance(elem, VEntity):
-                        self._err(
-                            EvalErrorKind.TYPE_MISMATCH,
-                            f"in with a set containing {_type_name(elem)}",
-                            e,
-                        )
-                return VBool(any(self._entity_in(v1.ref, elem.ref) for elem in v2.elems))
-            self._err(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v2)} right operand", e)
-        if op == "contains":
-            if not isinstance(v1, VSet):
-                self._err(EvalErrorKind.TYPE_MISMATCH, f"contains on {_type_name(v1)}", e)
-            return VBool(v2 in v1.elems)
-        if op == "containsAny":
-            if not (isinstance(v1, VSet) and isinstance(v2, VSet)):
-                self._err(EvalErrorKind.TYPE_MISMATCH, "containsAny expects two sets", e)
-            return VBool(bool(v1.elems & v2.elems))
-        if op == "containsAll":
-            if not (isinstance(v1, VSet) and isinstance(v2, VSet)):
-                self._err(EvalErrorKind.TYPE_MISMATCH, "containsAll expects two sets", e)
-            return VBool(v2.elems <= v1.elems)
-        raise TypeError(f"unknown operator {op}")
+
+Compiled = Callable[[EntityStore, Request], Value]
+
+_VARS = {
+    "principal": lambda store, request: VEntity(request.principal),
+    "action": lambda store, request: VEntity(request.action),
+    "resource": lambda store, request: VEntity(request.resource),
+    "context": lambda store, request: request.context,
+}
+
+
+def compile_expr(e: Expr) -> Compiled:
+    """Walk ``e`` once and return a closure ``f(store, request) -> Value``.
+
+    The node's class is looked at here, not on every evaluation.  The closure
+    raises the same EvalError, with the same trace, as walking the tree would."""
+    cls = e.__class__
+    if cls is ELit:
+        value = e.value
+        return lambda store, request: value
+    if cls is EVar:
+        return _VARS.get(e.name, _VARS["context"])
+    if cls is ESlot:
+        return lambda store, request: _fail(EvalErrorKind.TYPE_MISMATCH, f"unfilled template slot {e.name}", e)
+    if cls is ESet:
+        elems = [compile_expr(x) for x in e.elems]
+        return lambda store, request: VSet(frozenset([f(store, request) for f in elems]))
+    if cls is ERecord:
+        fields = [(k, compile_expr(x)) for k, x in e.fields]
+        return lambda store, request: vrecord({k: f(store, request) for k, f in fields})
+    if cls in _ON_OBJECT:
+        obj, apply = compile_expr(e.obj), _ON_OBJECT[cls]
+        return lambda store, request: apply(obj(store, request), store, e)
+    if cls is EAnd or cls is EOr:
+        left, right, stop = compile_expr(e.left), compile_expr(e.right), cls is EOr
+
+        def run(store, request):
+            if _bool(left(store, request), e.left) == stop:  # short-circuit
+                return TRUE if stop else FALSE
+            return TRUE if _bool(right(store, request), e.right) else FALSE
+
+        return run
+    if cls is ENot:
+        arg = compile_expr(e.arg)
+        return lambda store, request: FALSE if _bool(arg(store, request), e.arg) else TRUE
+    if cls is ENeg:
+        arg = compile_expr(e.arg)
+        return lambda store, request: _check64(-_long(arg(store, request), e.arg), e)
+    if cls is EMul:
+        arg, factor = compile_expr(e.arg), e.factor
+        return lambda store, request: _check64(factor * _long(arg(store, request), e.arg), e)
+    if cls is EIf:
+        cond, then, els = compile_expr(e.cond), compile_expr(e.then), compile_expr(e.els)
+        return lambda store, request: (then if _bool(cond(store, request), e.cond) else els)(store, request)
+    if cls is EBinop:
+        left, right = compile_expr(e.left), compile_expr(e.right)
+        if e.op == "==":
+            return lambda store, request: TRUE if left(store, request) == right(store, request) else FALSE
+        apply = _BINOPS.get(e.op)
+        if apply is None:
+            raise TypeError(f"unknown operator {e.op}")
+        # Both operands are evaluated, left first, before either is type-checked.
+        return lambda store, request: apply(left(store, request), right(store, request), store, e)
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def evaluate(expr: Expr, store: EntityStore, request: Request) -> Value:
     """Evaluate a closed expression; raises EvalError on stuck states."""
-    return _Evaluator(store, request).eval(expr)
+    return compile_expr(expr)(store, request)
+
+
+def _get_attr(v: Value, store: EntityStore, e: EGetAttr) -> Value:
+    if isinstance(v, VEntity):
+        data = store.get(v.ref)
+        if data is None:
+            _fail(EvalErrorKind.ENTITY_NOT_FOUND, f"entity {v.ref} does not exist", e)
+        out = data.attrs.get(e.attr)
+        if out is None:
+            _fail(EvalErrorKind.ATTR_NOT_FOUND, f"{v.ref} has no attribute {e.attr!r}", e)
+        return out
+    if isinstance(v, VRecord):
+        out = v.get(e.attr)
+        if out is None:
+            _fail(EvalErrorKind.ATTR_NOT_FOUND, f"record has no attribute {e.attr!r}", e)
+        return out
+    _fail(EvalErrorKind.TYPE_MISMATCH, f"attribute access on {_type_name(v)}", e)
+
+
+def _has(v: Value, store: EntityStore, e: EHas) -> Value:
+    if isinstance(v, VEntity):
+        data = store.get(v.ref)
+        return TRUE if data is not None and data.attrs.has(e.attr) else FALSE
+    if isinstance(v, VRecord):
+        return TRUE if v.has(e.attr) else FALSE
+    _fail(EvalErrorKind.TYPE_MISMATCH, f"has test on {_type_name(v)}", e)
+
+
+def _like(v: Value, store: EntityStore, e: ELike) -> Value:
+    if not isinstance(v, VString):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"like on {_type_name(v)}", e)
+    return TRUE if e.pattern.matches(v.s) else FALSE
+
+
+_ON_OBJECT = {
+    EGetAttr: _get_attr,
+    EHas: _has,
+    EIs: lambda v, store, e: TRUE if isinstance(v, VEntity) and v.ref.entity_type == e.entity_type else FALSE,
+    ELike: _like,
+}
+
+
+def _in(v1: Value, v2: Value, store: EntityStore, e: EBinop) -> Value:
+    if not isinstance(v1, VEntity):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v1)} left operand", e)
+    # Reflexive even for absent entities; otherwise closed-set membership.
+    lhs, ancestors = v1.ref, store.ancestors_of(v1.ref)
+    if isinstance(v2, VEntity):
+        return TRUE if lhs == v2.ref or v2.ref in ancestors else FALSE
+    if isinstance(v2, VSet):
+        for elem in v2.elems:
+            if not isinstance(elem, VEntity):
+                _fail(EvalErrorKind.TYPE_MISMATCH, f"in with a set containing {_type_name(elem)}", e)
+        return TRUE if any(lhs == x.ref or x.ref in ancestors for x in v2.elems) else FALSE
+    _fail(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v2)} right operand", e)
+
+
+def _contains(v1: Value, v2: Value, store: EntityStore, e: EBinop) -> Value:
+    if not isinstance(v1, VSet):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"contains on {_type_name(v1)}", e)
+    return TRUE if v2 in v1.elems else FALSE
+
+
+def _sets(v1: Value, v2: Value, e: EBinop) -> tuple:
+    if not (isinstance(v1, VSet) and isinstance(v2, VSet)):
+        _fail(EvalErrorKind.TYPE_MISMATCH, f"{e.op} expects two sets", e)
+    return v1.elems, v2.elems
+
+
+_BINOPS = {
+    "+": lambda v1, v2, store, e: _check64(_long(v1, e.left) + _long(v2, e.right), e),
+    "-": lambda v1, v2, store, e: _check64(_long(v1, e.left) - _long(v2, e.right), e),
+    "<": lambda v1, v2, store, e: TRUE if _long(v1, e.left) < _long(v2, e.right) else FALSE,
+    "<=": lambda v1, v2, store, e: TRUE if _long(v1, e.left) <= _long(v2, e.right) else FALSE,
+    "in": _in,
+    "contains": _contains,
+    "containsAny": lambda v1, v2, store, e: FALSE if frozenset.isdisjoint(*_sets(v1, v2, e)) else TRUE,
+    "containsAll": lambda v1, v2, store, e: TRUE if frozenset.issuperset(*_sets(v1, v2, e)) else FALSE,
+}
 
 
 class PolicyEvalStatus(Enum):
@@ -249,7 +270,7 @@ NOT_SATISFIED = PolicyOutcome(PolicyEvalStatus.NOT_SATISFIED)
 def evaluate_policy(policy: Policy, store: EntityStore, request: Request) -> PolicyOutcome:
     """Satisfied iff the desugared policy evaluates to boolean true."""
     try:
-        v = evaluate(policy.body, store, request)
+        v = policy.compiled(store, request)
     except EvalError as err:
         return PolicyOutcome(PolicyEvalStatus.ERRORED, err)
     except CedarError as err:

@@ -4,6 +4,16 @@ Policies live in `.cedar` files, schemas in `.cedarschema` files.  All
 diagnostics carry a source span and render as `file:line:col: severity:
 message` plus the offending line.  Parsing never raises anything but
 ParseError, no matter the input bytes.
+
+Nesting is bounded by MAX_NESTING, so that no input can exhaust the stack of
+this recursive-descent parser or of the recursive passes over its output
+(evaluation, validation, rendering, symbolic compilation):
+- brackets, `if`s, `!`s and unary `-`s, and schema types, nest at most
+  MAX_NESTING deep;
+- every expression tree is at most MAX_NESTING levels high, counting a leaf
+  as one level, so left-nested chains such as `1 + 1 + ...` are bounded too;
+- a policy's desugared expression is as well: a condition sits under the
+  `&&`s joining it to the scope and to the conditions before it.
 """
 
 from __future__ import annotations
@@ -56,11 +66,14 @@ from .ast import (
     BOOL,
     LONG,
     STRING,
+    expr_depth,
     quote_string,
     trecord,
     render_value,
 )
 from .validator import ActionDecl, EntityTypeDecl, Schema, SchemaError, check_schema
+
+MAX_NESTING = 64
 
 # ---------------------------------------------------------------------------
 # Diagnostics
@@ -295,6 +308,7 @@ class _Parser:
         self.source = source
         self.toks = _Lexer(source).tokens()
         self.i = 0
+        self.nesting = 0
 
     def peek(self, offset: int = 0) -> Token:
         return self.toks[min(self.i + offset, len(self.toks) - 1)]
@@ -328,6 +342,14 @@ class _Parser:
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
         raise ParseError([ParseDiagnostic(Severity.ERROR, message, tok.span)], self.source)
+
+    def nest(self, what: str) -> None:
+        """Enter one more level of recursion; the caller leaves it with
+        ``self.nesting -= 1``.  Too deep is a ParseError, raised before the
+        recursion can exhaust the stack."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.error(f"{what} nests deeper than {MAX_NESTING} levels")
 
     # Shared small rules -----------------------------------------------------
 
@@ -381,7 +403,12 @@ class _PolicyParser(_Parser):
         while self.at_ident("when", "unless"):
             kind = CondKind.WHEN if self.next().text == "when" else CondKind.UNLESS
             self.expect("{")
-            conditions.append((kind, self._expr()))
+            # Desugared, a condition sits below the `&&`s joining it to the
+            # three scope constraints and to each condition before it, one
+            # more `&&` if another condition follows (assumed: not known yet),
+            # and the `!` of an `unless`.
+            outer = 4 + len(conditions) + (kind is CondKind.UNLESS)
+            conditions.append((kind, self._bounded_expr(outer)))
             self.expect("}")
         self.expect(";", "';' after policy")
         ann_map = dict(annotations)
@@ -435,16 +462,30 @@ class _PolicyParser(_Parser):
 
     # Expressions, lowest precedence first ------------------------------------
 
+    def _bounded_expr(self, outer: int = 0) -> Expr:
+        """An expression whose tree, placed ``outer`` levels down, is at most
+        MAX_NESTING levels high."""
+        start, tok = self.i, self.peek()
+        e = self._expr()
+        # Every node has a token of its own, so only an expression of more
+        # tokens than the bound allows can be too deep: skip the walk otherwise.
+        if self.i - start > MAX_NESTING - outer and outer + expr_depth(e) > MAX_NESTING:
+            self.error(f"expression nests deeper than {MAX_NESTING} levels", tok)
+        return e
+
     def _expr(self) -> Expr:
+        self.nest("expression")
         if self.at_ident("if"):
             self.next()
             cond = self._expr()
             self.expect_ident("then")
             then = self._expr()
             self.expect_ident("else")
-            els = self._expr()
-            return EIf(cond, then, els)
-        return self._or()
+            e = EIf(cond, then, self._expr())
+        else:
+            e = self._or()
+        self.nesting -= 1
+        return e
 
     def _or(self) -> Expr:
         left = self._and()
@@ -515,7 +556,10 @@ class _PolicyParser(_Parser):
         tok = self.peek()
         if tok.kind == "!":
             self.next()
-            return ENot(self._unary())
+            self.nest("expression")
+            e = ENot(self._unary())
+            self.nesting -= 1
+            return e
         if tok.kind == "-":
             self.next()
             if self.at("int"):
@@ -524,7 +568,10 @@ class _PolicyParser(_Parser):
                 if value < I64_MIN:
                     self.error("integer literal out of 64-bit range", lit)
                 return ELit(VLong(value))
-            return ENeg(self._unary())
+            self.nest("expression")
+            e = ENeg(self._unary())
+            self.nesting -= 1
+            return e
         return self._postfix()
 
     def _postfix(self) -> Expr:
@@ -655,7 +702,7 @@ def parse_expr(text: str, filename: str = "<input>") -> Expr:
     """Parse a single expression (used by the evaluate command and tests)."""
     try:
         parser = _PolicyParser(text)
-        e = parser._expr()
+        e = parser._bounded_expr()
         parser.expect("eof", "end of input")
         return e
     except ParseError as err:
@@ -761,21 +808,21 @@ class _SchemaParser(_Parser):
         return trecord(attrs)
 
     def _type(self):
+        self.nest("type")
         if self.at("{"):
-            return self._record_type()
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error("expected a type")
-        if tok.text == "Set":
+            t = self._record_type()
+        elif self.at_ident("Set"):
             self.next()
             self.expect("<")
-            elem = self._type()
+            t = TSet(self._type())
             self.expect(">")
-            return TSet(elem)
-        name = self.path()
-        if name in _BUILTIN_TYPES:
-            return _BUILTIN_TYPES[name]
-        return TEntity(name)
+        else:
+            if not self.at("ident"):
+                self.error("expected a type")
+            name = self.path()
+            t = _BUILTIN_TYPES[name] if name in _BUILTIN_TYPES else TEntity(name)
+        self.nesting -= 1
+        return t
 
     def _action_name(self) -> EntityRef:
         tok = self.peek()
@@ -948,10 +995,9 @@ def _render(e: Expr) -> str:
         rhs = render_expr(e.right, _level(e) + 1)
         return f"{lhs} {e.op} {rhs}"
     if isinstance(e, EIf):
-        return (
-            f"if {render_expr(e.cond, _LEVEL_OR)} then {render_expr(e.then, _LEVEL_OR)} "
-            f"else {render_expr(e.els, _LEVEL_OR)}"
-        )
+        # No parentheses around a nested `if`: the grammar needs none, and
+        # each pair would count against MAX_NESTING when parsed back.
+        return f"if {render_expr(e.cond)} then {render_expr(e.then)} else {render_expr(e.els)}"
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -165,3 +165,50 @@ def test_like_pattern_escape_round_trip():
     assert LikePattern.from_source("*").matches("")
     assert LikePattern.from_source("").matches("")
     assert not LikePattern.from_source("").matches("x")
+
+
+def test_entity_ref_caches_the_tuple_hash():
+    refs = [EntityRef("User", "alice"), EntityRef("A::B", ""), EntityRef("Team", 'q"\n*')]
+    for ref in refs:
+        assert hash(ref) == hash((ref.entity_type, ref.entity_id))
+        assert ref == EntityRef(ref.entity_type, ref.entity_id) and ref == ref
+        assert ref != (ref.entity_type, ref.entity_id)
+        assert (ref.entity_type, ref.entity_id) != ref
+    assert EntityRef("User", "a") != EntityRef("Team", "a") != EntityRef("Team", "b")
+    assert repr(refs[0]) == "EntityRef(entity_type='User', entity_id='alice')"
+
+
+def test_entity_ref_is_frozen_and_slotted():
+    import dataclasses
+
+    ref = EntityRef("User", "alice")
+    assert not hasattr(ref, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ref.entity_id = "bob"
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        ref.extra = 1
+    moved = dataclasses.replace(ref, entity_id="bob")
+    assert moved == EntityRef("User", "bob") and hash(moved) == hash(("User", "bob"))
+
+
+def test_entity_ref_pickle_and_deepcopy_round_trip():
+    import copy
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    ref = EntityRef("User", "alice")
+    for twin in (pickle.loads(pickle.dumps(ref)), copy.deepcopy(ref), copy.copy(ref)):
+        assert twin == ref and hash(twin) == hash(ref)
+    # Another process hashes strings differently: the ref must hash there as
+    # its fields do, not as it did here.
+    payload = pickle.dumps({ref: 1})
+    check = (
+        "import pickle, sys; d = pickle.loads(sys.stdin.buffer.read()); (r,) = d;"
+        "assert hash(r) == hash((r.entity_type, r.entity_id)) and d[r] == 1"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run([sys.executable, "-c", check], input=payload, env=env, timeout=60)
+    assert done.returncode == 0

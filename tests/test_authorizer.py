@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from cedar_engine.ast import EntityRef, Effect, vrecord
 from cedar_engine.authorizer import (
     ANY_KEY,
+    DuplicatePolicyId,
     PolicySet,
     Verdict,
     authorize,
@@ -247,6 +250,42 @@ def test_each_policy_desugared_at_most_once(monkeypatch):
         assert set(counts.values()) == {1}
 
 
+def test_each_policy_compiled_at_most_once(monkeypatch):
+    import cedar_engine.evaluator as evaluator
+
+    roots, depth = [], [0]
+    real = evaluator.compile_expr
+
+    def counting(e):
+        # compile_expr recurses through the module name, so only calls made
+        # at depth 0 compile a whole policy body.
+        if depth[0] == 0:
+            roots.append(e)
+        depth[0] += 1
+        try:
+            return real(e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(evaluator, "compile_expr", counting)
+    for seed in range(20):
+        cfg = GenConfig(seed)
+        store = gen_store(cfg)
+        roots.clear()
+        template, links = gen_template_links(cfg, store, probability=0.2)
+        ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
+        requests = _gen_requests(seed, store, 30)
+        for request in requests:
+            authorize(ps, store, request)
+        assert len(roots) <= len(ps.closed_policies)
+        for request in requests:
+            authorize(ps, store, request, use_slicing=False)
+        assert len(roots) == len(ps.closed_policies)
+        for request in requests:
+            authorize(ps, store, request)
+        assert len(roots) == len(ps.closed_policies)
+
+
 def test_one_policy_set_over_two_stores():
     # The index must not depend on the store it was first used with.
     ps = pset('permit(principal in Team::"a", action, resource);')
@@ -303,3 +342,17 @@ def test_linked_and_errored_policies_report_the_same(tinytodo_store):
     # A template is never closed: evaluating one directly still reports the error.
     outcome = evaluate_policy(ps.by_id("grant"), tinytodo_store, aaron)
     assert outcome.status is PolicyEvalStatus.ERRORED
+
+
+def test_duplicate_ids_are_rejected():
+    for src in (
+        '@id("t") permit(principal == ?principal, action, resource);'
+        '@id("t") forbid(principal == ?principal, action, resource);',
+        '@id("t") permit(principal == ?principal, action, resource); @id("t") permit(principal, action, resource);',
+        '@id("p") permit(principal, action, resource); @id("p") forbid(principal, action, resource);',
+    ):
+        with pytest.raises(DuplicatePolicyId, match="duplicate policy id"):
+            pset(src)
+    (template,) = parse_policies('@id("t") permit(principal == ?principal, action, resource);')
+    with pytest.raises(DuplicatePolicyId, match="duplicate policy id t"):
+        PolicySet.from_policies([template], links=[("t", {"?principal": EntityRef("User", "u")}, "t")])

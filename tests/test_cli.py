@@ -265,19 +265,41 @@ def test_long_parent_chain_authorizes(tmp_path, capsys):
     assert (code, out.splitlines()[0], err) == (0, "ALLOW", "")
 
 
-def test_internal_failure_exits_3_on_one_line(tmp_path, capsys):
-    # 150 nested parentheses exhaust the recursive-descent parser's stack: an
-    # internal failure, which must not read as DENY (exit 1).
-    deep = tmp_path / "deep.cedar"
-    deep.write_text("permit(principal, action, resource) when { " + "(" * 150 + "true" + ")" * 150 + " };")
+def test_internal_failure_exits_3_on_one_line(capsys, monkeypatch):
+    # A bug inside the engine is an internal failure, which must not read as
+    # DENY (exit 1), and is reported on one line even if its message is not.
+    import cedar_engine.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine bug\nsecond line")
+
+    monkeypatch.setattr(cli, "authorize", broken)
     code, out, err = run(
         capsys,
         "authorize",
-        "--policies", str(deep),
+        "--policies", F("tinytodo", "policies.cedar"),
         "--entities", F("tinytodo", "entities.json"),
         "--request", F("tinytodo", "requests", "aaron_createlist.json"),
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RuntimeError: engine bug second line" in err
     assert "Traceback" not in err
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    # Nesting beyond the parser's bound is bad input with a diagnostic.
+    for body in ("(" * 150 + "true" + ")" * 150, "!" * 1200 + "true", " + ".join(["1"] * 600) + " == 1"):
+        deep = tmp_path / "deep.cedar"
+        deep.write_text("permit(principal, action, resource) when { " + body + " };")
+        code, out, err = run(
+            capsys,
+            "authorize",
+            "--policies", str(deep),
+            "--entities", F("tinytodo", "entities.json"),
+            "--request", F("tinytodo", "requests", "aaron_createlist.json"),
+        )
+        assert (code, out) == (2, "")
+        assert "error: expression nests deeper than 64 levels" in err
+        assert "Traceback" not in err

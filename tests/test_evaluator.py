@@ -222,3 +222,62 @@ def test_determinism(tinytodo_store):
     first = evaluate(e, tinytodo_store, request)
     for _ in range(5):
         assert evaluate(e, tinytodo_store, request) == first
+
+
+# ---------------------------------------------------------------------------
+# Every error site: exact kind, detail and trace (the rendered node at fault).
+# ---------------------------------------------------------------------------
+
+MISMATCH, MISSING_ATTR = EvalErrorKind.TYPE_MISMATCH, EvalErrorKind.ATTR_NOT_FOUND
+OVERFLOW = EvalErrorKind.ARITHMETIC_OVERFLOW
+
+ERROR_SITES = [
+    ('List::"9".owner', EvalErrorKind.ENTITY_NOT_FOUND, 'entity List::"9" does not exist', 'List::"9".owner'),
+    ('List::"0".missing', MISSING_ATTR, "List::\"0\" has no attribute 'missing'", 'List::"0".missing'),
+    ("{a: 1}.b", MISSING_ATTR, "record has no attribute 'b'", "{a: 1}.b"),
+    ("context.x", MISSING_ATTR, "record has no attribute 'x'", "context.x"),
+    ('"s".f', MISMATCH, "attribute access on string", '"s".f'),
+    ("1 has f", MISMATCH, "has test on long", "1 has f"),
+    ("true + 1", MISMATCH, "expected long, got bool", "true"),
+    ('1 + "a"', MISMATCH, "expected long, got string", '"a"'),
+    ("true - 1", MISMATCH, "expected long, got bool", "true"),
+    ('1 - "a"', MISMATCH, "expected long, got string", '"a"'),
+    ('"a" < 1', MISMATCH, "expected long, got string", '"a"'),
+    ('1 < "b"', MISMATCH, "expected long, got string", '"b"'),
+    ("[] <= 1", MISMATCH, "expected long, got set", "[]"),
+    ("1 <= {}", MISMATCH, "expected long, got record", "{}"),
+    ('1 in User::"x"', MISMATCH, "in with long left operand", '1 in User::"x"'),
+    ('User::"x" in 1', MISMATCH, "in with long right operand", 'User::"x" in 1'),
+    ('User::"x" in [User::"y", 1]', MISMATCH, "in with a set containing long", 'User::"x" in [User::"y", 1]'),
+    ('"a".contains(1)', MISMATCH, "contains on string", '"a".contains(1)'),
+    ("[1].containsAny(2)", MISMATCH, "containsAny expects two sets", "[1].containsAny(2)"),
+    ('[1].containsAll("x")', MISMATCH, "containsAll expects two sets", '[1].containsAll("x")'),
+    ('1 like "x"', MISMATCH, "like on long", '1 like "x"'),
+    ("1 && true", MISMATCH, "expected bool, got long", "1"),
+    ("true && 1", MISMATCH, "expected bool, got long", "1"),
+    ('"x" || true', MISMATCH, "expected bool, got string", '"x"'),
+    ('false || "x"', MISMATCH, "expected bool, got string", '"x"'),
+    ("!5", MISMATCH, "expected bool, got long", "5"),
+    ('-"a"', MISMATCH, "expected long, got string", '"a"'),
+    ('2 * "a"', MISMATCH, "expected long, got string", '"a"'),
+    ("if 1 then 2 else 3", MISMATCH, "expected bool, got long", "1"),
+    (f"{I64_MAX} + 1", OVERFLOW, "signed 64-bit overflow", f"{I64_MAX} + 1"),
+    (f"{I64_MIN} - 1", OVERFLOW, "signed 64-bit overflow", f"{I64_MIN} - 1"),
+    (f"-({I64_MIN})", OVERFLOW, "signed 64-bit overflow", f"-{I64_MIN}"),
+    (f"2 * {I64_MAX}", OVERFLOW, "signed 64-bit overflow", f"2 * {I64_MAX}"),
+    ("principal == ?principal", MISMATCH, "unfilled template slot ?principal", "?principal"),
+    # Call-by-value, left to right: both operands are evaluated before either
+    # is type-checked, so the right operand's error wins over the mismatch.
+    ('"a" + principal.nope', MISSING_ATTR, "User::\"aaron\" has no attribute 'nope'", "principal.nope"),
+    ('principal.nope < "b"', MISSING_ATTR, "User::\"aaron\" has no attribute 'nope'", "principal.nope"),
+    ("if true then principal.nope else 1", MISSING_ATTR, "User::\"aaron\" has no attribute 'nope'", "principal.nope"),
+]
+
+
+@pytest.mark.parametrize("src,kind,detail,trace", ERROR_SITES)
+def test_error_site_kind_detail_and_trace(tinytodo_store, src, kind, detail, trace):
+    request = Request(EntityRef("User", "aaron"), EntityRef("Action", "GetList"), EntityRef("List", "0"), vrecord({}))
+    with pytest.raises(EvalError) as err:
+        evaluate(parse_expr(src), tinytodo_store, request)
+    assert (err.value.kind, err.value.detail, err.value.trace) == (kind, detail, trace)
+    assert str(err.value) == f"{kind.value}: {detail}"

@@ -17,7 +17,10 @@ from cedar_engine.ast import (
     I64_MAX,
     I64_MIN,
 )
+from cedar_engine.authorizer import PolicySet, Verdict, authorize
+from cedar_engine.entities import Request
 from cedar_engine.parser import (
+    MAX_NESTING,
     ParseError,
     parse_expr,
     parse_policies,
@@ -27,6 +30,7 @@ from cedar_engine.parser import (
     render_policy,
 )
 from cedar_engine.testkit import GenConfig, gen_policies
+from cedar_engine.validator import validate
 
 from conftest import FIG_SCHEMA, read_fixture
 
@@ -247,3 +251,96 @@ def test_parse_never_crashes_on_junk():
             parse_policies(junk)
         except ParseError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The nesting bound: any depth is a diagnostic with a span, never a stack
+# overflow, and the deepest accepted input still authorizes, validates and
+# renders.
+# ---------------------------------------------------------------------------
+
+DEEP_SHAPES = {
+    "parentheses": lambda n: "(" * n + "true" + ")" * n,
+    "not": lambda n: "!" * n + "true",
+    "and": lambda n: " && ".join(["true"] * n),
+    "plus": lambda n: " + ".join(["1"] * n) + " == 0",
+    "sets": lambda n: "[" * n + "]" * n + " == []",
+    "if": lambda n: "if true then " * n + "true" + " else false" * n,
+}
+
+
+def _condition(shape: str, n: int) -> str:
+    return "permit(principal, action, resource) when { " + DEEP_SHAPES[shape](n) + " };"
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_nesting_beyond_the_bound_is_a_parse_error(shape):
+    # The lexer's cost grows with the square of the input's length, so the
+    # wordier shapes stop at 10^3.
+    for n in (10**2, 10**3) + ((10**4,) if shape in ("parentheses", "not", "and", "plus") else ()):
+        for parse, text in ((parse_policies, _condition(shape, n)), (parse_expr, DEEP_SHAPES[shape](n))):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            (diag,) = err.value.diagnostics
+            assert f"nests deeper than {MAX_NESTING} levels" in diag.message
+            assert diag.span.line == 1 and diag.span.column > 0
+
+
+def test_nested_schema_types_are_bounded():
+    with pytest.raises(ParseError, match="type nests deeper"):
+        parse_schema("entity A { x: " + "Set<" * 1000 + "Long" + ">" * 1000 + " };")
+    with pytest.raises(ParseError, match="type nests deeper"):
+        parse_schema("entity A " + "{ x: " * 1000 + "Long" + " }" * 1000 + ";")
+    parse_schema("entity A { x: " + "Set<" * (MAX_NESTING - 1) + "Long" + ">" * (MAX_NESTING - 1) + " };")
+
+
+def test_many_conditions_count_toward_the_bound():
+    head = "permit(principal, action, resource)"
+    parse_policies(head + " when { true }" * (MAX_NESTING - 4) + ";")
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_policies(head + " when { true }" * 1000 + ";")
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_policies(head + " unless { false }" * (MAX_NESTING - 4) + ";")
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deepest_accepted_policy_authorizes_validates_and_renders(shape, tinytodo_store, tinytodo_schema):
+    deepest = None
+    for n in range(1, MAX_NESTING + 2):
+        try:
+            deepest = parse_policies(_condition(shape, n))
+        except ParseError:
+            break
+    assert MAX_NESTING // 2 < n <= MAX_NESTING + 1 and deepest is not None
+    (policy,) = deepest
+    assert parse_policies(render_policies(deepest)) == deepest
+    request = Request(EntityRef("User", "aaron"), EntityRef("Action", "GetList"), EntityRef("List", "0"))
+    decision = authorize(PolicySet.from_policies(deepest), tinytodo_store, request)
+    false = shape in ("plus", "sets") or (shape == "not" and (n - 1) % 2)
+    expect = Verdict.DENY if false else Verdict.ALLOW
+    assert (decision.verdict, decision.errors) == (expect, ())
+    report = validate(deepest, tinytodo_schema)
+    assert report.results
+    (cond,) = [c for _, c in policy.conditions]
+    assert parse_expr(render_expr(cond)) == cond
+
+
+def test_every_node_has_a_token_of_its_own():
+    # The depth check skips its walk for expressions of few tokens, which is
+    # sound only while no expression tree has more nodes than tokens.
+    from cedar_engine.ast import subexpressions
+    from cedar_engine.parser import _Lexer
+
+    exprs = [
+        parse_expr(src)
+        for src in ('-(-5)', 'x::"y" * 2', '{a: [?principal, A::B::"c"]}["a"]', '[1].contains(-2)', "3 * 4")
+    ]
+    for seed in range(300):
+        exprs += [cond for p in gen_policies(GenConfig(seed, max_depth=4)) for _, cond in p.conditions]
+    kinds = set()
+    for e in exprs:
+        nodes = list(subexpressions(e))
+        kinds |= {type(n) for n in nodes}
+        tokens = _Lexer(render_expr(e)).tokens()[:-1]  # without the end-of-input token
+        assert len(nodes) <= len(tokens)
+    assert len(kinds) == 16

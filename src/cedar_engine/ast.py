@@ -16,6 +16,10 @@ from typing import Callable, Iterator, Mapping, Optional, Union
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
+# How deep policies, schema types and JSON values may nest: deeper input is
+# rejected before any recursive pass over it can exhaust the stack.
+MAX_NESTING = 64
+
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r", "\0": "\\0"}
 
 

@@ -17,6 +17,7 @@ from .ast import (
     EntityRef,
     I64_MAX,
     I64_MIN,
+    MAX_NESTING,
     VBool,
     VEntity,
     VLong,
@@ -169,12 +170,16 @@ def _ref_from_json(obj, where: str) -> EntityRef:
     return EntityRef(t, i)
 
 
-def value_from_json(obj, where: str = "value") -> Value:
+def value_from_json(obj, where: str = "value", depth: int = 1) -> Value:
     """Decode an attribute value.
 
     Entity references are written ``{"__entity": {"type": T, "id": I}}`` to
     keep them apart from records; arrays are sets (deduplicated on load).
+    Values nest at most MAX_NESTING levels, counting a scalar as one level;
+    `depth` is the level of `obj` itself.
     """
+    if depth > MAX_NESTING:
+        raise BadEntityRef(f"{where}: value nests deeper than {MAX_NESTING} levels")
     if isinstance(obj, bool):
         return VBool(obj)
     if isinstance(obj, int):
@@ -184,11 +189,11 @@ def value_from_json(obj, where: str = "value") -> Value:
     if isinstance(obj, str):
         return VString(obj)
     if isinstance(obj, list):
-        return VSet(frozenset(value_from_json(x, where) for x in obj))
+        return VSet(frozenset(value_from_json(x, where, depth + 1) for x in obj))
     if isinstance(obj, dict):
         if set(obj) == {"__entity"}:
             return VEntity(_ref_from_json(obj["__entity"], where))
-        return vrecord({k: value_from_json(v, f"{where}.{k}") for k, v in obj.items()})
+        return vrecord({k: value_from_json(v, f"{where}.{k}", depth + 1) for k, v in obj.items()})
     raise BadEntityRef(f"{where}: unsupported JSON value {obj!r}")
 
 
@@ -208,12 +213,18 @@ def value_to_json(v: Value):
     raise TypeError(f"not a value: {v!r}")
 
 
+def _decode_json(json_text: str, what: str):
+    try:
+        return json.loads(json_text)
+    except json.JSONDecodeError as err:
+        raise BadEntityRef(f"{what} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise BadEntityRef(f"{what} nests too deeply to decode") from None
+
+
 def load_entities(json_text: str) -> EntityStore:
     """Load the documented entities JSON format and close the hierarchy."""
-    try:
-        data = json.loads(json_text)
-    except json.JSONDecodeError as err:
-        raise BadEntityRef(f"entities file is not valid JSON: {err}") from None
+    data = _decode_json(json_text, "entities file")
     if not isinstance(data, list):
         raise BadEntityRef("entities file must be a JSON array")
     triples = []
@@ -235,10 +246,7 @@ def load_entities(json_text: str) -> EntityStore:
 
 
 def load_request(json_text: str) -> Request:
-    try:
-        data = json.loads(json_text)
-    except json.JSONDecodeError as err:
-        raise BadEntityRef(f"request file is not valid JSON: {err}") from None
+    data = _decode_json(json_text, "request file")
     if not isinstance(data, dict):
         raise BadEntityRef("request file must be a JSON object")
     for key in ("principal", "action", "resource"):

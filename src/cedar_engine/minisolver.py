@@ -26,106 +26,16 @@ from __future__ import annotations
 import sys
 from typing import Optional
 
+from .sexpr import SexprError, is_string_literal, read_sexprs
+
 
 class Unsupported(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# S-expression reader (no lets, no quantifiers in this dialect)
-# ---------------------------------------------------------------------------
-
-
-def tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            buf = []
-            while i < n:
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    break
-                buf.append(text[i])
-                i += 1
-            if i >= n:
-                raise Unsupported("unterminated string")
-            i += 1
-            yield ("string", "".join(buf))
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n();"':
-            j += 1
-        tok = text[i:j]
-        i = j
-        if tok and tok[0].isdigit():
-            try:
-                yield int(tok)
-                continue
-            except ValueError:
-                pass
-        yield tok
-
-
-def parse_all(text: str) -> list:
-    out: list = []
-    stack: list = []
-    for tok in tokenize(text):
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise Unsupported("unbalanced parenthesis")
-            done = tuple(stack.pop())
-            if stack:
-                stack[-1].append(done)
-            else:
-                out.append(done)
-        else:
-            if stack:
-                stack[-1].append(tok)
-            else:
-                out.append(tok)
-    if stack:
-        raise Unsupported("unterminated command")
-    return out
-
-
-def sexp_text(node) -> str:
-    if isinstance(node, tuple) and node and node[0] == "string" and len(node) == 2 and isinstance(node[1], str):
-        return '"' + node[1].replace('"', '""') + '"'
-    if isinstance(node, tuple):
-        return "(" + " ".join(sexp_text(x) for x in node) + ")"
-    return str(node)
-
-
-def _is_string_atom(node) -> bool:
-    return (
-        isinstance(node, tuple)
-        and len(node) == 2
-        and node[0] == "string"
-        and isinstance(node[1], str)
-    )
-
-
 def intern_node(node, table: dict):
     """Share structurally equal subterms so id()-keyed memo tables deduplicate."""
-    if isinstance(node, tuple) and not _is_string_atom(node):
+    if isinstance(node, tuple) and not is_string_literal(node):
         node = tuple(intern_node(x, table) for x in node)
     got = table.get(node)
     if got is None:
@@ -586,8 +496,8 @@ class Session:
 
     def run(self, text: str, out) -> None:
         try:
-            commands = parse_all(text)
-        except Unsupported as err:
+            commands = read_sexprs(text)
+        except SexprError as err:
             print(f'(error "{err}")', file=sys.stderr)
             print("unknown", file=out)
             return
@@ -669,7 +579,7 @@ class Session:
     def _infer(self, node, memo):
         if node == "true" or node == "false":
             return BOOL
-        if _is_string_atom(node):
+        if is_string_literal(node):
             return STRING
         if isinstance(node, str):
             if node in self.consts:
@@ -769,7 +679,7 @@ class Session:
                 node_count[pk] = node_count.get(pk, 0) + 1
             if not isinstance(node, tuple):
                 return
-            if _is_string_atom(node):
+            if is_string_literal(node):
                 lits.setdefault("String", set()).add(node[1])
                 return
             head = node[0]
@@ -778,7 +688,7 @@ class Session:
                 and head in self.datatypes
                 and self._entity_like(head)
                 and len(node) == 2
-                and _is_string_atom(node[1])
+                and is_string_literal(node[1])
             ):
                 lits.setdefault(head, set()).add(node[1][1])
             if head == "set.subset" and pol != 1:
@@ -998,7 +908,7 @@ class Session:
             return BoolV(CNF.TRUE)
         if node == "false":
             return BoolV(CNF.FALSE)
-        if _is_string_atom(node):
+        if is_string_literal(node):
             pool = self._pool_for(STRING, pools)
             idx = pool.index_of(node[1])
             bits = [CNF.TRUE if i == idx else CNF.FALSE for i in range(len(pool.elems))]
@@ -1087,7 +997,7 @@ class Session:
         if isinstance(head, str):
             if head in self.datatypes:
                 fields = self.datatypes[head]
-                if self._entity_like(head) and _is_string_atom(node[1]):
+                if self._entity_like(head) and is_string_literal(node[1]):
                     pool = self._pool_for(("DT", head), pools)
                     idx = pool.index_of(node[1][1])
                     bits = [CNF.TRUE if i == idx else CNF.FALSE for i in range(len(pool.elems))]

@@ -18,6 +18,7 @@ this recursive-descent parser or of the recursive passes over its output
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -49,6 +50,7 @@ from .ast import (
     I64_MAX,
     I64_MIN,
     LikePattern,
+    MAX_NESTING,
     Policy,
     Scope,
     ScopeAny,
@@ -72,8 +74,6 @@ from .ast import (
     render_value,
 )
 from .validator import ActionDecl, EntityTypeDecl, Schema, SchemaError, check_schema
-
-MAX_NESTING = 64
 
 # ---------------------------------------------------------------------------
 # Diagnostics
@@ -125,9 +125,6 @@ def format_diagnostic(diag: ParseDiagnostic, source: str, filename: str = "<inpu
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT2 = ("&&", "||", "==", "<=", "::")
-_PUNCT1 = "()[]{}<>,;:.@!+-*?="
-
 RESERVED = {
     "permit",
     "forbid",
@@ -144,17 +141,24 @@ RESERVED = {
     "is",
 }
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch)
+# One alternative per token class, tried in order: two-character punctuation
+# before its one-character prefixes, and `bad` last, for any other character.
+# A string token matches only its opening quote; `_string` reads the body.
+_TOKEN_RE = re.compile(
+    rf"""(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+    |(?P<int>[0-9]+)
+    |(?P<ident>{_IDENT_RE.pattern})
+    |(?P<slot>\?{_IDENT_RE.pattern})
+    |(?P<string>")
+    |(?P<punct>&&|\|\||==|<=|::|[()\[\]{{}}<>,;:.@!+\-*?=])
+    |(?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_STRING_STOP_RE = re.compile(r'["\\]')
+# `\*` is kept escaped, so that like-pattern splitting can see it.
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "*": "\\*"}
 
 
 @dataclass(frozen=True)
@@ -168,134 +172,85 @@ class Token:
 class _Lexer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
+        self.ascii = source.isascii()
+        # Line, line start and byte offset of `mark`, the start of the last
+        # span made; spans are made in source order, so each character is
+        # counted once.
+        self.mark = 0
         self.byte = 0
         self.line = 1
-        self.col = 1
-        self.diagnostics: list = []
+        self.line_start = 0
 
-    def error(self, message: str, span: Optional[SourceSpan] = None):
-        if span is None:
-            span = self._span(self.pos, self.pos)
+    def error(self, message: str, span: SourceSpan):
         raise ParseError([ParseDiagnostic(Severity.ERROR, message, span)], self.source)
 
     def _span(self, start: int, end: int) -> SourceSpan:
-        # Line/column point at the start of the token.
-        prefix = self.source[:start]
-        line = prefix.count("\n") + 1
-        col = start - (prefix.rfind("\n") + 1) + 1
-        bstart = len(prefix.encode("utf-8"))
-        bend = bstart + len(self.source[start:end].encode("utf-8"))
-        return SourceSpan(bstart, bend, line, col)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
+        src, mark = self.source, self.mark
+        if newlines := src.count("\n", mark, start):
+            self.line += newlines
+            self.line_start = src.rindex("\n", mark, start) + 1
+        end = min(end, len(src))
+        self.byte = start if self.ascii else self.byte + len(src[mark:start].encode("utf-8"))
+        width = end - start if self.ascii else len(src[start:end].encode("utf-8"))
+        self.mark = start
+        return SourceSpan(self.byte, self.byte + width, self.line, start - self.line_start + 1)
 
     def tokens(self) -> list:
-        out = []
         src = self.source
-        n = len(src)
-        while self.pos < n:
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
+        out = []
+        pos, n = 0, len(src)
+        while pos < n:
+            m = _TOKEN_RE.match(src, pos)
+            kind, text, start, pos = m.lastgroup, m.group(), pos, m.end()
+            if kind == "skip":
                 continue
-            if ch == "/" and self._peek(1) == "/":
-                while self.pos < n and src[self.pos] != "\n":
-                    self.pos += 1
-                continue
-            start = self.pos
-            if _is_digit(ch):
-                while self.pos < n and _is_digit(src[self.pos]):
-                    self.pos += 1
-                text = src[start : self.pos]
-                out.append(Token("int", text, int(text), self._span(start, self.pos)))
-                continue
-            if _is_ident_start(ch):
-                while self.pos < n and _is_ident_char(src[self.pos]):
-                    self.pos += 1
-                text = src[start : self.pos]
-                out.append(Token("ident", text, text, self._span(start, self.pos)))
-                continue
-            if ch == '"':
-                out.append(self._string())
-                continue
-            if ch == "?" and _is_ident_start(self._peek(1)):
-                self.pos += 1
-                while self.pos < n and _is_ident_char(src[self.pos]):
-                    self.pos += 1
-                text = src[start : self.pos]
-                out.append(Token("slot", text, text, self._span(start, self.pos)))
-                continue
-            two = src[self.pos : self.pos + 2]
-            if two in _PUNCT2:
-                self.pos += 2
-                out.append(Token(two, two, two, self._span(start, self.pos)))
-                continue
-            if ch in _PUNCT1:
-                self.pos += 1
-                out.append(Token(ch, ch, ch, self._span(start, self.pos)))
-                continue
-            self.error(f"unexpected character {ch!r}", self._span(start, start + 1))
+            if kind == "string":
+                tok = self._string(start)
+                pos = start + len(tok.text)
+            elif kind == "bad":
+                self.error(f"unexpected character {text!r}", self._span(start, pos))
+            else:
+                value = int(text) if kind == "int" else text
+                tok = Token(text if kind == "punct" else kind, text, value, self._span(start, pos))
+            out.append(tok)
         out.append(Token("eof", "", None, self._span(n, n)))
         return out
 
-    def _string(self) -> Token:
+    def _string(self, start: int) -> Token:
+        # Jumps from one quote or backslash to the next.
         src = self.source
-        start = self.pos
-        self.pos += 1  # opening quote
+        pos = start + 1
         buf: list = []
         while True:
-            if self.pos >= len(src):
-                self.error("unterminated string literal", self._span(start, self.pos))
-            ch = src[self.pos]
-            if ch == '"':
-                self.pos += 1
+            stop = _STRING_STOP_RE.search(src, pos)
+            if stop is None:
+                self.error("unterminated string literal", self._span(start, len(src)))
+            buf.append(src[pos : stop.start()])
+            pos = stop.end()
+            if stop.group() == '"':
                 break
-            if ch == "\\":
-                self.pos += 1
-                if self.pos >= len(src):
-                    self.error("unterminated escape", self._span(start, self.pos))
-                esc = src[self.pos]
-                self.pos += 1
-                if esc == "n":
-                    buf.append("\n")
-                elif esc == "t":
-                    buf.append("\t")
-                elif esc == "r":
-                    buf.append("\r")
-                elif esc == "0":
-                    buf.append("\0")
-                elif esc == "\\":
-                    buf.append("\\")
-                elif esc == '"':
-                    buf.append('"')
-                elif esc == "*":
-                    # Kept verbatim so like-pattern splitting can see it.
-                    buf.append("\\*")
-                elif esc == "u":
-                    if self._peek() != "{":
-                        self.error("expected { after \\u", self._span(self.pos, self.pos + 1))
-                    self.pos += 1
-                    hex_start = self.pos
-                    while self._peek() not in ("}", ""):
-                        self.pos += 1
-                    digits = src[hex_start : self.pos]
-                    if self._peek() != "}" or not digits or len(digits) > 6:
-                        self.error("malformed \\u{...} escape", self._span(hex_start, self.pos))
-                    try:
-                        code = int(digits, 16)
-                        buf.append(chr(code))
-                    except (ValueError, OverflowError):
-                        self.error("invalid unicode escape", self._span(hex_start, self.pos))
-                    self.pos += 1
-                else:
-                    self.error(f"unknown escape \\{esc}", self._span(self.pos - 1, self.pos))
+            if pos >= len(src):
+                self.error("unterminated escape", self._span(start, pos))
+            esc = src[pos]
+            pos += 1
+            if esc in _ESCAPES:
+                buf.append(_ESCAPES[esc])
+            elif esc == "u":
+                if not src.startswith("{", pos):
+                    self.error("expected { after \\u", self._span(pos, pos + 1))
+                hex_start = pos + 1
+                close = src.find("}", hex_start)
+                digits = src[hex_start : close if close >= 0 else len(src)]
+                if close < 0 or not digits or len(digits) > 6:
+                    self.error("malformed \\u{...} escape", self._span(hex_start, hex_start + len(digits)))
+                try:
+                    buf.append(chr(int(digits, 16)))
+                except (ValueError, OverflowError):
+                    self.error("invalid unicode escape", self._span(hex_start, close))
+                pos = close + 1
             else:
-                buf.append(ch)
-                self.pos += 1
-        return Token("string", src[start : self.pos], "".join(buf), self._span(start, self.pos))
+                self.error(f"unknown escape \\{esc}", self._span(pos - 1, pos))
+        return Token("string", src[start:pos], "".join(buf), self._span(start, pos))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +274,8 @@ class _Parser:
             self.i += 1
         return tok
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, kind: str) -> bool:
+        return self.peek().kind == kind
 
     def at_ident(self, *names: str) -> bool:
         tok = self.peek()
@@ -908,13 +862,8 @@ _LEVEL_UNARY = 6
 _LEVEL_POSTFIX = 7
 _LEVEL_ATOM = 8
 
-_IDENT_RE = None
-
-
 def _is_ident(name: str) -> bool:
-    if not name or name in RESERVED:
-        return False
-    return _is_ident_start(name[0]) and all(_is_ident_char(c) for c in name)
+    return _IDENT_RE.fullmatch(name) is not None and name not in RESERVED
 
 
 def _attr_suffix(name: str) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ast import CedarError
+from .sexpr import SexprError, is_string_literal, read_sexprs
 from .terms import BOOL_S, TConst, Term, sort_check, sort_sexpr, term_sexpr
 
 
@@ -92,85 +93,11 @@ def print_script(senv, assertions) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# S-expressions
-# ---------------------------------------------------------------------------
-
-
-def tokenize_sexpr(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            buf = []
-            while i < n:
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    break
-                buf.append(text[i])
-                i += 1
-            if i >= n:
-                raise ModelParseError("unterminated string in solver output", text)
-            i += 1
-            yield ("string", "".join(buf))
-            continue
-        if ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise ModelParseError("unterminated quoted symbol", text)
-            yield text[i + 1 : j]
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n();"':
-            j += 1
-        yield text[i:j]
-        i = j
-
-
-def parse_sexprs(text: str) -> list:
-    out: list = []
-    stack: list = []
-    for tok in tokenize_sexpr(text):
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise ModelParseError("unbalanced parenthesis in solver output", text)
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                out.append(done)
-        else:
-            atom = tok
-            if isinstance(tok, str) and tok and (tok[0].isdigit()):
-                try:
-                    atom = int(tok)
-                except ValueError:
-                    atom = tok
-            if stack:
-                stack[-1].append(atom)
-            else:
-                out.append(atom)
-    if stack:
-        raise ModelParseError("unterminated s-expression in solver output", text)
-    return out
+def _read(text: str) -> list:
+    try:
+        return read_sexprs(text)
+    except SexprError as err:
+        raise ModelParseError(f"{err} in solver output", text) from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +111,21 @@ class Model:
 
     @staticmethod
     def parse(text: str) -> "Model":
-        sexprs = parse_sexprs(text)
         defs: dict = {}
 
         def collect(items) -> None:
             for item in items:
-                if isinstance(item, list) and item:
+                if isinstance(item, tuple) and item:
                     if item[0] == "define-fun" and len(item) >= 5:
                         name = item[1]
                         params = [(p[0], p[1]) for p in item[2]]
                         defs[str(name)] = (params, item[4])
                     elif item[0] == "model":
                         collect(item[1:])
-                    elif isinstance(item[0], list) or item[0] not in ("define-fun",):
+                    elif item[0] != "define-fun" and all(isinstance(x, tuple) for x in item):
                         # cvc5 wraps the model in a bare paren block.
-                        if all(isinstance(x, list) for x in item):
-                            collect(item)
-        collect(sexprs)
+                        collect(item)
+        collect(_read(text))
         if not defs:
             raise ModelParseError("no define-fun entries found in model", text)
         return Model(defs)
@@ -218,7 +143,7 @@ class ModelEvaluator:
         self.selectors = selectors or {}
 
     def eval_sexpr(self, text: str):
-        parsed = parse_sexprs(text)
+        parsed = _read(text)
         if len(parsed) != 1:
             raise ModelParseError("expected a single term", text)
         return self.eval(parsed[0], {})
@@ -231,7 +156,7 @@ class ModelEvaluator:
         return self.eval(body, env)
 
     def eval(self, sexp, env: dict):
-        if isinstance(sexp, tuple) and sexp and sexp[0] == "string":
+        if is_string_literal(sexp):
             return sexp
         if isinstance(sexp, int):
             return ("int", sexp)
@@ -249,7 +174,7 @@ class ModelEvaluator:
                 return self.eval(body, {})
             # Bare symbol: a nullary datatype constructor.
             return ("dt", sexp, ())
-        if not isinstance(sexp, list) or not sexp:
+        if not isinstance(sexp, tuple) or not sexp:
             raise ModelParseError(f"cannot evaluate {sexp!r}", "")
         head = sexp[0]
         if head == "let":
@@ -283,12 +208,10 @@ class ModelEvaluator:
             target = sexp[1]
             if target == "none":
                 return ("none",)
-            if isinstance(target, list) and target[:2] == ["set", "empty"]:
-                return ("set", frozenset())
-            if target == "set.empty" or (isinstance(target, str) and target == "set.empty"):
+            if target == "set.empty" or (isinstance(target, tuple) and target[:2] == ("set", "empty")):
                 return ("set", frozenset())
             return self.eval(target, env)
-        if head == "set.empty" or head == ["set.empty"]:
+        if head == "set.empty" or head == ("set.empty",):
             return ("set", frozenset())
         if head == "set.singleton":
             return ("set", frozenset({self.eval(sexp[1], env)}))
@@ -321,9 +244,9 @@ class ModelEvaluator:
             if len(sexp) == 3 and isinstance(sexp[1], str) and sexp[1].startswith("bv"):
                 return ("bv", int(sexp[1][2:]))
             raise ModelParseError(f"cannot evaluate indexed symbol {sexp!r}", "")
-        if isinstance(head, list):
+        if isinstance(head, tuple):
             # ((_ is some) x) and other testers
-            if head[:2] == ["_", "is"]:
+            if head[:2] == ("_", "is"):
                 v = self.eval(sexp[1], env)
                 ctor = head[2]
                 if ctor == "some":
@@ -332,7 +255,7 @@ class ModelEvaluator:
                     return isinstance(v, tuple) and v[0] == "none"
                 return isinstance(v, tuple) and v[0] == "dt" and v[1] == ctor
             if head[0] == "as":
-                return self.eval([head[1]] + sexp[1:], env)
+                return self.eval((head[1],) + sexp[1:], env)
         if isinstance(head, str):
             args = [self.eval(x, env) for x in sexp[1:]]
             if head in self.model.defs:
@@ -345,8 +268,6 @@ class ModelEvaluator:
                 if isinstance(v, tuple) and v[0] == "dt" and v[1] == dt_name:
                     return v[2][index]
                 raise ModelParseError(f"selector {head} applied to {v!r}", "")
-            if head == "val":
-                pass
             return ("dt", head, tuple(args))
         raise ModelParseError(f"cannot evaluate {sexp!r}", "")
 

@@ -117,7 +117,10 @@ class AnalysisError(CedarError):
     concrete re-verification)."""
 
 
+# Names the compiler never gives a declaration.  `string` is among them
+# because `(string x)` would read back as the string literal "x".
 _SMT_RESERVED = {
+    "string",
     "Bool",
     "Int",
     "Real",

@@ -303,3 +303,41 @@ def test_deep_nesting_exits_2(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert "error: expression nests deeper than 64 levels" in err
         assert "Traceback" not in err
+
+
+def _nested(height: int) -> str:
+    """JSON text of a value `height` levels high: a scalar in height - 1 arrays."""
+    return "[" * (height - 1) + "1" + "]" * (height - 1)
+
+
+def _authorize_with(tmp_path, capsys, context_height: int, attr_height: int):
+    uid = '{"type": "User", "id": "u"}'
+    (tmp_path / "entities.json").write_text(f'[{{"uid": {uid}, "attrs": {{"deep": {_nested(attr_height)}}}}}]')
+    # The context record is one level; its attribute the rest.
+    (tmp_path / "request.json").write_text(
+        f'{{"principal": {uid}, "action": {{"type": "Action", "id": "view"}},'
+        f' "resource": {{"type": "Doc", "id": "d"}}, "context": {{"x": {_nested(context_height - 1)}}}}}'
+    )
+    (tmp_path / "policies.cedar").write_text(
+        "permit(principal, action, resource) when { !(context.x == 0) && !(principal.deep == context.x) };"
+    )
+    return run(
+        capsys,
+        "authorize",
+        "--policies", str(tmp_path / "policies.cedar"),
+        "--entities", str(tmp_path / "entities.json"),
+        "--request", str(tmp_path / "request.json"),
+    )
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    for context_height, attr_height in ((3000, 1), (65, 1), (2, 65)):
+        code, out, err = _authorize_with(tmp_path, capsys, context_height, attr_height)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "deep" in err and "Traceback" not in err
+
+
+def test_json_values_at_the_nesting_bound_authorize(tmp_path, capsys):
+    code, out, err = _authorize_with(tmp_path, capsys, 64, 64)
+    assert (code, out.splitlines()[0], err) == (0, "ALLOW", "")

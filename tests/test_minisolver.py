@@ -3,7 +3,8 @@
 import io
 import random
 
-from cedar_engine.minisolver import CNF, Session, dpll, parse_all
+from cedar_engine.minisolver import CNF, Session, dpll
+from cedar_engine.sexpr import read_sexprs
 
 
 def run_script(script: str) -> str:
@@ -178,5 +179,11 @@ def test_subset_witness_under_negation():
 
 
 def test_sexp_parser():
-    got = parse_all('(a (b "x""y") 3)')
+    got = read_sexprs('(a (b "x""y") 3)')
     assert got == [("a", ("b", ("string", 'x"y')), 3)]
+
+
+def test_malformed_script_answers_unknown(capsys):
+    for script in ("(check-sat", "(check-sat))", '(assert (= x "y))\n(check-sat)\n'):
+        assert run_script(script) == "unknown\n"
+        assert capsys.readouterr().err.startswith('(error "')

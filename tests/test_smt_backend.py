@@ -9,13 +9,14 @@ from cedar_engine.parser import parse_expr, parse_schema
 from cedar_engine.smt_backend import (
     Model,
     ModelEvaluator,
+    ModelParseError,
     SolverConfig,
     SolverUnavailable,
-    parse_sexprs,
     print_script,
     run_solver,
     selector_table,
 )
+from cedar_engine.sexpr import read_sexprs
 from cedar_engine.symcc import compile_expr, encode_types, is_true_term, wf_constraints
 from cedar_engine.terms import InternalSortError, TConst, TEq, BOOL_S, SData
 from cedar_engine.validator import environments
@@ -179,9 +180,16 @@ def test_model_parsing_shapes():
     assert ev.eval_sexpr("opt") == ("none",)
 
 
+def test_malformed_solver_output_is_a_model_parse_error():
+    for text in ("((define-fun x () Bool true)", '((define-fun x () String "a))', "())", "((define-fun |x () Bool true))"):
+        with pytest.raises(ModelParseError) as err:
+            Model.parse(text)
+        assert err.value.raw == text
+
+
 def test_sexpr_tokenizer_strings_and_comments():
-    got = parse_sexprs('(a "x""y" 12 ; comment\n (b))')
-    assert got == [["a", ("string", 'x"y'), 12, ["b"]]]
+    got = read_sexprs('(a "x""y" 12 ; comment\n (b))')
+    assert got == [("a", ("string", 'x"y'), 12, ("b",))]
 
 
 def test_awkward_entity_ids_round_trip_through_solver():

@@ -288,3 +288,17 @@ def test_arithmetic_guard_boundaries(fig_schema):
             assert symbolic == ("none",), expr
         else:
             assert symbolic == ("some", concrete[1]), expr
+
+
+def test_no_declaration_is_named_string():
+    # The reader gives string literals the shape ("string", text), so an
+    # applied `string` selector, `(string context)`, would read back as the
+    # literal "context".
+    schema = parse_schema(
+        "entity User;\naction view appliesTo { principal: [User], resource: [User], context: { string: String } };"
+    )
+    env = get_env(schema, "view")
+    senv = encode_types(schema, [env])
+    term = compile_expr(parse_expr('context.string == "x"'), env, schema, senv)
+    script = print_script(senv, [is_true_term(term)])
+    assert "(string " not in script and "(string_2 context)" in script

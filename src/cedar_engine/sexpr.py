@@ -1,10 +1,9 @@
 """The one SMT-LIB s-expression reader, for scripts and for solver output.
 
-Trees: a compound is a tuple (hashable, so the bundled solver can intern
-subterms), a string literal is ``("string", text)`` with ``""`` unescaped, a
-``|quoted|`` symbol is the plain string between the bars, and an atom whose
-first character is a digit is an int when ``int()`` accepts it.  Every other
-atom is a plain string.
+Trees: a compound is a tuple, a string literal is ``("string", text)`` with
+``""`` unescaped, a ``|quoted|`` symbol is the plain string between the bars,
+and an atom whose first character is a digit is an int when ``int()``
+accepts it.  Every other atom is a plain string.
 
 This module imports nothing from the package, so the solver driver and the
 bundled solver share it without importing each other.
@@ -19,6 +18,12 @@ class SexprError(Exception):
     """The text is not a sequence of well-formed s-expressions."""
 
 
+# Hashing a tuple recurses in C without a depth check, so a deep enough
+# compound would overflow the C stack when looked up in the reader's table.
+# Every consumer of these trees recurses in Python and stops near depth
+# 1,000 anyway.
+MAX_DEPTH = 10_000
+
 # Every character starts some alternative, so the matches leave no gaps.
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+ | ;[^\n]*
@@ -32,33 +37,40 @@ _TOKEN_RE = re.compile(
 
 
 def read_sexprs(text: str) -> list:
-    """The top-level s-expressions of `text`, in order; raises SexprError."""
+    """The top-level s-expressions of `text`, in order; raises SexprError.
+
+    Equal nodes read from one text are one object, so a tree takes the
+    memory of its distinct subterms only, and `is` decides equality.
+    """
+    shared: dict = {}  # each distinct node, keyed by itself
     stack: list = [[]]
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
         if kind == "open":
+            if len(stack) > MAX_DEPTH:
+                raise SexprError("s-expression nested too deeply")
             stack.append([])
-        elif kind == "close":
+            continue
+        if kind == "close":
             if len(stack) == 1:
                 raise SexprError("unbalanced parenthesis")
-            done = tuple(stack.pop())
-            stack[-1].append(done)
+            node = tuple(stack.pop())
         elif kind == "string":
-            stack[-1].append(("string", m.group(kind).replace('""', '"')))
+            node = ("string", m.group(kind).replace('""', '"'))
         elif kind == "quoted":
-            stack[-1].append(m.group(kind))
+            node = m.group(kind)
         elif kind == "atom":
-            atom = m.group(kind)
-            if atom[0].isdigit():
+            node = m.group(kind)
+            if node[0].isdigit():
                 try:
-                    atom = int(atom)
+                    node = int(node)
                 except ValueError:
                     pass
-            stack[-1].append(atom)
         else:
             raise SexprError("unterminated string" if m.group() == '"' else "unterminated quoted symbol")
+        stack[-1].append(shared.setdefault(node, node))
     if len(stack) > 1:
         raise SexprError("unterminated s-expression")
     return stack[0]

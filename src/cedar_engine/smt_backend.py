@@ -1,27 +1,30 @@
-"""SMT-LIB serialization, solver subprocess driver, and model parsing.
+"""SMT-LIB serialization, running the solver, and model parsing.
 
-All solver interaction is batch: one script down the child's standard input,
-one response back.  The script always ends with (check-sat)(get-model); the
-model block is only parsed when the answer is `sat`, so solvers that complain
-about the trailing (get-model) after unsat still classify cleanly.
+All solver interaction is batch: one script in, one response back.  The
+script always ends with (check-sat)(get-model); the model block is only
+parsed when the answer is `sat`, so solvers that complain about the trailing
+(get-model) after unsat still classify cleanly.
 
-The executable comes from, in precedence order: an explicit config, the
+The solver comes from, in precedence order: an explicit config, the
 SOLVER_BIN environment variable, a `cvc5` on PATH, then the bundled
-finite-model solver (``python -m cedar_engine.minisolver``).
+finite-model solver.  The bundled solver runs in this process; any other
+solver runs as a child process that reads the script on standard input.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .ast import CedarError
 from .sexpr import SexprError, is_string_literal, read_sexprs
-from .terms import BOOL_S, TConst, Term, sort_check, sort_sexpr, term_sexpr
+from .terms import BOOL_S, InternalSortError, TConst, Term, sort_check, sort_sexpr, term_sexpr
 
 
 class SolverUnavailable(CedarError):
@@ -67,15 +70,11 @@ def print_script(senv, assertions) -> str:
     for a in assertions:
         got = sort_check(a, signatures)
         if got != BOOL_S:
-            from .terms import InternalSortError
-
             raise InternalSortError(f"assertion of sort {sort_sexpr(got)}")
         _walk_consts(a, used_consts)
     for name, sort in used_consts:
         declared = senv.const_sigs.get(name)
         if declared != sort:
-            from .terms import InternalSortError
-
             raise InternalSortError(f"constant {name} used at {sort_sexpr(sort)}")
     lines = ["(set-logic ALL)", "(set-option :produce-models true)", _OPTION_DECL]
     for name, fields in senv.datatypes:
@@ -129,6 +128,9 @@ class Model:
         if not defs:
             raise ModelParseError("no define-fun entries found in model", text)
         return Model(defs)
+
+
+_SET_OPS = {"set.union": frozenset.__or__, "set.inter": frozenset.__and__, "set.minus": frozenset.__sub__}
 
 
 class ModelEvaluator:
@@ -215,18 +217,10 @@ class ModelEvaluator:
             return ("set", frozenset())
         if head == "set.singleton":
             return ("set", frozenset({self.eval(sexp[1], env)}))
-        if head == "set.union":
+        if head in _SET_OPS:
             a = self.eval(sexp[1], env)
             b = self.eval(sexp[2], env)
-            return ("set", a[1] | b[1])
-        if head == "set.inter":
-            a = self.eval(sexp[1], env)
-            b = self.eval(sexp[2], env)
-            return ("set", a[1] & b[1])
-        if head == "set.minus":
-            a = self.eval(sexp[1], env)
-            b = self.eval(sexp[2], env)
-            return ("set", a[1] - b[1])
+            return ("set", _SET_OPS[head](a[1], b[1]))
         if head == "set.insert":
             members = [self.eval(x, env) for x in sexp[1:-1]]
             base = self.eval(sexp[-1], env)
@@ -292,6 +286,11 @@ class SolverOutcome:
     detail: str = ""
 
 
+# The standalone command of the bundled solver; a config naming it runs the
+# solver in this process instead.
+_BUNDLED_ARGV = (sys.executable, "-m", "cedar_engine.minisolver")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     argv: tuple
@@ -303,7 +302,7 @@ class SolverConfig:
 
     @staticmethod
     def bundled(timeout_ms: int = 60000) -> "SolverConfig":
-        return SolverConfig((sys.executable, "-m", "cedar_engine.minisolver"), timeout_ms)
+        return SolverConfig(_BUNDLED_ARGV, timeout_ms)
 
     @staticmethod
     def for_executable(path: str, timeout_ms: int = 60000) -> "SolverConfig":
@@ -324,12 +323,57 @@ class SolverConfig:
 
 
 def run_solver(config: SolverConfig, script: str) -> SolverOutcome:
-    """Stream the script to the solver and classify the response.
+    """Hand the script to the solver and classify the response.
 
-    The child is always reaped;  wall-clock overrun returns Timeout.  A `sat`
-    answer is followed by the model read from the same response.
+    The bundled solver runs in this process, under a deadline checked inside
+    its CDCL loop; any other solver is spawned, and the child is always
+    reaped.  Past the timeout the outcome is `timeout`.  A `sat` answer is
+    followed by the model read from the same response.
     """
     payload = script + "(get-model)\n"
+    if tuple(config.argv) == _BUNDLED_ARGV:
+        response = _run_bundled(payload, config.timeout_ms)
+    else:
+        response = _run_child(config, payload)
+    if response is None:
+        return SolverOutcome("timeout", detail=f"exceeded {config.timeout_ms} ms")
+    stdout, stderr, status = response
+    result = None
+    rest_index = 0
+    for line in stdout.splitlines(keepends=True):
+        rest_index += len(line)
+        word = line.strip()
+        if word in ("sat", "unsat", "unknown"):
+            result = word
+            break
+    if result is None:
+        raise SolverFailure(f"solver produced no answer ({status}):\n{stdout}\n{stderr}")
+    if result == "unsat":
+        return SolverOutcome("unsat")
+    if result == "unknown":
+        return SolverOutcome("unknown", detail=stderr.strip() or "solver returned unknown")
+    return SolverOutcome("sat", model=Model.parse(stdout[rest_index:]))
+
+
+def _run_bundled(payload: str, timeout_ms: int) -> Optional[tuple]:
+    """(stdout, stderr, status) of the bundled solver, or None past the
+    deadline.  Imported here, so that only analysis loads the solver."""
+    from .minisolver import Session
+    from .sat import Timeout
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        Session(time.monotonic() + timeout_ms / 1000.0).run(payload, out, err)
+    except Timeout:
+        return None
+    except Exception as exc:  # a crash of the solver, as a crashed child would be
+        raise SolverFailure(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
+    return out.getvalue(), err.getvalue(), "in-process"
+
+
+def _run_child(config: SolverConfig, payload: str) -> Optional[tuple]:
+    """(stdout, stderr, status) of a solver child process, or None past the
+    timeout, with the child killed and reaped."""
     try:
         proc = subprocess.Popen(
             list(config.argv),
@@ -348,28 +392,9 @@ def run_solver(config: SolverConfig, script: str) -> SolverOutcome:
             proc.communicate(timeout=1.0)
         except Exception:
             pass
-        return SolverOutcome("timeout", detail=f"exceeded {config.timeout_ms} ms")
+        return None
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    result = None
-    rest_index = 0
-    for line in stdout.splitlines(keepends=True):
-        rest_index += len(line)
-        word = line.strip()
-        if word in ("sat", "unsat", "unknown"):
-            result = word
-            break
-    if result is None:
-        raise SolverFailure(
-            f"solver produced no answer (exit {proc.returncode}):\n{stdout}\n{stderr}"
-        )
-    if result == "unsat":
-        return SolverOutcome("unsat")
-    if result == "unknown":
-        reason = stderr.strip() or "solver returned unknown"
-        return SolverOutcome("unknown", detail=reason)
-    model_text = stdout[rest_index:]
-    model = Model.parse(model_text)
-    return SolverOutcome("sat", model=model)
+    return stdout, stderr, f"exit {proc.returncode}"

@@ -1,10 +1,19 @@
 """The bundled finite-model solver: CNF core and SMT-LIB session behavior."""
 
+import gc
 import io
 import random
+import time
+import weakref
+
+import pytest
 
 from cedar_engine.minisolver import CNF, Session, dpll
+from cedar_engine.sat import Timeout
 from cedar_engine.sexpr import read_sexprs
+from cedar_engine.smt_backend import Model, ModelEvaluator
+
+from conftest import fixture_path
 
 
 def run_script(script: str) -> str:
@@ -187,3 +196,95 @@ def test_malformed_script_answers_unknown(capsys):
     for script in ("(check-sat", "(check-sat))", '(assert (= x "y))\n(check-sat)\n'):
         assert run_script(script) == "unknown\n"
         assert capsys.readouterr().err.startswith('(error "')
+
+
+def pigeonhole(pigeons: int) -> str:
+    """Unsatisfiable, and hard for resolution: `pigeons` pigeons in one hole fewer."""
+    holes = pigeons - 1
+    lines = ["(set-logic ALL)"]
+    lines += [f"(declare-const p{i}_{j} Bool)" for i in range(pigeons) for j in range(holes)]
+    for i in range(pigeons):
+        lines.append("(assert (or " + " ".join(f"p{i}_{j}" for j in range(holes)) + "))")
+    for j in range(holes):
+        for i in range(pigeons):
+            for k in range(i + 1, pigeons):
+                lines.append(f"(assert (not (and p{i}_{j} p{k}_{j})))")
+    return "\n".join(lines) + "\n(check-sat)\n"
+
+
+def test_deadline_stops_the_cdcl_loop():
+    session = Session(deadline=time.monotonic() + 0.2)
+    start = time.monotonic()
+    with pytest.raises(Timeout):
+        session.run(pigeonhole(11), io.StringIO())
+    assert time.monotonic() - start < 2
+    assert "unsat" in run_script(pigeonhole(5))
+    with pytest.raises(Timeout):  # a deadline already past stops it before any search
+        dpll(3, [(1,), (2, 3)], deadline=time.monotonic() - 1)
+
+
+def test_error_notes_go_to_the_given_stream(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    Session().run("(declare-const n (_ BitVec 64))\n(assert (bvslt n n))\n(check-sat)\n(get-model)\n", out, err)
+    assert out.getvalue() == "unknown\n"
+    assert err.getvalue().splitlines() == ['(error "unsupported: bvslt (bit-vector/regex theory)")', '(error "no model available")']
+    assert capsys.readouterr().err == ""
+
+
+def fixture_scripts(tmp_path) -> list:
+    """The scripts analysis writes for the tinytodo guardrail pair."""
+    from cedar_engine.authorizer import PolicySet
+    from cedar_engine.parser import parse_policies, parse_schema
+    from cedar_engine.smt_backend import SolverConfig
+    from cedar_engine.symcc import analyze_equivalence
+
+    def load(name):
+        with open(fixture_path("tinytodo", name), encoding="utf-8") as fh:
+            return fh.read()
+
+    old, new = (PolicySet.from_policies(parse_policies(load(f"policies_guardrail_{v}.cedar"))) for v in ("old", "new"))
+    schema = parse_schema(load("tinytodo.cedarschema"))
+    analyze_equivalence(old, new, schema, config=SolverConfig.bundled(), emit_dir=str(tmp_path))
+    return [(tmp_path / name).read_text() for name in sorted(p.name for p in tmp_path.iterdir())]
+
+
+def test_a_solved_session_is_freed_without_the_cycle_collector(tmp_path):
+    scripts = fixture_scripts(tmp_path)
+    assert scripts
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for script in scripts:
+            gc.collect()
+            session = Session()
+            out = io.StringIO()
+            session.run(script + "(get-model)\n", out)
+            assert out.getvalue().split("\n", 1)[0] in ("sat", "unsat")
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+            assert gc.collect() == 0  # nothing the solve made is left in a cycle
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_single_string_field_records_are_read():
+    # R has the shape of an entity datatype; reading or building its field
+    # puts it on the String domain, where selector and constructor are the
+    # identity.
+    decls = (
+        "(set-logic ALL)\n"
+        "(declare-datatype R ((R (f String))))\n"
+        "(declare-const a R)\n(declare-const b R)\n(declare-const s String)\n"
+    )
+    assert run_script(decls + "(assert (distinct a b))\n(assert (= b (R (f a))))\n(check-sat)\n") == "unsat\n"
+    assert run_script(decls + '(assert (= (f a) "x"))\n(assert (= a (R "y")))\n(check-sat)\n') == "unsat\n"
+    out = run_script(
+        decls + '(assert (= (f a) s))\n(assert (distinct s "x"))\n(assert (distinct a b))\n'
+        '(assert (distinct b (R "x")))\n(check-sat)\n(get-model)\n'
+    )
+    assert out.startswith("sat\n")
+    ev = ModelEvaluator(Model.parse(out[4:]), {"f": ("R", 0)})
+    a, b, s = (ev.eval_sexpr(x) for x in "abs")
+    assert a == ("dt", "R", (s,)) and a != b and s != ("string", "x") and b != ("dt", "R", (("string", "x"),))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cedar_engine.sexpr import SexprError, read_sexprs
+from cedar_engine.sexpr import MAX_DEPTH, SexprError, read_sexprs
 
 
 def test_read_sexprs():
@@ -26,3 +26,32 @@ def test_read_sexprs():
     ):
         with pytest.raises(SexprError, match=f"^{message}$"):
             read_sexprs(bad)
+
+
+def test_equal_subterms_are_one_object():
+    text = '(assert (= (f x) "a")) (assert (or (= (f x) "a") (g 12 "a" 12)))'
+    first, second = read_sexprs(text)
+    shared = first[1]
+    assert second[1][1] is shared
+    assert second[1][1][1] is shared[1]  # (f x)
+    literal = shared[2]
+    assert literal == ("string", "a") and second[1][2][2] is literal
+    assert second[1][2][1] is second[1][2][3]  # 12
+    assert first[0] is second[0]  # "assert"
+    # Equal subterms of different texts are not shared.
+    assert read_sexprs("(f x)")[0] is not read_sexprs("(f x)")[0]
+
+
+def test_nesting_is_bounded():
+    # Looking a compound up hashes it, recursively in C: a million levels
+    # would overflow the C stack, so the reader stops at MAX_DEPTH.
+    def nested(depth):
+        return "(f " * depth + "x" + ")" * depth
+
+    (tree,) = read_sexprs(nested(MAX_DEPTH))
+    for _ in range(MAX_DEPTH - 1):
+        tree = tree[1]
+    assert tree == ("f", "x")
+    for depth in (MAX_DEPTH + 1, 10**6):
+        with pytest.raises(SexprError, match="^s-expression nested too deeply$"):
+            read_sexprs(nested(depth))

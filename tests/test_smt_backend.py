@@ -1,5 +1,7 @@
 """Script printing, the solver driver, and model parsing."""
 
+import os
+import subprocess
 import sys
 import time
 
@@ -11,6 +13,8 @@ from cedar_engine.smt_backend import (
     ModelEvaluator,
     ModelParseError,
     SolverConfig,
+    SolverFailure,
+    SolverOutcome,
     SolverUnavailable,
     print_script,
     run_solver,
@@ -237,3 +241,87 @@ def test_solver_config_precedence(monkeypatch):
     monkeypatch.delenv("SOLVER_BIN")
     config = SolverConfig.default()
     assert config.argv[0] in (sys.executable,) or "cvc5" in config.argv[0]
+
+
+def test_bundled_solver_timeout_is_a_deadline():
+    from test_minisolver import pigeonhole
+
+    start = time.monotonic()
+    outcome = run_solver(SolverConfig.bundled(timeout_ms=200), pigeonhole(11))
+    assert outcome == SolverOutcome("timeout", detail="exceeded 200 ms")
+    assert time.monotonic() - start < 2
+
+
+def guardrail_pair():
+    from cedar_engine.authorizer import PolicySet
+    from cedar_engine.parser import parse_policies
+
+    from conftest import read_fixture
+
+    old, new = (
+        PolicySet.from_policies(parse_policies(read_fixture("tinytodo", f"policies_guardrail_{v}.cedar")))
+        for v in ("old", "new")
+    )
+    return old, new, parse_schema(read_fixture("tinytodo", "tinytodo.cedarschema"))
+
+
+def test_child_process_and_in_process_solvers_agree(monkeypatch):
+    from cedar_engine.symcc import analyze_equivalence
+
+    from conftest import ROOT
+
+    monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+    child = SolverConfig((sys.executable, "-c", "from cedar_engine.minisolver import main; main()"))
+    old, new, schema = guardrail_pair()
+    verdicts = {}
+    for config in (SolverConfig.bundled(), child):
+        got = analyze_equivalence(old, new, schema, config=config)
+        verdicts[config.argv] = [(v.env.describe(), v.status, v.detail) for v in got]
+    in_process, spawned = verdicts.values()
+    assert in_process == spawned
+    assert {status for _, status, _ in in_process} == {"equivalent", "differs"}
+
+
+def test_bundled_solver_crash_is_a_solver_failure(monkeypatch):
+    from cedar_engine import minisolver
+
+    def crash(self, text, out, err=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(minisolver.Session, "run", crash)
+    with pytest.raises(SolverFailure, match="RuntimeError: boom"):
+        run_solver(SolverConfig.bundled(), "(check-sat)\n")
+
+
+def test_bundled_solver_needs_no_pythonpath(tmp_path):
+    # The package is importable only through sys.path: not installed, not on
+    # PYTHONPATH, and not in the working directory.
+    from conftest import ROOT
+
+    program = f"""
+import sys
+sys.path.insert(0, {os.path.join(ROOT, "src")!r})
+from cedar_engine.authorizer import PolicySet, authorize
+from cedar_engine.entities import Request, load_entities
+from cedar_engine.ast import EntityRef, vrecord
+from cedar_engine.parser import parse_policies, parse_schema
+from cedar_engine.smt_backend import SolverConfig
+from cedar_engine.symcc import analyze_equivalence
+
+def read(name):
+    with open({os.path.join(ROOT, "fixtures", "tinytodo")!r} + "/" + name, encoding="utf-8") as fh:
+        return fh.read()
+
+policies = PolicySet.from_policies(parse_policies(read("policies.cedar")))
+store = load_entities(read("entities.json"))
+request = Request(EntityRef("User", "kesha"), EntityRef("Action", "GetList"), EntityRef("List", "0"), vrecord({{}}))
+authorize(policies, store, request)
+print(sorted(m for m in sys.modules if m in ("cedar_engine.minisolver", "cedar_engine.sat")))
+old, new = (PolicySet.from_policies(parse_policies(read(f"policies_guardrail_{{v}}.cedar"))) for v in ("old", "new"))
+verdicts = analyze_equivalence(old, new, parse_schema(read("tinytodo.cedarschema")), config=SolverConfig.bundled())
+print(sorted(v.env.action.entity_id for v in verdicts if v.status == "differs"))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    got = subprocess.run([sys.executable, "-c", program], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.splitlines() == ["[]", "['GetOwnedLists']"]

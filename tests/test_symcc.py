@@ -1,5 +1,6 @@
 """Type encoding, expression compilation, grounding, and equivalence analysis."""
 
+import pytest
 
 from cedar_engine.ast import EntityRef, substitute_action, toexp
 from cedar_engine.authorizer import PolicySet
@@ -302,3 +303,27 @@ def test_no_declaration_is_named_string():
     term = compile_expr(parse_expr('context.string == "x"'), env, schema, senv)
     script = print_script(senv, [is_true_term(term)])
     assert "(string " not in script and "(string_2 context)" in script
+
+
+@pytest.mark.parametrize("cond", ['context.foo == "x"', 'principal.name == "x"'])
+def test_single_string_field_records_are_decided(cond):
+    # The context record and the User attribute record each have one String
+    # field, the shape of an entity datatype.
+    from cedar_engine.ast import VString, vrecord
+    from cedar_engine.authorizer import Verdict
+    from cedar_engine.smt_backend import SolverConfig
+
+    schema = parse_schema(
+        "entity User { name: String };\nentity Doc;\n"
+        "action view appliesTo { principal: [User], resource: [Doc], context: { foo: String } };"
+    )
+    old = PolicySet.from_policies(parse_policies(f"permit(principal, action, resource) when {{ {cond} }};"))
+    new = PolicySet.from_policies(parse_policies("permit(principal, action, resource) when { false };"))
+    (verdict,) = analyze_equivalence(old, new, schema, config=SolverConfig.bundled())
+    assert verdict.status == "differs"
+    cex = verdict.counterexample  # re-verified by analyze_equivalence
+    assert (cex.decision_a.verdict, cex.decision_b.verdict) == (Verdict.ALLOW, Verdict.DENY)
+    if cond.startswith("context"):
+        assert cex.request.context == vrecord({"foo": VString("x")})
+    else:
+        assert cex.store.get(cex.request.principal).attrs == vrecord({"name": VString("x")})

@@ -13,6 +13,7 @@ solver runs as a child process that reads the script on standard input.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import shutil
@@ -48,30 +49,84 @@ class ModelParseError(CedarError):
 _OPTION_DECL = "(declare-datatypes ((Option 1)) ((par (X) ((none) (some (val X))))))"
 
 
-def _walk_consts(t: Term, out: set) -> None:
-    if isinstance(t, TConst):
-        out.add((t.name, t.sort))
-    for attr in ("arg", "cond", "then", "els", "left", "right", "elem", "set", "s"):
-        child = getattr(t, attr, None)
-        if isinstance(child, Term):
-            _walk_consts(child, out)
-    args = getattr(t, "args", None)
-    if isinstance(args, tuple):
-        for a in args:
-            if isinstance(a, Term):
-                _walk_consts(a, out)
+# A shared subterm whose text is no longer than this is written out
+# wherever it occurs: naming it would save little and hide it from a reader.
+_INLINE_CHARS = 40
+
+
+def _children(t: Term) -> list:
+    out = []
+    for f in dataclasses.fields(t):
+        v = getattr(t, f.name)
+        if isinstance(v, Term):
+            out.append(v)
+        elif type(v) is tuple:
+            out.extend(a for a in v if isinstance(a, Term))
+    return out
+
+
+def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set) -> None:
+    key = id(node)
+    if key in uses:
+        uses[key] += 1
+        return
+    uses[key] = 1
+    if isinstance(node, TConst):
+        consts.add((node.name, node.sort))
+    kids[key] = _children(node)
+    for child in kids[key]:
+        _visit(child, uses, order, kids, consts)
+    order.append(node)
+
+
+def _let_sexpr(t: Term, consts: set) -> str:
+    """term_sexpr(t), except that a subterm occurring more than once, and
+    longer than _INLINE_CHARS, is bound once by a `let` and named where it
+    occurs, so the text grows with the distinct subterms, not with the
+    unfolded tree.  The constants of `t` are added to `consts`.
+
+    A binding's term names only bindings of earlier lets, so the lets nest
+    as deep as the chain of shared subterms, not one per binding.
+    """
+    uses: dict = {}  # id(node) -> occurrences as an argument (the root: 1)
+    order: list = []  # the distinct nodes, each after its children
+    kids: dict = {}  # id(node) -> its children
+    _visit(t, uses, order, kids, consts)
+    text: dict = {}  # id(node) -> what stands for the node
+    depth: dict = {}  # id(node) -> lets its text must be inside
+    lets: list = []  # bindings of each let, outermost first
+    bound = 0
+
+    def show(child: Term) -> str:
+        return text[id(child)]
+
+    for node in order:
+        key = id(node)
+        need = max((depth[id(c)] for c in kids[key]), default=0)
+        body = term_sexpr(node, show)
+        if uses[key] > 1 and len(body) > _INLINE_CHARS:
+            if need == len(lets):
+                lets.append([])
+            name = f"_let!{bound}"
+            bound += 1
+            lets[need].append(f"({name} {body})")
+            text[key], depth[key] = name, need + 1
+        else:
+            text[key], depth[key] = body, need
+    return "".join(f"(let ({' '.join(b)}) " for b in lets) + text[id(t)] + ")" * len(lets)
 
 
 def print_script(senv, assertions) -> str:
     """Deterministic SMT-LIB 2 text: declarations in dependency order, one
-    assert per term, then (check-sat)."""
+    assert per term, then (check-sat).  Subterms shared within an assertion
+    are written once (see _let_sexpr)."""
     signatures = senv.signatures()
-    used_consts: set = set()
     for a in assertions:
         got = sort_check(a, signatures)
         if got != BOOL_S:
             raise InternalSortError(f"assertion of sort {sort_sexpr(got)}")
-        _walk_consts(a, used_consts)
+    used_consts: set = set()
+    asserts = [f"(assert {_let_sexpr(a, used_consts)})" for a in assertions]
     for name, sort in used_consts:
         declared = senv.const_sigs.get(name)
         if declared != sort:
@@ -86,8 +141,7 @@ def print_script(senv, assertions) -> str:
         lines.append(f"(declare-fun {fn} ({arg_text}) {sort_sexpr(ret)})")
     for name in senv.const_order:
         lines.append(f"(declare-const {name} {sort_sexpr(senv.const_sigs[name])})")
-    for a in assertions:
-        lines.append(f"(assert {term_sexpr(a)})")
+    lines.extend(asserts)
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -179,11 +233,6 @@ class ModelEvaluator:
         if not isinstance(sexp, tuple) or not sexp:
             raise ModelParseError(f"cannot evaluate {sexp!r}", "")
         head = sexp[0]
-        if head == "let":
-            new_env = dict(env)
-            for name, value in sexp[1]:
-                new_env[name] = self.eval(value, env)
-            return self.eval(sexp[2], new_env)
         if head == "ite":
             cond = self.eval(sexp[1], env)
             return self.eval(sexp[2] if cond is True else sexp[3], env)

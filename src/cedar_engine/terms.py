@@ -485,7 +485,11 @@ def regex_sexpr(r: Regex) -> str:
     raise TypeError(f"not a regex: {r!r}")
 
 
-def term_sexpr(t: Term) -> str:
+def term_sexpr(t: Term, show=None) -> str:
+    """SMT-LIB text of `t`; `show(child)` gives each child's text, by
+    default term_sexpr itself."""
+    if show is None:
+        show = term_sexpr
     if isinstance(t, TBoolLit):
         return "true" if t.b else "false"
     if isinstance(t, TBVLit):
@@ -497,43 +501,43 @@ def term_sexpr(t: Term) -> str:
     if isinstance(t, TApp):
         if not t.args:
             return t.fn
-        return f"({t.fn} " + " ".join(term_sexpr(a) for a in t.args) + ")"
+        return f"({t.fn} " + " ".join(show(a) for a in t.args) + ")"
     if isinstance(t, TSome):
-        return f"(some {term_sexpr(t.arg)})"
+        return f"(some {show(t.arg)})"
     if isinstance(t, TNone):
         return f"(as none (Option {sort_sexpr(t.elem)}))"
     if isinstance(t, TVal):
-        return f"(val {term_sexpr(t.arg)})"
+        return f"(val {show(t.arg)})"
     if isinstance(t, TIsSome):
-        return f"((_ is some) {term_sexpr(t.arg)})"
+        return f"((_ is some) {show(t.arg)})"
     if isinstance(t, TIte):
-        return f"(ite {term_sexpr(t.cond)} {term_sexpr(t.then)} {term_sexpr(t.els)})"
+        return f"(ite {show(t.cond)} {show(t.then)} {show(t.els)})"
     if isinstance(t, TEq):
-        return f"(= {term_sexpr(t.left)} {term_sexpr(t.right)})"
+        return f"(= {show(t.left)} {show(t.right)})"
     if isinstance(t, TNot):
-        return f"(not {term_sexpr(t.arg)})"
+        return f"(not {show(t.arg)})"
     if isinstance(t, TAnd):
-        return "(and " + " ".join(term_sexpr(a) for a in t.args) + ")"
+        return "(and " + " ".join(show(a) for a in t.args) + ")"
     if isinstance(t, TOr):
-        return "(or " + " ".join(term_sexpr(a) for a in t.args) + ")"
+        return "(or " + " ".join(show(a) for a in t.args) + ")"
     if isinstance(t, TImplies):
-        return f"(=> {term_sexpr(t.left)} {term_sexpr(t.right)})"
+        return f"(=> {show(t.left)} {show(t.right)})"
     if isinstance(t, TSetMember):
-        return f"(set.member {term_sexpr(t.elem)} {term_sexpr(t.set)})"
+        return f"(set.member {show(t.elem)} {show(t.set)})"
     if isinstance(t, TSetSubset):
-        return f"(set.subset {term_sexpr(t.left)} {term_sexpr(t.right)})"
+        return f"(set.subset {show(t.left)} {show(t.right)})"
     if isinstance(t, TSetInter):
-        return f"(set.inter {term_sexpr(t.left)} {term_sexpr(t.right)})"
+        return f"(set.inter {show(t.left)} {show(t.right)})"
     if isinstance(t, TSetUnion):
-        return f"(set.union {term_sexpr(t.left)} {term_sexpr(t.right)})"
+        return f"(set.union {show(t.left)} {show(t.right)})"
     if isinstance(t, TSetSingleton):
-        return f"(set.singleton {term_sexpr(t.elem)})"
+        return f"(set.singleton {show(t.elem)})"
     if isinstance(t, TSetEmpty):
         return f"(as set.empty (Set {sort_sexpr(t.elem)}))"
     if isinstance(t, TBVOp):
-        return f"({t.op} " + " ".join(term_sexpr(a) for a in t.args) + ")"
+        return f"({t.op} " + " ".join(show(a) for a in t.args) + ")"
     if isinstance(t, TStrInRe):
-        return f"(str.in_re {term_sexpr(t.s)} {regex_sexpr(t.re)})"
+        return f"(str.in_re {show(t.s)} {regex_sexpr(t.re)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -546,10 +550,28 @@ def sort_check(t: Term, signatures: Optional[dict] = None) -> Sort:
     """Recompute the sort of every node and verify consistency.
 
     ``signatures`` maps applied function/constructor names to (arg sorts,
-    result sort); applications are checked against it when present.
+    result sort); applications are checked against it when present.  A
+    node shared within `t` is checked once.
     """
+    return _SortCheck(signatures).go(t)
 
-    def go(term: Term) -> Sort:
+
+class _SortCheck:
+    """One sort check.  Methods rather than closures that call each other,
+    so that no reference cycle keeps the memo alive after the check."""
+
+    def __init__(self, signatures: Optional[dict]):
+        self.signatures = signatures
+        self.memo: dict = {}  # id(node) -> its sort
+
+    def go(self, term: Term) -> Sort:
+        got = self.memo.get(id(term))
+        if got is None:
+            got = self.memo[id(term)] = self.check(term)
+        return got
+
+    def check(self, term: Term) -> Sort:
+        go, signatures = self.go, self.signatures
         if isinstance(term, TApp):
             arg_sorts = tuple(go(a) for a in term.args)
             if signatures is not None and term.fn in signatures:
@@ -621,5 +643,3 @@ def sort_check(t: Term, signatures: Optional[dict] = None) -> Sort:
                 raise InternalSortError("bitvector literal out of range")
             return BV64_S
         return sort_of(term)
-
-    return go(t)

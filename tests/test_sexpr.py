@@ -43,8 +43,9 @@ def test_equal_subterms_are_one_object():
 
 
 def test_nesting_is_bounded():
-    # Looking a compound up hashes it, recursively in C: a million levels
-    # would overflow the C stack, so the reader stops at MAX_DEPTH.
+    # Hashing or comparing a compound recurses in C: a million levels
+    # would overflow the C stack of a consumer, so the reader stops at
+    # MAX_DEPTH.
     def nested(depth):
         return "(f " * depth + "x" + ")" * depth
 
@@ -55,3 +56,14 @@ def test_nesting_is_bounded():
     for depth in (MAX_DEPTH + 1, 10**6):
         with pytest.raises(SexprError, match="^s-expression nested too deeply$"):
             read_sexprs(nested(depth))
+
+
+def test_let_reads_as_its_expansion():
+    (bound,) = read_sexprs("(let ((a (f x)) (b 2)) (let ((c (g a b))) (and c (f x) a)))")
+    assert bound == read_sexprs("(and (g (f x) 2) (f x) (f x))")[0]
+    assert bound[1][1] is bound[2] is bound[3]  # (f x), bound or written out
+    # A binding sees the enclosing scope; an inner name shadows an outer one.
+    assert read_sexprs("(let ((x 1)) (let ((x (h x))) x))") == [("h", 1)]
+    assert read_sexprs('(let ((s "x")) (= s "x"))') == [("=", ("string", "x"), ("string", "x"))]
+    with pytest.raises(SexprError, match="^malformed let binding$"):
+        read_sexprs("(let ((a)) a)")

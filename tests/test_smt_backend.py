@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from cedar_engine.smt_backend import (
 )
 from cedar_engine.sexpr import read_sexprs
 from cedar_engine.symcc import compile_expr, encode_types, is_true_term, wf_constraints
-from cedar_engine.terms import InternalSortError, TConst, TEq, BOOL_S, SData
+from cedar_engine.terms import InternalSortError, TAnd, TConst, TEq, TNot, TOr, BOOL_S, SData, term_sexpr
 from cedar_engine.validator import environments
 
 from test_symcc import TEAM_SCHEMA, get_env
@@ -61,6 +62,32 @@ def test_print_script_worked_example_assertions():
         '(assert (=> (set.member (Team "B") (teamInTeam (Team "A"))) '
         '(set.subset (teamInTeam (Team "B")) (teamInTeam (Team "A")))))'
     ) in script
+
+
+def _doubling(levels: int):
+    """A term whose every level uses the level below twice, as each step of
+    an error-propagating Cedar expression does: unfolded, it has 2**levels
+    leaves."""
+    p, q = TConst("p", BOOL_S), TConst("q", BOOL_S)
+    t = p
+    for _ in range(levels):
+        t = TOr((TAnd((t, q)), TNot(t)))
+    senv = SimpleNamespace(
+        signatures=dict, const_sigs={"p": BOOL_S, "q": BOOL_S}, datatypes=[], fn_order=[], fn_sigs={}, const_order=["p", "q"]
+    )
+    return senv, t
+
+
+def test_print_script_writes_shared_subterms_once():
+    senv, t = _doubling(16)
+    script = print_script(senv, [t])
+    assert len(script) < 5_000  # unfolded: over a megabyte
+    assert run_solver(SolverConfig.bundled(), script).kind == "sat"
+    # The lets read back as the unfolded tree.
+    senv, t = _doubling(8)
+    (assertion,) = [c for c in read_sexprs(print_script(senv, [t])) if c[0] == "assert"]
+    assert assertion == read_sexprs(f"(assert {term_sexpr(t)})")[0]
+    assert "(let " in print_script(senv, [t])
 
 
 def test_print_script_byte_stable():

@@ -241,9 +241,6 @@ class LikePattern:
 
         return go(0, 0)
 
-    def literal_chunks(self) -> tuple:
-        return tuple(p for p in self.parts if p is not WILDCARD)
-
 
 # ---------------------------------------------------------------------------
 # Expressions

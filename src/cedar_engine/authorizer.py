@@ -2,9 +2,10 @@
 
 Forbid trumps permit and the default is deny.  Errored policies count as
 unsatisfied and are reported in the decision's diagnostics.  The slicer
-buckets each closed policy under the entity named in its principal/resource
-scope constraint (or Any) and looks buckets up through the request's ancestor
-sets, which is sound: a policy outside the slice cannot be satisfied.
+indexes each closed policy by the entities named in its principal and
+resource scope constraints (or Any), principal key first, and looks buckets
+up through the request's ancestor sets, which is sound: a policy outside the
+slice cannot be satisfied.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .ast import (
     CedarError,
@@ -34,7 +35,7 @@ class DuplicatePolicyId(CedarError):
 
 @dataclass(frozen=True)
 class PolicySet:
-    """Closed policies plus templates and their links.
+    """Closed policies (template links included) plus templates.
 
     Links are materialized into closed policies eagerly at construction, so
     indexing and evaluation only ever see closed policies.  The scope index
@@ -43,7 +44,6 @@ class PolicySet:
 
     closed_policies: tuple
     templates: tuple
-    links: tuple  # ((template_id, bindings, link_id), ...)
 
     @staticmethod
     def from_policies(policies: Iterable[Policy], links: Iterable = ()) -> "PolicySet":
@@ -52,24 +52,22 @@ class PolicySet:
         for p in policies:
             (templates if p.is_template() else closed).append(p)
         template_by_id = {t.id: t for t in templates}
-        link_rows = []
         for template_id, bindings, link_id in links:
             if template_id not in template_by_id:
                 raise CedarError(f"link references unknown template {template_id}")
             closed.append(link(template_by_id[template_id], dict(bindings), link_id))
-            link_rows.append((template_id, tuple(sorted(bindings.items())), link_id))
         seen = set()
         for p in closed + templates:
             if p.id in seen:
                 raise DuplicatePolicyId(f"duplicate policy id {p.id}")
             seen.add(p.id)
-        return PolicySet(tuple(closed), tuple(templates), tuple(link_rows))
+        return PolicySet(tuple(closed), tuple(templates))
 
     def all_policies(self) -> tuple:
         return self.closed_policies + self.templates
 
     @cached_property
-    def index(self) -> PolicyIndex:
+    def index(self) -> dict:
         return build_index(self)
 
     @cached_property
@@ -95,33 +93,32 @@ def rof(policy: Policy):
     return _key_of(policy.resource)
 
 
-@dataclass(frozen=True)
-class PolicyIndex:
-    buckets: Mapping  # (principal_key, resource_key) -> frozenset of policy ids
-
-
-def build_index(policies: PolicySet) -> PolicyIndex:
-    """Bucket every closed policy under its scope key pair."""
-    buckets: dict = {}
+def build_index(policies: PolicySet) -> dict:
+    """principal key -> {resource key -> the closed policies with that key pair}."""
+    index: dict = {}
     for p in policies.closed_policies:
-        buckets.setdefault((pof(p), rof(p)), set()).add(p.id)
-    return PolicyIndex({k: frozenset(v) for k, v in buckets.items()})
+        index.setdefault(pof(p), {}).setdefault(rof(p), []).append(p)
+    return {pk: {rk: tuple(ps) for rk, ps in by_resource.items()} for pk, by_resource in index.items()}
 
 
-def slice_policies(index: PolicyIndex, store: EntityStore, request: Request) -> frozenset:
-    """Ids of the policies possibly relevant to the request.
+def slice_policies(index: dict, store: EntityStore, request: Request) -> list:
+    """The closed policies possibly relevant to the request, each once.
 
-    Key set: (ancestors(P) + {P, Any}) x (ancestors(R) + {R, Any}).
+    Principal keys (P, *ancestors(P), Any) are probed, and only under those
+    present are resource keys (R, *ancestors(R), Any).  Buckets are disjoint
+    and an acyclic store never lists an entity among its own ancestors, so no
+    policy is reached twice.
     """
-    p_keys = set(store.ancestors_of(request.principal)) | {request.principal, ANY_KEY}
-    r_keys = set(store.ancestors_of(request.resource)) | {request.resource, ANY_KEY}
-    out: set = set()
-    for pk in p_keys:
-        for rk in r_keys:
-            got = index.buckets.get((pk, rk))
-            if got:
-                out |= got
-    return frozenset(out)
+    r_keys = (request.resource, *store.ancestors_of(request.resource), ANY_KEY)
+    out: list = []
+    for pk in (request.principal, *store.ancestors_of(request.principal), ANY_KEY):
+        by_resource = index.get(pk)
+        if by_resource is not None:
+            for rk in r_keys:
+                got = by_resource.get(rk)
+                if got is not None:
+                    out += got
+    return out
 
 
 class Verdict(Enum):
@@ -143,9 +140,7 @@ def authorize(
     use_slicing: bool = True,
 ) -> Decision:
     """Allow iff no satisfied forbid policy and at least one satisfied permit."""
-    candidates = policies.closed_policies
-    if use_slicing:
-        candidates = [policies.by_id(pid) for pid in slice_policies(policies.index, store, request)]
+    candidates = slice_policies(policies.index, store, request) if use_slicing else policies.closed_policies
     satisfied_permits = set()
     satisfied_forbids = set()
     errors = []

@@ -254,9 +254,8 @@ def cmd_slice(args) -> int:
     def key_text(k) -> str:
         return str(k) if not isinstance(k, str) else k
 
-    for pid in sorted(selected):
-        p = policies.by_id(pid)
-        print(f"{pid}: key=<{key_text(pof(p))}, {key_text(rof(p))}>")
+    for p in sorted(selected, key=lambda p: p.id):
+        print(f"{p.id}: key=<{key_text(pof(p))}, {key_text(rof(p))}>")
     print(f"selected {len(selected)} of {len(policies.closed_policies)} policies")
     return EXIT_OK
 

@@ -165,20 +165,20 @@ class Model:
     @staticmethod
     def parse(text: str) -> "Model":
         defs: dict = {}
-
-        def collect(items) -> None:
-            for item in items:
-                if isinstance(item, tuple) and item:
-                    if item[0] == "define-fun" and len(item) >= 5:
-                        name = item[1]
-                        params = [(p[0], p[1]) for p in item[2]]
-                        defs[str(name)] = (params, item[4])
-                    elif item[0] == "model":
-                        collect(item[1:])
-                    elif item[0] != "define-fun" and all(isinstance(x, tuple) for x in item):
-                        # cvc5 wraps the model in a bare paren block.
-                        collect(item)
-        collect(_read(text))
+        # An explicit worklist (next item last) rather than a self-recursive
+        # closure, which would leave a reference cycle behind every parse.
+        todo = list(reversed(_read(text)))
+        while todo:
+            item = todo.pop()
+            if not (isinstance(item, tuple) and item):
+                continue
+            if item[0] == "define-fun" and len(item) >= 5:
+                defs[str(item[1])] = ([(p[0], p[1]) for p in item[2]], item[4])
+            elif item[0] == "model":
+                todo.extend(reversed(item[1:]))
+            elif item[0] != "define-fun" and all(isinstance(x, tuple) for x in item):
+                # cvc5 wraps the model in a bare paren block.
+                todo.extend(reversed(item))
         if not defs:
             raise ModelParseError("no define-fun entries found in model", text)
         return Model(defs)

@@ -60,7 +60,7 @@ from .ast import (
     toexp,
 )
 from .authorizer import Decision, PolicySet, authorize
-from .entities import EntityStore, Request, close_hierarchy, merge_action_hierarchy
+from .entities import EntityStore, Request, build_store, merge_action_hierarchy
 from .validator import RequestEnv, Schema, environments, join
 from .terms import (
     BOOL_S,
@@ -945,14 +945,12 @@ def reconstruct_counterexample(
     if not isinstance(context, VRecord):
         raise AnalysisError("context did not decode to a record")
 
-    attrs: dict = {}
-    parents: dict = {}
+    triples = []
     for ref, value in refs.items():
         decl = schema.entity(ref.entity_type)
         if decl is None:
             continue
         rec = _decode_value(senv, ev.apply(senv.attr_fn[ref.entity_type], [value]))
-        attrs[ref] = rec
         direct = set()
         for ancestor_type in sorted(decl.parents):
             fn = senv.anc_fn.get((ref.entity_type, ancestor_type))
@@ -963,13 +961,8 @@ def reconstruct_counterexample(
             for elem in got.elems:
                 if isinstance(elem, VEntity):
                     direct.add(elem.ref)
-        parents[ref] = direct
-    closed = close_hierarchy(parents)
-    from .entities import EntityData
-
-    store = EntityStore(
-        {ref: EntityData(attrs[ref], closed.get(ref, frozenset())) for ref in attrs}
-    )
+        triples.append((ref, rec, direct))
+    store = build_store(triples)
     request = Request(principal=principal, action=env.action, resource=resource, context=context)
     return request, store
 

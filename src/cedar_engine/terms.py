@@ -295,19 +295,6 @@ def sort_of(t: Term) -> Sort:
 # ---------------------------------------------------------------------------
 
 
-def is_literal(t: Term) -> bool:
-    """Terms whose value is statically known (used for equality folding)."""
-    if isinstance(t, (TBoolLit, TBVLit, TStrLit, TNone)):
-        return True
-    if isinstance(t, TSome):
-        return is_literal(t.arg)
-    if isinstance(t, TApp):
-        # Constructor applications to literals; uninterpreted functions are
-        # never literal, but constructor names never collide with them.
-        return False
-    return False
-
-
 def mk_not(t: Term) -> Term:
     if isinstance(t, TBoolLit):
         return TBoolLit(not t.b)

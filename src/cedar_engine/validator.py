@@ -657,9 +657,6 @@ class ValidationReport:
     def errors(self) -> list:
         return [r for r in self.results if not r.ok]
 
-    def policy_valid(self, policy_id: str) -> bool:
-        return all(r.ok for r in self.results if r.policy_id == policy_id)
-
 
 def matching_actions(schema: Schema, scope: Scope) -> list:
     """Actions the policy's action constraint can match, in schema order."""

@@ -111,7 +111,7 @@ def test_criterion_1_semantics_properties(gen_seed):
         store = gen_store(cfg)
         shuffled = list(ps.closed_policies)
         random.Random(seed).shuffle(shuffled)
-        ps_shuffled = PolicySet(tuple(shuffled), (), ())
+        ps_shuffled = PolicySet(tuple(shuffled), ())
         for k in range(n_requests):
             request = gen_request(GenConfig(seed * 1000 + k), store)
             triples += 1

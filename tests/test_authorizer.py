@@ -27,7 +27,7 @@ def pset(src: str) -> PolicySet:
 def test_index_keys(tinytodo_policies):
     ps = PolicySet.from_policies(tinytodo_policies)
     index = build_index(ps)
-    buckets = {pid: key for key, pids in index.buckets.items() for pid in pids}
+    buckets = {p.id: (pk, rk) for pk, by_resource in index.items() for rk, bucket in by_resource.items() for p in bucket}
     assert buckets["policy0"] == (ANY_KEY, EntityRef("Application", "TinyTodo"))
     assert buckets["policy1"] == (ANY_KEY, ANY_KEY)
     assert buckets["policy2"] == (EntityRef("Team", "admin"), EntityRef("Application", "TinyTodo"))
@@ -37,19 +37,22 @@ def test_index_keys(tinytodo_policies):
 def test_index_unconstrained_policy():
     ps = pset("permit(principal, action, resource);")
     index = build_index(ps)
-    assert index.buckets == {(ANY_KEY, ANY_KEY): frozenset({"policy0"})}
+    assert index == {ANY_KEY: {ANY_KEY: ps.closed_policies}}
+    assert [p.id for p in index[ANY_KEY][ANY_KEY]] == ["policy0"]
 
 
 def test_every_policy_in_exactly_one_bucket(tinytodo_policies):
-    index = build_index(PolicySet.from_policies(tinytodo_policies))
-    seen = [pid for pids in index.buckets.values() for pid in pids]
-    assert sorted(seen) == sorted(p.id for p in tinytodo_policies)
+    ps = PolicySet.from_policies(tinytodo_policies)
+    index = build_index(ps)
+    seen = [p for by_resource in index.values() for bucket in by_resource.values() for p in bucket]
+    assert sorted(p.id for p in seen) == sorted(p.id for p in tinytodo_policies)
+    assert all(any(p is q for q in ps.closed_policies) for p in seen)
 
 
 def test_slice_empty_index():
     index = build_index(PolicySet.from_policies([]))
     req = Request(EntityRef("U", "u"), EntityRef("Action", "a"), EntityRef("R", "r"), vrecord({}))
-    assert slice_policies(index, EMPTY_STORE, req) == frozenset()
+    assert slice_policies(index, EMPTY_STORE, req) == []
 
 
 def test_intern_keyed_policy_sliced_by_ancestry():
@@ -65,8 +68,8 @@ def test_intern_keyed_policy_sliced_by_ancestry():
     resource = EntityRef("R", "r")
     req_a = Request(EntityRef("User", "aaron"), EntityRef("Action", "x"), resource, vrecord({}))
     req_b = Request(EntityRef("User", "andrew"), EntityRef("Action", "x"), resource, vrecord({}))
-    assert slice_policies(index, store, req_a) == frozenset({"policy0"})
-    assert slice_policies(index, store, req_b) == frozenset()
+    assert [p.id for p in slice_policies(index, store, req_a)] == ["policy0"]
+    assert slice_policies(index, store, req_b) == []
 
 
 def test_slice_is_superset_of_satisfied(tinytodo_policies, tinytodo_store):
@@ -78,11 +81,40 @@ def test_slice_is_superset_of_satisfied(tinytodo_policies, tinytodo_store):
         EntityRef("List", "0"),
         vrecord({}),
     )
-    selected = slice_policies(index, tinytodo_store, request)
+    selected = {p.id for p in slice_policies(index, tinytodo_store, request)}
     for p in ps.closed_policies:
         out = evaluate_policy(p, tinytodo_store, request)
         if out.status is PolicyEvalStatus.SATISFIED:
             assert p.id in selected
+
+
+def test_slice_returns_each_closed_policy_at_most_once():
+    for seed in range(150):
+        cfg = GenConfig(seed)
+        store = gen_store(cfg)
+        template, links = gen_template_links(cfg, store, probability=0.3)
+        ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
+        closed = {id(p) for p in ps.closed_policies}
+        for request in _gen_requests(seed, store, 5):
+            selected = slice_policies(ps.index, store, request)
+            assert len({id(p) for p in selected}) == len(selected)  # no policy twice
+            assert all(id(p) in closed for p in selected)  # the set's own objects
+
+
+def test_sliced_authorize_never_looks_policies_up_by_id(monkeypatch, tinytodo_policies, tinytodo_store):
+    def fail(self):
+        raise AssertionError("authorize looked a policy up by id")
+
+    monkeypatch.setattr(PolicySet, "by_id", property(fail))
+    ps = PolicySet.from_policies(tinytodo_policies)
+    request = Request(
+        EntityRef("User", "aaron"),
+        EntityRef("Action", "GetList"),
+        EntityRef("List", "0"),
+        vrecord({}),
+    )
+    decision = authorize(ps, tinytodo_store, request, use_slicing=True)
+    assert decision.verdict is Verdict.ALLOW
 
 
 def test_deny_overrides_and_reports_forbid(tinytodo_policies, tinytodo_store):
@@ -170,7 +202,7 @@ def test_semantics_properties_sample():
         rng = random.Random(seed)
         shuffled = list(ps.closed_policies)
         rng.shuffle(shuffled)
-        other = authorize(PolicySet(tuple(shuffled), (), ()), store, request)
+        other = authorize(PolicySet(tuple(shuffled), ()), store, request)
         assert other.verdict == decision.verdict
         assert other.determining == decision.determining
         # Sound slicing.

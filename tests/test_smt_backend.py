@@ -1,5 +1,6 @@
 """Script printing, the solver driver, and model parsing."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -216,6 +217,26 @@ def test_malformed_solver_output_is_a_model_parse_error():
         with pytest.raises(ModelParseError) as err:
             Model.parse(text)
         assert err.value.raw == text
+
+
+def test_model_parse_leaves_no_reference_cycle():
+    shapes = (
+        "((define-fun x () Bool true))",  # cvc5's bare paren block
+        "(model (define-fun x () Bool true))",
+        "(define-fun x () Bool true)",
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in shapes:
+            gc.collect()
+            model = Model.parse(text)
+            assert list(model.defs) == ["x"]
+            del model
+            assert gc.collect() == 0, text
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sexpr_tokenizer_strings_and_comments():

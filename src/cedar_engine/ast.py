@@ -324,9 +324,6 @@ class ENeg(Expr):
     arg: Expr
 
 
-BINOPS = ("+", "-", "<", "<=", "==", "in", "contains", "containsAny", "containsAll")
-
-
 @dataclass(frozen=True)
 class EBinop(Expr):
     op: str

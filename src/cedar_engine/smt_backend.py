@@ -25,7 +25,7 @@ from typing import Optional
 
 from .ast import CedarError
 from .sexpr import SexprError, is_string_literal, read_sexprs
-from .terms import BOOL_S, InternalSortError, TConst, Term, sort_check, sort_sexpr, term_sexpr
+from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, sort_sexpr, term_sexpr
 
 
 class SolverUnavailable(CedarError):
@@ -65,7 +65,7 @@ def _children(t: Term) -> list:
     return out
 
 
-def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set) -> None:
+def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set, signatures: dict) -> None:
     key = id(node)
     if key in uses:
         uses[key] += 1
@@ -73,17 +73,24 @@ def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set) -> None
     uses[key] = 1
     if isinstance(node, TConst):
         consts.add((node.name, node.sort))
+    elif isinstance(node, TApp) and node.fn in signatures:
+        want_args, want_res = signatures[node.fn]
+        got = tuple(a.sort for a in node.args)
+        if tuple(want_args) != got or want_res != node.sort:
+            raise InternalSortError(f"application {node.fn}: got {[sort_sexpr(s) for s in got]}")
     kids[key] = _children(node)
     for child in kids[key]:
-        _visit(child, uses, order, kids, consts)
+        _visit(child, uses, order, kids, consts, signatures)
     order.append(node)
 
 
-def _let_sexpr(t: Term, consts: set) -> str:
+def _let_sexpr(t: Term, consts: set, signatures: dict) -> str:
     """term_sexpr(t), except that a subterm occurring more than once, and
     longer than _INLINE_CHARS, is bound once by a `let` and named where it
     occurs, so the text grows with the distinct subterms, not with the
-    unfolded tree.  The constants of `t` are added to `consts`.
+    unfolded tree.  The constants of `t` are added to `consts`, and each
+    application named in `signatures` (name -> (argument sorts, result
+    sort)) is checked against it.
 
     A binding's term names only bindings of earlier lets, so the lets nest
     as deep as the chain of shared subterms, not one per binding.
@@ -91,7 +98,7 @@ def _let_sexpr(t: Term, consts: set) -> str:
     uses: dict = {}  # id(node) -> occurrences as an argument (the root: 1)
     order: list = []  # the distinct nodes, each after its children
     kids: dict = {}  # id(node) -> its children
-    _visit(t, uses, order, kids, consts)
+    _visit(t, uses, order, kids, consts, signatures)
     text: dict = {}  # id(node) -> what stands for the node
     depth: dict = {}  # id(node) -> lets its text must be inside
     lets: list = []  # bindings of each let, outermost first
@@ -119,14 +126,15 @@ def _let_sexpr(t: Term, consts: set) -> str:
 def print_script(senv, assertions) -> str:
     """Deterministic SMT-LIB 2 text: declarations in dependency order, one
     assert per term, then (check-sat).  Subterms shared within an assertion
-    are written once (see _let_sexpr)."""
+    are written once (see _let_sexpr).  The terms' own sorts were checked
+    when they were built; here each assertion must be Bool, and every
+    application and constant must agree with its declaration in `senv`."""
     signatures = senv.signatures()
     for a in assertions:
-        got = sort_check(a, signatures)
-        if got != BOOL_S:
-            raise InternalSortError(f"assertion of sort {sort_sexpr(got)}")
+        if a.sort != BOOL_S:
+            raise InternalSortError(f"assertion of sort {sort_sexpr(a.sort)}")
     used_consts: set = set()
-    asserts = [f"(assert {_let_sexpr(a, used_consts)})" for a in assertions]
+    asserts = [f"(assert {_let_sexpr(a, used_consts, signatures)})" for a in assertions]
     for name, sort in used_consts:
         declared = senv.const_sigs.get(name)
         if declared != sort:

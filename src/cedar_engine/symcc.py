@@ -37,6 +37,7 @@ from .ast import (
     ESet,
     ESlot,
     EVar,
+    Effect,
     EntityRef,
     Expr,
     I64_MAX,
@@ -84,6 +85,8 @@ from .terms import (
     TNone,
     TSetEmpty,
     TSetInter,
+    TSetMember,
+    TSetSubset,
     TSome,
     TStrInRe,
     TStrLit,
@@ -95,16 +98,13 @@ from .terms import (
     mk_implies,
     mk_is_some,
     mk_ite,
-    mk_member,
     mk_not,
     mk_or,
     mk_or2,
     mk_set_literal,
     mk_val,
-    sort_of,
     term_sexpr,
 )
-from .terms import TSetMember, TSetSubset
 
 
 class UnsupportedConstruct(CedarError):
@@ -351,7 +351,7 @@ class _Compiler:
     def compile(self, e: Expr) -> Term:
         out = self._go(e)
         if self.footprint is not None:
-            payload = sort_of(out)
+            payload = out.sort
             assert isinstance(payload, SOption)
             inner = payload.elem
             if isinstance(inner, SData):
@@ -415,7 +415,7 @@ class _Compiler:
             elems = [self._value_term(x) for x in v.elems]
             if not elems:
                 raise UnsupportedConstruct("empty set literal cannot be encoded")
-            sorts = {sort_of(t) for t in elems}
+            sorts = {t.sort for t in elems}
             if len(sorts) != 1:
                 raise UnsupportedConstruct("heterogeneous set literal cannot be encoded")
             elems.sort(key=term_sexpr)
@@ -423,7 +423,7 @@ class _Compiler:
         if isinstance(v, VRecord):
             rec = TRecord(
                 tuple(
-                    TRecordAttr(k, True, self.senv.cedar_of_sort(sort_of(self._value_term(x))))
+                    TRecordAttr(k, True, self.senv.cedar_of_sort(self._value_term(x).sort))
                     for k, x in v.fields
                 )
             )
@@ -437,7 +437,7 @@ class _Compiler:
 
         Returns (required, field term) or None when statically absent.
         """
-        s = sort_of(v)
+        s = v.sort
         if not isinstance(s, SData):
             raise UnsupportedConstruct(f"attribute {attr} on sort {s!r}")
         if s.name in self.senv.record_of_name:
@@ -460,7 +460,7 @@ class _Compiler:
 
     def _coerce(self, opt_term: Term, target: CedarType) -> Term:
         """Coerce an Option-wrapped term to the encoding of a supertype."""
-        source = self.senv.cedar_of_sort(sort_of(opt_term).elem)
+        source = self.senv.cedar_of_sort(opt_term.sort.elem)
         if self.senv.encode_type(source) == self.senv.encode_type(target):
             return opt_term
         v = mk_val(opt_term)
@@ -493,7 +493,7 @@ class _Compiler:
         )
 
     def _join_branches(self, a: Term, b: Term):
-        sa, sb = sort_of(a).elem, sort_of(b).elem
+        sa, sb = a.sort.elem, b.sort.elem
         if sa == sb:
             return a, b
         ca, cb = self.senv.cedar_of_sort(sa), self.senv.cedar_of_sort(sb)
@@ -517,7 +517,7 @@ class _Compiler:
             elems = [self.compile(x) for x in e.elems]
             if not elems:
                 raise UnsupportedConstruct("empty set literal cannot be encoded")
-            sorts = {sort_of(t).elem for t in elems}
+            sorts = {t.sort.elem for t in elems}
             if len(sorts) != 1:
                 raise UnsupportedConstruct("set literal without a common element encoding")
             vals = sorted((mk_val(t) for t in elems), key=term_sexpr)
@@ -531,7 +531,7 @@ class _Compiler:
                 tuple(
                     sorted(
                         (
-                            TRecordAttr(k, True, self.senv.cedar_of_sort(sort_of(t).elem))
+                            TRecordAttr(k, True, self.senv.cedar_of_sort(t.sort.elem))
                             for k, t in parts
                         ),
                         key=lambda a: a.name,
@@ -566,7 +566,7 @@ class _Compiler:
             if a is not None:
                 return TSome(TBoolLit(a.entity_type == e.entity_type))
             obj = self.compile(e.obj)
-            entity_type = self._entity_type_of(sort_of(obj).elem, "is")
+            entity_type = self._entity_type_of(obj.sort.elem, "is")
             return mk_ifok(obj, TSome(TBoolLit(entity_type == e.entity_type)))
         if isinstance(e, ELike):
             obj = self.compile(e.obj)
@@ -664,18 +664,18 @@ class _Compiler:
         if op == "contains":
             left = self.compile(e.left)
             right = self.compile(e.right)
-            set_sort = sort_of(left).elem
+            set_sort = left.sort.elem
             if not isinstance(set_sort, SSet):
                 raise UnsupportedConstruct("contains on a non-set encoding")
-            if sort_of(right).elem != set_sort.elem:
+            if right.sort.elem != set_sort.elem:
                 body: Term = TSome(TBoolLit(False))
             else:
-                body = TSome(mk_member(mk_val(right), mk_val(left)))
+                body = TSome(TSetMember(mk_val(right), mk_val(left)))
             return mk_ifok(left, mk_ifok(right, body))
         if op in ("containsAny", "containsAll"):
             left = self.compile(e.left)
             right = self.compile(e.right)
-            sl, sr = sort_of(left).elem, sort_of(right).elem
+            sl, sr = left.sort.elem, right.sort.elem
             if not (isinstance(sl, SSet) and isinstance(sr, SSet)):
                 raise UnsupportedConstruct(f"{op} on a non-set encoding")
             if sl != sr:
@@ -698,7 +698,7 @@ class _Compiler:
             return TSome(TBoolLit(a1 == a2))
         left = self.compile(e.left)
         right = self.compile(e.right)
-        sl, sr = sort_of(left).elem, sort_of(right).elem
+        sl, sr = left.sort.elem, right.sort.elem
         if sl != sr:
             ca, cb = None, None
             try:
@@ -729,23 +729,23 @@ class _Compiler:
                 return TSome(TBoolLit(hit))
         left = self.compile(e.left)
         right = self.compile(e.right)
-        e1 = self._entity_type_of(sort_of(left).elem, "in")
+        e1 = self._entity_type_of(left.sort.elem, "in")
         v1, v2 = mk_val(left), mk_val(right)
-        rhs_sort = sort_of(right).elem
+        rhs_sort = right.sort.elem
         parents = self._parents(e1)
         if isinstance(rhs_sort, SData):
             e2 = self._entity_type_of(rhs_sort, "in")
             b1 = mk_eq(v1, v2) if e1 == e2 else TBoolLit(False)
             if e2 in parents:
                 fn = self.senv.ensure_anc_fn(e1, e2)
-                b2: Term = mk_member(v2, TApp(fn, (v1,), SSet(SData(sort_of(v2).name))))
+                b2: Term = TSetMember(v2, TApp(fn, (v1,), SSet(rhs_sort)))
             else:
                 b2 = TBoolLit(False)
             body = TSome(mk_or2(b1, b2))
             return mk_ifok(left, mk_ifok(right, body))
         if isinstance(rhs_sort, SSet) and isinstance(rhs_sort.elem, SData):
             e2 = self._entity_type_of(rhs_sort.elem, "in")
-            b1 = mk_member(v1, v2) if e1 == e2 else TBoolLit(False)
+            b1 = TSetMember(v1, v2) if e1 == e2 else TBoolLit(False)
             if e2 in parents:
                 fn = self.senv.ensure_anc_fn(e1, e2)
                 anc = TApp(fn, (v1,), SSet(rhs_sort.elem))
@@ -847,11 +847,9 @@ def allowed_term(policies: PolicySet, env: RequestEnv, schema: Schema, senv: Sym
     for p in policies.closed_policies:
         expr = substitute_action(toexp(p), env.action)
         compiled = compile_expr(expr, env, schema, senv, footprint=footprint)
-        if sort_of(compiled) != SOption(BOOL_S):
+        if compiled.sort != SOption(BOOL_S):
             raise AnalysisError(f"policy {p.id} compiled to a non-boolean term")
         flag = is_true_term(compiled)
-        from .ast import Effect
-
         if p.effect is Effect.PERMIT:
             permits.append(flag)
         else:
@@ -917,12 +915,13 @@ def reconstruct_counterexample(
 ) -> tuple:
     """Concrete (request, store) from a model: read entity ids at footprint
     points, apply attribute/ancestor functions there, close transitively."""
+    from .sexpr import read_sexprs
     from .smt_backend import ModelEvaluator, selector_table
 
     ev = ModelEvaluator(model, selector_table(senv))
 
-    def term_value(t: Term):
-        return ev.eval_sexpr(term_sexpr(t))
+    def var_value(var: str):
+        return ev.eval(senv.var_consts[(env, var)][0], {})
 
     def as_ref(v) -> EntityRef:
         decoded = _decode_value(senv, v)
@@ -931,17 +930,18 @@ def reconstruct_counterexample(
         return decoded.ref
 
     refs: dict = {}
-    for term, entity_type in footprint:
-        v = term_value(term)
+    # The footprint terms' values, from one read of all their text.
+    for sexp in read_sexprs("\n".join(term_sexpr(t) for t, _ in footprint)):
+        v = ev.eval(sexp, {})
         if isinstance(v, tuple) and v[0] == "none":
             continue
         if isinstance(v, tuple) and v[0] == "some":
             v = v[1]
         ref = as_ref(v)
         refs[ref] = v
-    principal = as_ref(ev.eval_sexpr(senv.var_consts[(env, "principal")][0]))
-    resource = as_ref(ev.eval_sexpr(senv.var_consts[(env, "resource")][0]))
-    context = _decode_value(senv, ev.eval_sexpr(senv.var_consts[(env, "context")][0]))
+    principal = as_ref(var_value("principal"))
+    resource = as_ref(var_value("resource"))
+    context = _decode_value(senv, var_value("context"))
     if not isinstance(context, VRecord):
         raise AnalysisError("context did not decode to a record")
 

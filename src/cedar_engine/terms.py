@@ -1,6 +1,13 @@
 """Typed SMT term trees.
 
-Every term has exactly one sort.  The smart constructors partially evaluate
+Every term has exactly one sort, its `sort` attribute: fixed by its class,
+or derived from its children's sorts when it is built.  The sort rules are
+checked there too, so building an ill-sorted term raises
+`InternalSortError`.  Only the checks that need the declarations (each
+application against its function's signature, each constant against its
+declaration) are left to `smt_backend.print_script`.
+
+The smart constructors partially evaluate
 (literal guards collapse conditionals, `and`/`or`/`implies` drop literal
 operands) so that statically-decided subexpressions vanish from the output,
 and the printer emits the finite-set theory spellings (`set.member`,
@@ -11,7 +18,7 @@ Option-wrapped sorts carry the error channel: `none` is a runtime error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast import CedarError, I64_MAX, I64_MIN
@@ -87,22 +94,46 @@ def sort_sexpr(s: Sort) -> str:
 
 
 class Term:
+    """An SMT term.  Each has a `sort`: given (constants, applications),
+    fixed by its class, or derived from its children's sorts when it is
+    built.  A derived sort takes no part in equality or hashing."""
+
     __slots__ = ()
+
+
+def _derived_sort():
+    return field(init=False, compare=False, repr=False)
+
+
+def _set_sort(term: Term, sort: Sort) -> None:
+    object.__setattr__(term, "sort", sort)
+
+
+def _require_bool(op: str, args) -> None:
+    if not all(isinstance(a.sort, SBool) for a in args):
+        raise InternalSortError(f"{op} over non-Bool")
 
 
 @dataclass(frozen=True)
 class TBoolLit(Term):
     b: bool
+    sort = BOOL_S
 
 
 @dataclass(frozen=True)
 class TBVLit(Term):
     i: int  # signed, within 64-bit range
+    sort = BV64_S
+
+    def __post_init__(self):
+        if not (I64_MIN <= self.i <= I64_MAX):
+            raise InternalSortError("bitvector literal out of range")
 
 
 @dataclass(frozen=True)
 class TStrLit(Term):
     s: str
+    sort = STRING_S
 
 
 @dataclass(frozen=True)
@@ -113,31 +144,53 @@ class TConst(Term):
 
 @dataclass(frozen=True)
 class TApp(Term):
-    """Uninterpreted function, datatype constructor, or selector application."""
+    """Uninterpreted function, datatype constructor, or selector application.
+    Its arguments are checked against the declared signature when the
+    script is printed."""
 
     fn: str
     args: tuple
-    result: Sort
+    sort: Sort
 
 
 @dataclass(frozen=True)
 class TSome(Term):
     arg: Term
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, SOption(self.arg.sort))
 
 
 @dataclass(frozen=True)
 class TNone(Term):
     elem: Sort
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, SOption(self.elem))
 
 
 @dataclass(frozen=True)
 class TVal(Term):
     arg: Term  # Option-sorted
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        s = self.arg.sort
+        if not isinstance(s, SOption):
+            raise InternalSortError(f"val applied to {sort_sexpr(s)}")
+        _set_sort(self, s.elem)
 
 
 @dataclass(frozen=True)
 class TIsSome(Term):
     arg: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        if not isinstance(self.arg.sort, SOption):
+            raise InternalSortError("is-some over non-Option")
 
 
 @dataclass(frozen=True)
@@ -145,67 +198,130 @@ class TIte(Term):
     cond: Term
     then: Term
     els: Term
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        if not isinstance(self.cond.sort, SBool):
+            raise InternalSortError("ite guard is not Bool")
+        st, se = self.then.sort, self.els.sort
+        if st != se:
+            raise InternalSortError(f"ite branches {sort_sexpr(st)} vs {sort_sexpr(se)}")
+        _set_sort(self, st)
 
 
 @dataclass(frozen=True)
 class TEq(Term):
     left: Term
     right: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        sl, sr = self.left.sort, self.right.sort
+        if sl != sr:
+            raise InternalSortError(f"= on {sort_sexpr(sl)} vs {sort_sexpr(sr)}")
 
 
 @dataclass(frozen=True)
 class TNot(Term):
     arg: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        _require_bool("not", (self.arg,))
 
 
 @dataclass(frozen=True)
 class TAnd(Term):
     args: tuple  # len >= 2
+    sort = BOOL_S
+
+    def __post_init__(self):
+        _require_bool("and", self.args)
 
 
 @dataclass(frozen=True)
 class TOr(Term):
     args: tuple  # len >= 2
+    sort = BOOL_S
+
+    def __post_init__(self):
+        _require_bool("or", self.args)
 
 
 @dataclass(frozen=True)
 class TImplies(Term):
     left: Term
     right: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        _require_bool("=>", (self.left, self.right))
 
 
 @dataclass(frozen=True)
 class TSetMember(Term):
     elem: Term
     set: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        if self.set.sort != SSet(self.elem.sort):
+            raise InternalSortError("set.member sorts disagree")
+
+
+def _check_set_operands(term) -> Sort:
+    sl = term.left.sort
+    if sl != term.right.sort or not isinstance(sl, SSet):
+        raise InternalSortError("set operation sorts disagree")
+    return sl
 
 
 @dataclass(frozen=True)
 class TSetSubset(Term):
     left: Term
     right: Term
+    sort = BOOL_S
+
+    def __post_init__(self):
+        _check_set_operands(self)
 
 
 @dataclass(frozen=True)
 class TSetInter(Term):
     left: Term
     right: Term
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, _check_set_operands(self))
 
 
 @dataclass(frozen=True)
 class TSetUnion(Term):
     left: Term
     right: Term
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, _check_set_operands(self))
 
 
 @dataclass(frozen=True)
 class TSetSingleton(Term):
     elem: Term
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, SSet(self.elem.sort))
 
 
 @dataclass(frozen=True)
 class TSetEmpty(Term):
     elem: Sort
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        _set_sort(self, SSet(self.elem))
 
 
 _BV_RESULT = {
@@ -222,6 +338,12 @@ _BV_RESULT = {
 class TBVOp(Term):
     op: str
     args: tuple
+    sort: Sort = _derived_sort()
+
+    def __post_init__(self):
+        if not all(isinstance(a.sort, SBV64) for a in self.args):
+            raise InternalSortError(f"{self.op} over non-bitvector")
+        _set_sort(self, _BV_RESULT[self.op])
 
 
 class Regex:
@@ -247,47 +369,15 @@ class RConcat(Regex):
 class TStrInRe(Term):
     s: Term
     re: Regex
+    sort = BOOL_S
+
+    def __post_init__(self):
+        if not isinstance(self.s.sort, SString):
+            raise InternalSortError("str.in_re over non-String")
 
 
 TRUE_TERM = TBoolLit(True)
 FALSE_TERM = TBoolLit(False)
-
-
-def sort_of(t: Term) -> Sort:
-    if isinstance(t, TBoolLit):
-        return BOOL_S
-    if isinstance(t, TBVLit):
-        return BV64_S
-    if isinstance(t, TStrLit):
-        return STRING_S
-    if isinstance(t, TConst):
-        return t.sort
-    if isinstance(t, TApp):
-        return t.result
-    if isinstance(t, TSome):
-        return SOption(sort_of(t.arg))
-    if isinstance(t, TNone):
-        return SOption(t.elem)
-    if isinstance(t, TVal):
-        s = sort_of(t.arg)
-        if not isinstance(s, SOption):
-            raise InternalSortError(f"val applied to {sort_sexpr(s)}")
-        return s.elem
-    if isinstance(t, (TIsSome, TEq, TNot, TAnd, TOr, TImplies, TSetMember, TSetSubset)):
-        return BOOL_S
-    if isinstance(t, TIte):
-        return sort_of(t.then)
-    if isinstance(t, (TSetInter, TSetUnion)):
-        return sort_of(t.left)
-    if isinstance(t, TSetSingleton):
-        return SSet(sort_of(t.elem))
-    if isinstance(t, TSetEmpty):
-        return SSet(t.elem)
-    if isinstance(t, TBVOp):
-        return _BV_RESULT[t.op]
-    if isinstance(t, TStrInRe):
-        return BOOL_S
-    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +470,7 @@ def mk_eq(a: Term, b: Term) -> Term:
 
 
 def _is_ctor_literal(t: Term) -> bool:
-    return isinstance(t, TApp) and t.fn == _data_name(t.result) and all(
+    return isinstance(t, TApp) and t.fn == _data_name(t.sort) and all(
         isinstance(x, (TStrLit, TBVLit, TBoolLit)) for x in t.args
     )
 
@@ -394,7 +484,7 @@ def mk_ite(cond: Term, then: Term, els: Term) -> Term:
         return then if cond.b else els
     if then == els:
         return then
-    if isinstance(sort_of(then), SBool):
+    if isinstance(then.sort, SBool):
         if isinstance(then, TBoolLit) and isinstance(els, TBoolLit):
             return cond if then.b else mk_not(cond)
         if isinstance(then, TBoolLit):
@@ -420,24 +510,15 @@ def mk_val(t: Term) -> Term:
     return TVal(t)
 
 
-def opt_elem(t: Term) -> Sort:
-    s = sort_of(t)
-    if not isinstance(s, SOption):
-        raise InternalSortError(f"expected an Option sort, got {sort_sexpr(s)}")
-    return s.elem
-
-
 def mk_ifok(guarded: Term, body: Term) -> Term:
     """Propagate the error channel: none when ``guarded`` is none, else body."""
+    s = body.sort
+    if not isinstance(s, SOption):
+        raise InternalSortError(f"expected an Option sort, got {sort_sexpr(s)}")
     b = mk_is_some(guarded)
     if isinstance(b, TBoolLit):
-        return body if b.b else TNone(opt_elem(body))
-    fallthrough = TNone(opt_elem(body))
-    return mk_ite(b, body, fallthrough)
-
-
-def mk_member(elem: Term, st: Term) -> Term:
-    return TSetMember(elem, st)
+        return body if b.b else TNone(s.elem)
+    return mk_ite(b, body, TNone(s.elem))
 
 
 def mk_set_literal(elems, elem_sort: Sort) -> Term:
@@ -526,107 +607,3 @@ def term_sexpr(t: Term, show=None) -> str:
     if isinstance(t, TStrInRe):
         return f"(str.in_re {show(t.s)} {regex_sexpr(t.re)})"
     raise TypeError(f"not a term: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sort checking
-# ---------------------------------------------------------------------------
-
-
-def sort_check(t: Term, signatures: Optional[dict] = None) -> Sort:
-    """Recompute the sort of every node and verify consistency.
-
-    ``signatures`` maps applied function/constructor names to (arg sorts,
-    result sort); applications are checked against it when present.  A
-    node shared within `t` is checked once.
-    """
-    return _SortCheck(signatures).go(t)
-
-
-class _SortCheck:
-    """One sort check.  Methods rather than closures that call each other,
-    so that no reference cycle keeps the memo alive after the check."""
-
-    def __init__(self, signatures: Optional[dict]):
-        self.signatures = signatures
-        self.memo: dict = {}  # id(node) -> its sort
-
-    def go(self, term: Term) -> Sort:
-        got = self.memo.get(id(term))
-        if got is None:
-            got = self.memo[id(term)] = self.check(term)
-        return got
-
-    def check(self, term: Term) -> Sort:
-        go, signatures = self.go, self.signatures
-        if isinstance(term, TApp):
-            arg_sorts = tuple(go(a) for a in term.args)
-            if signatures is not None and term.fn in signatures:
-                want_args, want_res = signatures[term.fn]
-                if tuple(want_args) != arg_sorts or want_res != term.result:
-                    raise InternalSortError(
-                        f"application {term.fn}: got {[sort_sexpr(s) for s in arg_sorts]}"
-                    )
-            return term.result
-        if isinstance(term, TIte):
-            if not isinstance(go(term.cond), SBool):
-                raise InternalSortError("ite guard is not Bool")
-            st, se = go(term.then), go(term.els)
-            if st != se:
-                raise InternalSortError(f"ite branches {sort_sexpr(st)} vs {sort_sexpr(se)}")
-            return st
-        if isinstance(term, TEq):
-            sl, sr = go(term.left), go(term.right)
-            if sl != sr:
-                raise InternalSortError(f"= on {sort_sexpr(sl)} vs {sort_sexpr(sr)}")
-            return BOOL_S
-        if isinstance(term, (TAnd, TOr)):
-            for a in term.args:
-                if not isinstance(go(a), SBool):
-                    raise InternalSortError("boolean connective over non-Bool")
-            return BOOL_S
-        if isinstance(term, (TImplies,)):
-            if not (isinstance(go(term.left), SBool) and isinstance(go(term.right), SBool)):
-                raise InternalSortError("=> over non-Bool")
-            return BOOL_S
-        if isinstance(term, TNot):
-            if not isinstance(go(term.arg), SBool):
-                raise InternalSortError("not over non-Bool")
-            return BOOL_S
-        if isinstance(term, TSetMember):
-            se, ss = go(term.elem), go(term.set)
-            if ss != SSet(se):
-                raise InternalSortError("set.member sorts disagree")
-            return BOOL_S
-        if isinstance(term, (TSetSubset, TSetInter, TSetUnion)):
-            sl, sr = go(term.left), go(term.right)
-            if sl != sr or not isinstance(sl, SSet):
-                raise InternalSortError("set operation sorts disagree")
-            return BOOL_S if isinstance(term, TSetSubset) else sl
-        if isinstance(term, TSetSingleton):
-            return SSet(go(term.elem))
-        if isinstance(term, TVal):
-            s = go(term.arg)
-            if not isinstance(s, SOption):
-                raise InternalSortError("val over non-Option")
-            return s.elem
-        if isinstance(term, TIsSome):
-            if not isinstance(go(term.arg), SOption):
-                raise InternalSortError("is-some over non-Option")
-            return BOOL_S
-        if isinstance(term, TSome):
-            return SOption(go(term.arg))
-        if isinstance(term, TBVOp):
-            for a in term.args:
-                if not isinstance(go(a), SBV64):
-                    raise InternalSortError(f"{term.op} over non-bitvector")
-            return _BV_RESULT[term.op]
-        if isinstance(term, TStrInRe):
-            if not isinstance(go(term.s), SString):
-                raise InternalSortError("str.in_re over non-String")
-            return BOOL_S
-        if isinstance(term, TBVLit):
-            if not (I64_MIN <= term.i <= I64_MAX):
-                raise InternalSortError("bitvector literal out of range")
-            return BV64_S
-        return sort_of(term)

@@ -1020,7 +1020,7 @@ class TermInterpreter:
                 if isinstance(v, tuple) and v[0] == "some":
                     return v[1]
                 # val of none is unconstrained; any fixed value will do
-                return self._default(T.sort_of(t.arg).elem)
+                return self._default(t.arg.sort.elem)
             if isinstance(t, T.TIsSome):
                 v = go(t.arg)
                 return isinstance(v, tuple) and v[0] == "some"

@@ -185,10 +185,6 @@ def environments(schema: Schema) -> list:
     return envs
 
 
-def envs_for_action(schema: Schema, ref: EntityRef) -> list:
-    return [e for e in environments(schema) if e.action == ref]
-
-
 # ---------------------------------------------------------------------------
 # Capabilities
 # ---------------------------------------------------------------------------
@@ -680,11 +676,13 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
     """Validate closed policies and unlinked templates against a schema."""
     results = []
     warnings = []
+    envs_of: dict = {}  # action -> its environments, in schema order
+    for env in environments(schema):
+        envs_of.setdefault(env.action, []).append(env)
     for policy in policies:
         expr = toexp(policy, allow_slots=True)
-        envs = []
-        for action in matching_actions(schema, policy.action):
-            envs.extend(envs_for_action(schema, action))
+        actions = matching_actions(schema, policy.action)
+        envs = [env for action in actions for env in envs_of.get(action, ())]
         if not envs:
             warnings.append((policy.id, "AlwaysFalse"))
             continue

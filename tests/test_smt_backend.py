@@ -24,7 +24,21 @@ from cedar_engine.smt_backend import (
 )
 from cedar_engine.sexpr import read_sexprs
 from cedar_engine.symcc import compile_expr, encode_types, is_true_term, wf_constraints
-from cedar_engine.terms import InternalSortError, TAnd, TConst, TEq, TNot, TOr, BOOL_S, SData, term_sexpr
+from cedar_engine.terms import (
+    BOOL_S,
+    InternalSortError,
+    SData,
+    SSet,
+    TAnd,
+    TApp,
+    TConst,
+    TEq,
+    TNot,
+    TOr,
+    TSetMember,
+    TStrLit,
+    term_sexpr,
+)
 from cedar_engine.validator import environments
 
 from test_symcc import TEAM_SCHEMA, get_env
@@ -136,11 +150,19 @@ def _roundtrip_args():
 
 def test_print_script_rejects_ill_sorted():
     senv, _ = team_setup(with_wf=False)
-    bad = TEq(TConst("principal", SData("User")), TConst("resource", SData("Application")))
+    user = TConst("principal", SData("User"))
     with pytest.raises(InternalSortError):
-        print_script(senv, [bad])
+        TEq(user, TConst("resource", SData("Application")))
+    # What needs the declarations is checked when the script is printed.
     with pytest.raises(InternalSortError):
         print_script(senv, [TConst("mystery", BOOL_S)])
+    with pytest.raises(InternalSortError):
+        print_script(senv, [user])
+    # teamInTeam is declared on a Team, not a User.
+    team_a = TApp("Team", (TStrLit("A"),), SData("Team"))
+    bad_app = TSetMember(team_a, TApp("teamInTeam", (user,), SSet(SData("Team"))))
+    with pytest.raises(InternalSortError):
+        print_script(senv, [bad_app])
 
 
 def test_run_solver_contradiction():

@@ -19,8 +19,6 @@ from cedar_engine.terms import (
     SOption,
     TBoolLit,
     TSome,
-    sort_check,
-    sort_of,
     term_sexpr,
 )
 from cedar_engine.validator import environments
@@ -144,8 +142,8 @@ def test_compiled_terms_sort_check(fig_schema, tinytodo_policies):
         for p in tinytodo_policies:
             expr = substitute_action(toexp(p), env.action)
             t = compile_expr(expr, env, schema, senv)
-            assert sort_of(t) == SOption(BOOL_S)
-            sort_check(t, senv.signatures())
+            assert t.sort == SOption(BOOL_S)
+            print_script(senv, [is_true_term(t)])  # checks applications against their signatures
 
 
 def test_dead_branches_never_compiled(fig_schema, tinytodo_policies):
@@ -243,6 +241,36 @@ def test_dropping_the_forbid_differs(tinytodo_schema):
     assert cex.decision_a.verdict != cex.decision_b.verdict
     # The witness principal must be an intern for the forbid to bite.
     assert EntityRef("Team", "interns") in cex.store.ancestors_of(cex.request.principal)
+
+
+def test_reconstruction_reads_model_text_once(monkeypatch, tinytodo_schema):
+    from cedar_engine import minisolver, sexpr, smt_backend, symcc  # noqa: F401 (bound before patching)
+
+    reads, reconstructions = [], []
+    real_read, real_reconstruct = sexpr.read_sexprs, symcc.reconstruct_counterexample
+
+    def counting_read(text):
+        if reconstructions and reconstructions[-1] == "running":
+            reads.append(text)
+        return real_read(text)
+
+    def reconstruct(*args):
+        reconstructions.append("running")
+        try:
+            return real_reconstruct(*args)
+        finally:
+            reconstructions[-1] = "done"
+
+    monkeypatch.setattr(sexpr, "read_sexprs", counting_read)
+    monkeypatch.setattr(smt_backend, "read_sexprs", counting_read)
+    monkeypatch.setattr(symcc, "reconstruct_counterexample", reconstruct)
+    full = load_set("tinytodo", "policies.cedar")
+    no_forbid = PolicySet.from_policies(
+        [p for p in parse_policies(read_fixture("tinytodo", "policies.cedar")) if p.id != "policy4"]
+    )
+    verdicts = analyze_equivalence(full, no_forbid, tinytodo_schema, config=smt_backend.SolverConfig.bundled())
+    assert [v.status for v in verdicts].count("differs") == reconstructions.count("done") == 1
+    assert len(reads) <= 1
 
 
 def test_is_true_partial_evaluation():

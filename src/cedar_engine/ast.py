@@ -255,6 +255,8 @@ class Expr:
 
 @dataclass(frozen=True)
 class ELit(Expr):
+    """A Bool, Long, String or entity literal; sets and records are ESet/ERecord."""
+
     value: Value
 
 

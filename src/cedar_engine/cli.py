@@ -21,6 +21,7 @@ from .evaluator import EvalError, evaluate
 from .parser import ParseError, parse_expr, parse_policies, parse_schema
 from .smt_backend import SolverConfig, SolverFailure, SolverUnavailable
 from .symcc import AnalysisError, analyze_equivalence
+from .terms import InternalSortError
 from .validator import Schema, validate
 from .ast import render_value
 
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverUnavailable, SolverFailure, AnalysisError) as err:
+    except (SolverUnavailable, SolverFailure, AnalysisError, InternalSortError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     except CedarError as err:

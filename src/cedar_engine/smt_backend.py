@@ -36,7 +36,9 @@ class SolverFailure(CedarError):
     """The solver exited without producing a sat/unsat/unknown answer."""
 
 
-class ModelParseError(CedarError):
+class ModelParseError(SolverFailure):
+    """The solver's model could not be read."""
+
     def __init__(self, message: str, raw: str):
         super().__init__(f"{message}\n--- raw solver output ---\n{raw}")
         self.raw = raw

@@ -57,12 +57,13 @@ from .ast import (
     VString,
     Value,
     WILDCARD,
+    render_type,
     substitute_action,
     toexp,
 )
 from .authorizer import Decision, PolicySet, authorize
 from .entities import EntityStore, Request, build_store, merge_action_hierarchy
-from .validator import RequestEnv, Schema, environments, join
+from .validator import RequestEnv, Schema, action_literal, action_set_literal, environments, join
 from .terms import (
     BOOL_S,
     BV64_S,
@@ -98,6 +99,7 @@ from .terms import (
     mk_implies,
     mk_is_some,
     mk_ite,
+    mk_member,
     mk_not,
     mk_or,
     mk_or2,
@@ -107,14 +109,15 @@ from .terms import (
 )
 
 
-class UnsupportedConstruct(CedarError):
-    """The expression reached a corner the compiler does not encode."""
-
-
 class AnalysisError(CedarError):
     """Internal analysis failure (for example a counterexample that fails
-
     concrete re-verification)."""
+
+
+class UnsupportedConstruct(AnalysisError):
+    """The expression reached a corner the compiler does not encode, so the
+    analysis cannot decide (for example a set whose elements would need
+    re-encoding)."""
 
 
 # Names the compiler never gives a declaration.  `string` is among them
@@ -250,12 +253,10 @@ class SymbolicEnv:
             return STRING
         if isinstance(s, SSet):
             return TSet(self.cedar_of_sort(s.elem))
-        if isinstance(s, SData):
-            if s.name in self.entity_of_name:
-                return TEntity(self.entity_of_name[s.name])
-            if s.name in self.record_of_name:
-                return self.record_of_name[s.name]
-        raise UnsupportedConstruct(f"sort {s!r} has no source type")
+        # A datatype: payload sorts are never Option.
+        if s.name in self.entity_of_name:
+            return TEntity(self.entity_of_name[s.name])
+        return self.record_of_name[s.name]
 
     # -- functions and constants --------------------------------------------
 
@@ -267,9 +268,7 @@ class SymbolicEnv:
     def ensure_attr_fn(self, entity_type: str) -> str:
         name = self.attr_fn.get(entity_type)
         if name is None:
-            decl = self.schema.entity(entity_type)
-            if decl is None:
-                raise UnsupportedConstruct(f"entity type {entity_type} has no schema entry")
+            decl = self.schema.entity_types[entity_type]
             es = self.ensure_entity(entity_type)
             rs = self.ensure_record(decl.attrs, preferred=f"{es.name}Record")
             name = self._names.fresh(_lower_first(es.name) + "Attrs")
@@ -365,142 +364,85 @@ class _Compiler:
 
     # -- helpers -------------------------------------------------------------
 
-    def _static_action(self, e: Expr) -> Optional[EntityRef]:
-        if isinstance(e, EVar) and e.name == "action":
-            return self.env.action
-        if isinstance(e, ELit) and isinstance(e.value, VEntity):
-            ref = e.value.ref
-            if ref.is_action() or ref in self.schema.actions:
-                return ref
-        return None
-
-    def _static_action_set(self, e: Expr) -> Optional[list]:
-        refs = []
-        elems: Iterable
-        if isinstance(e, ESet):
-            elems = e.elems
-        elif isinstance(e, ELit) and isinstance(e.value, VSet):
-            elems = [ELit(v) for v in sorted(e.value.elems, key=repr)]
-        else:
-            return None
-        for elem in elems:
-            ref = self._static_action(elem)
-            if ref is None:
-                return None
-            refs.append(ref)
-        return refs
-
-    def _entity_type_of(self, payload_sort: Sort, where: str) -> str:
-        if isinstance(payload_sort, SData):
-            name = self.senv.entity_of_name.get(payload_sort.name)
-            if name is not None:
-                return name
-        raise UnsupportedConstruct(f"{where}: expected an entity, got {payload_sort!r}")
-
     def _parents(self, entity_type: str) -> frozenset:
         decl = self.schema.entity(entity_type)
         return decl.parents if decl is not None else frozenset()
 
     def _value_term(self, v: Value) -> Term:
+        """The term of an `ELit`'s value: a Bool, Long, String or entity."""
         if isinstance(v, VBool):
             return TBoolLit(v.b)
         if isinstance(v, VLong):
             return TBVLit(v.i)
         if isinstance(v, VString):
             return TStrLit(v.s)
-        if isinstance(v, VEntity):
-            es = self.senv.ensure_entity(v.ref.entity_type)
-            return TApp(es.name, (TStrLit(v.ref.entity_id),), es)
-        if isinstance(v, VSet):
-            elems = [self._value_term(x) for x in v.elems]
-            if not elems:
-                raise UnsupportedConstruct("empty set literal cannot be encoded")
-            sorts = {t.sort for t in elems}
-            if len(sorts) != 1:
-                raise UnsupportedConstruct("heterogeneous set literal cannot be encoded")
-            elems.sort(key=term_sexpr)
-            return mk_set_literal(elems, sorts.pop())
-        if isinstance(v, VRecord):
-            rec = TRecord(
-                tuple(
-                    TRecordAttr(k, True, self.senv.cedar_of_sort(self._value_term(x).sort))
-                    for k, x in v.fields
-                )
-            )
-            rs = self.senv.ensure_record(rec)
-            args = tuple(self._value_term(x) for _, x in v.fields)
-            return TApp(rs.name, args, rs)
-        raise TypeError(f"not a value: {v!r}")
+        es = self.senv.ensure_entity(v.ref.entity_type)
+        return TApp(es.name, (TStrLit(v.ref.entity_id),), es)
 
     def _field(self, attr: str, v: Term):
         """Resolve an attribute on a record or entity payload term.
 
         Returns (required, field term) or None when statically absent.
         """
-        s = v.sort
-        if not isinstance(s, SData):
-            raise UnsupportedConstruct(f"attribute {attr} on sort {s!r}")
-        if s.name in self.senv.record_of_name:
-            rec = self.senv.record_of_name[s.name]
-            a = rec.attr(attr)
-            if a is None:
-                return None
-            sel = self.senv.selector(s.name, attr)
-            inner = self.senv.encode_type(a.type)
-            fsort = inner if a.required else SOption(inner)
-            return (a.required, TApp(sel, (v,), fsort))
-        if s.name in self.senv.entity_of_name:
-            entity_type = self.senv.entity_of_name[s.name]
-            if self.schema.entity(entity_type) is None:
-                return None
+        name = v.sort.name
+        entity_type = self.senv.entity_of_name.get(name)
+        if entity_type is not None:
             fn = self.senv.ensure_attr_fn(entity_type)
             _, rs = self.senv.fn_sigs[fn]
             return self._field(attr, TApp(fn, (v,), rs))
-        raise UnsupportedConstruct(f"attribute {attr} on unknown datatype {s.name}")
+        a = self.senv.record_of_name[name].attr(attr)
+        if a is None:
+            return None
+        inner = self.senv.encode_type(a.type)
+        fsort = inner if a.required else SOption(inner)
+        return (a.required, TApp(self.senv.selector(name, attr), (v,), fsort))
 
-    def _coerce(self, opt_term: Term, target: CedarType) -> Term:
-        """Coerce an Option-wrapped term to the encoding of a supertype."""
-        source = self.senv.cedar_of_sort(opt_term.sort.elem)
+    def _unify(self, terms: list) -> Optional[list]:
+        """Option-sorted terms coerced to the encoding of their Cedar types'
+        join, or None when the types have no join.
+
+        Operands of different encodings are reconciled here, and `contains`
+        does the same one set level down: a record literal and a record with
+        an optional attribute, say, have the same attribute names but
+        different datatypes."""
+        if all(t.sort == terms[0].sort for t in terms):
+            return terms
+        types = [self.senv.cedar_of_sort(t.sort.elem) for t in terms]
+        target = types[0]
+        for t in types[1:]:
+            target = join(target, t)
+            if target is None:
+                return None
+        return [self._coerce(t, source, target) for t, source in zip(terms, types)]
+
+    def _coerce(self, opt_term: Term, source: CedarType, target: CedarType) -> Term:
+        """Coerce an Option-sorted term of type `source` to the encoding of
+        its supertype `target`."""
         if self.senv.encode_type(source) == self.senv.encode_type(target):
             return opt_term
-        v = mk_val(opt_term)
-        return mk_ifok(opt_term, TSome(self._coerce_value(v, source, target)))
+        coerced = self._coerce_value(mk_val(opt_term), source, target)
+        return mk_ifok(opt_term, TSome(coerced))
 
     def _coerce_value(self, v: Term, source: CedarType, target: CedarType) -> Term:
         if self.senv.encode_type(source) == self.senv.encode_type(target):
             return v
-        if isinstance(source, TRecord) and isinstance(target, TRecord):
-            src_sort = self.senv.ensure_record(source)
-            dst_sort = self.senv.ensure_record(target)
-            args = []
-            for sa, da in zip(source.attrs, target.attrs):
-                sel = self.senv.selector(src_sort.name, sa.name)
-                inner = self.senv.encode_type(sa.type)
-                fsort = inner if sa.required else SOption(inner)
-                raw = TApp(sel, (v,), fsort)
-                if sa.required:
-                    coerced = self._coerce_value(raw, sa.type, da.type)
-                    args.append(coerced if da.required else TSome(coerced))
-                else:
-                    if self.senv.encode_type(sa.type) != self.senv.encode_type(da.type):
-                        raise UnsupportedConstruct(
-                            "optional attribute coercion across distinct encodings"
-                        )
-                    args.append(raw)
-            return TApp(dst_sort.name, tuple(args), dst_sort)
-        raise UnsupportedConstruct(
-            f"no encoding-level coercion from {source!r} to {target!r}"
-        )
-
-    def _join_branches(self, a: Term, b: Term):
-        sa, sb = a.sort.elem, b.sort.elem
-        if sa == sb:
-            return a, b
-        ca, cb = self.senv.cedar_of_sort(sa), self.senv.cedar_of_sort(sb)
-        j = join(ca, cb)
-        if j is None:
-            raise UnsupportedConstruct("branches have incompatible encodings")
-        return self._coerce(a, j), self._coerce(b, j)
+        if not (isinstance(source, TRecord) and isinstance(target, TRecord)):
+            # Only sets and records nest types whose encodings can differ;
+            # re-encoding each element of a set would need a quantifier.
+            raise UnsupportedConstruct(
+                f"comparing {render_type(source)} with {render_type(target)} "
+                "would re-encode a set"
+            )
+        dst_sort = self.senv.ensure_record(target)
+        args = []
+        for sa, da in zip(source.attrs, target.attrs):
+            field = self._field(sa.name, v)[1]
+            if sa.required:
+                coerced = self._coerce_value(field, sa.type, da.type)
+                args.append(coerced if da.required else TSome(coerced))
+            else:
+                args.append(self._coerce(field, sa.type, da.type))
+        return TApp(dst_sort.name, tuple(args), dst_sort)
 
     # -- the rules ------------------------------------------------------------
 
@@ -508,20 +450,14 @@ class _Compiler:
         if isinstance(e, ELit):
             return TSome(self._value_term(e.value))
         if isinstance(e, EVar):
-            if e.name == "action":
-                return TSome(self._value_term(VEntity(self.env.action)))
             return TSome(self.senv.var_const(self.env, e.name))
         if isinstance(e, ESlot):
             raise UnsupportedConstruct("template slots cannot be compiled; link the template first")
         if isinstance(e, ESet):
-            elems = [self.compile(x) for x in e.elems]
-            if not elems:
-                raise UnsupportedConstruct("empty set literal cannot be encoded")
-            sorts = {t.sort.elem for t in elems}
-            if len(sorts) != 1:
-                raise UnsupportedConstruct("set literal without a common element encoding")
+            # Validation rejects empty and heterogeneous set literals.
+            elems = self._unify([self.compile(x) for x in e.elems])
             vals = sorted((mk_val(t) for t in elems), key=term_sexpr)
-            out: Term = TSome(mk_set_literal(vals, sorts.pop()))
+            out: Term = TSome(mk_set_literal(vals))
             for t in reversed(elems):
                 out = mk_ifok(t, out)
             return out
@@ -547,10 +483,8 @@ class _Compiler:
             return out
         if isinstance(e, EGetAttr):
             obj = self.compile(e.obj)
-            found = self._field(e.attr, mk_val(obj))
-            if found is None:
-                raise UnsupportedConstruct(f"projection of absent attribute {e.attr}")
-            required, f_term = found
+            # Validation rejects projections of absent attributes.
+            required, f_term = self._field(e.attr, mk_val(obj))
             return mk_ifok(obj, TSome(f_term) if required else f_term)
         if isinstance(e, EHas):
             obj = self.compile(e.obj)
@@ -562,11 +496,11 @@ class _Compiler:
                 return mk_ifok(obj, TSome(TBoolLit(True)))
             return mk_ifok(obj, TSome(mk_is_some(f_term)))
         if isinstance(e, EIs):
-            a = self._static_action(e.obj)
+            a = action_literal(e.obj, self.schema)
             if a is not None:
                 return TSome(TBoolLit(a.entity_type == e.entity_type))
             obj = self.compile(e.obj)
-            entity_type = self._entity_type_of(obj.sort.elem, "is")
+            entity_type = self.senv.entity_of_name[obj.sort.elem.name]
             return mk_ifok(obj, TSome(TBoolLit(entity_type == e.entity_type)))
         if isinstance(e, ELike):
             obj = self.compile(e.obj)
@@ -592,9 +526,8 @@ class _Compiler:
                 return self.compile(e.then)
             if cond == TSome(TBoolLit(False)):
                 return self.compile(e.els)
-            then = self.compile(e.then)
-            els = self.compile(e.els)
-            then, els = self._join_branches(then, els)
+            # Validation rejects branches whose types have no join.
+            then, els = self._unify([self.compile(e.then), self.compile(e.els)])
             return mk_ifok(cond, mk_ite(mk_val(cond), then, els))
         if isinstance(e, EBinop):
             return self._binop(e)
@@ -661,67 +594,51 @@ class _Compiler:
             return self._eq(e)
         if op == "in":
             return self._in(e)
-        if op == "contains":
-            left = self.compile(e.left)
-            right = self.compile(e.right)
-            set_sort = left.sort.elem
-            if not isinstance(set_sort, SSet):
-                raise UnsupportedConstruct("contains on a non-set encoding")
-            if right.sort.elem != set_sort.elem:
-                body: Term = TSome(TBoolLit(False))
-            else:
-                body = TSome(TSetMember(mk_val(right), mk_val(left)))
-            return mk_ifok(left, mk_ifok(right, body))
-        if op in ("containsAny", "containsAll"):
-            left = self.compile(e.left)
-            right = self.compile(e.right)
-            sl, sr = left.sort.elem, right.sort.elem
-            if not (isinstance(sl, SSet) and isinstance(sr, SSet)):
-                raise UnsupportedConstruct(f"{op} on a non-set encoding")
-            if sl != sr:
-                if op == "containsAny":
-                    body = TSome(TBoolLit(False))
-                else:
-                    body = TSome(mk_eq(mk_val(right), TSetEmpty(sr.elem)))
-            elif op == "containsAny":
-                inter = TSetInter(mk_val(left), mk_val(right))
-                body = TSome(mk_not(mk_eq(inter, TSetEmpty(sl.elem))))
-            else:
-                body = TSome(TSetSubset(mk_val(right), mk_val(left)))
-            return mk_ifok(left, mk_ifok(right, body))
+        if op in ("contains", "containsAny", "containsAll"):
+            return self._set_op(op, self.compile(e.left), self.compile(e.right))
         raise TypeError(f"unknown operator {op}")
 
+    def _set_op(self, op: str, left: Term, right: Term) -> Term:
+        # Validation rejects operands whose (element) types have no join.
+        if op == "contains":
+            # The operand is one set level below the set, so this is
+            # `_unify` with the set's element type joined to the operand's.
+            if left.sort.elem != SSet(right.sort.elem):
+                set_type = self.senv.cedar_of_sort(left.sort.elem)
+                elem_type = self.senv.cedar_of_sort(right.sort.elem)
+                target = join(set_type.elem, elem_type)
+                left = self._coerce(left, set_type, TSet(target))
+                right = self._coerce(right, elem_type, target)
+            body = mk_member(mk_val(right), mk_val(left))
+        else:
+            left, right = self._unify([left, right])
+            if op == "containsAny":
+                inter = TSetInter(mk_val(left), mk_val(right))
+                body = mk_not(mk_eq(inter, TSetEmpty(left.sort.elem.elem)))
+            else:
+                body = TSetSubset(mk_val(right), mk_val(left))
+        return mk_ifok(left, mk_ifok(right, TSome(body)))
+
     def _eq(self, e: EBinop) -> Term:
-        a1 = self._static_action(e.left)
-        a2 = self._static_action(e.right)
+        a1 = action_literal(e.left, self.schema)
+        a2 = action_literal(e.right, self.schema)
         if a1 is not None and a2 is not None:
             return TSome(TBoolLit(a1 == a2))
         left = self.compile(e.left)
         right = self.compile(e.right)
-        sl, sr = left.sort.elem, right.sort.elem
-        if sl != sr:
-            ca, cb = None, None
-            try:
-                ca = self.senv.cedar_of_sort(sl)
-                cb = self.senv.cedar_of_sort(sr)
-            except UnsupportedConstruct:
-                pass
-            j = join(ca, cb) if ca is not None and cb is not None else None
-            if j is not None:
-                left_c = self._coerce(left, j)
-                right_c = self._coerce(right, j)
-                body = TSome(mk_eq(mk_val(left_c), mk_val(right_c)))
-                return mk_ifok(left, mk_ifok(right, body))
-            body = TSome(TBoolLit(False))
-            return mk_ifok(left, mk_ifok(right, body))
-        body = TSome(mk_eq(mk_val(left), mk_val(right)))
-        return mk_ifok(left, mk_ifok(right, body))
+        unified = self._unify([left, right])
+        if unified is None:
+            # Values of types without a join, such as two entity types,
+            # are never equal.
+            return mk_ifok(left, mk_ifok(right, TSome(TBoolLit(False))))
+        left, right = unified
+        return mk_ifok(left, mk_ifok(right, TSome(mk_eq(mk_val(left), mk_val(right)))))
 
     def _in(self, e: EBinop) -> Term:
-        lhs_action = self._static_action(e.left)
+        lhs_action = action_literal(e.left, self.schema)
         if lhs_action is not None:
-            rhs_one = self._static_action(e.right)
-            rhs_set = self._static_action_set(e.right)
+            rhs_one = action_literal(e.right, self.schema)
+            rhs_set = action_set_literal(e.right, self.schema)
             if rhs_one is not None:
                 rhs_set = [rhs_one]
             if rhs_set is not None:
@@ -729,32 +646,22 @@ class _Compiler:
                 return TSome(TBoolLit(hit))
         left = self.compile(e.left)
         right = self.compile(e.right)
-        e1 = self._entity_type_of(left.sort.elem, "in")
         v1, v2 = mk_val(left), mk_val(right)
-        rhs_sort = right.sort.elem
-        parents = self._parents(e1)
-        if isinstance(rhs_sort, SData):
-            e2 = self._entity_type_of(rhs_sort, "in")
-            b1 = mk_eq(v1, v2) if e1 == e2 else TBoolLit(False)
-            if e2 in parents:
-                fn = self.senv.ensure_anc_fn(e1, e2)
-                b2: Term = TSetMember(v2, TApp(fn, (v1,), SSet(rhs_sort)))
-            else:
-                b2 = TBoolLit(False)
-            body = TSome(mk_or2(b1, b2))
-            return mk_ifok(left, mk_ifok(right, body))
-        if isinstance(rhs_sort, SSet) and isinstance(rhs_sort.elem, SData):
-            e2 = self._entity_type_of(rhs_sort.elem, "in")
-            b1 = TSetMember(v1, v2) if e1 == e2 else TBoolLit(False)
-            if e2 in parents:
-                fn = self.senv.ensure_anc_fn(e1, e2)
-                anc = TApp(fn, (v1,), SSet(rhs_sort.elem))
-                b2 = mk_not(mk_eq(TSetInter(v2, anc), TSetEmpty(rhs_sort.elem)))
-            else:
-                b2 = TBoolLit(False)
-            body = TSome(mk_or2(b1, b2))
-            return mk_ifok(left, mk_ifok(right, body))
-        raise UnsupportedConstruct("in with a non-entity right operand encoding")
+        e1 = self.senv.entity_of_name[v1.sort.name]
+        # The right operand is an entity or a set of entities.
+        one = isinstance(v2.sort, SData)
+        rhs_sort = v2.sort if one else v2.sort.elem
+        e2 = self.senv.entity_of_name[rhs_sort.name]
+        if e1 != e2:
+            b1: Term = TBoolLit(False)
+        else:
+            b1 = mk_eq(v1, v2) if one else TSetMember(v1, v2)
+        if e2 in self._parents(e1):
+            anc = TApp(self.senv.ensure_anc_fn(e1, e2), (v1,), SSet(rhs_sort))
+            b2 = TSetMember(v2, anc) if one else mk_not(mk_eq(TSetInter(v2, anc), TSetEmpty(rhs_sort)))
+        else:
+            b2 = TBoolLit(False)
+        return mk_ifok(left, mk_ifok(right, TSome(mk_or2(b1, b2))))
 
 
 def compile_expr(
@@ -766,10 +673,12 @@ def compile_expr(
 ) -> Term:
     """Compile a well-typed expression to an Option-sorted term.
 
-    When ``footprint`` is a list, every compiled entity-typed subexpression is
+    The `action` variable is replaced by the environment's action first, so
+    no compile rule sees it.  When ``footprint`` is a list, every compiled entity-typed subexpression is
     appended to it as a (term, entity type) pair, first occurrence order,
     deduplicated.
     """
+    expr = substitute_action(expr, env.action)
     return _Compiler(env, schema, senv, footprint).compile(expr)
 
 
@@ -845,11 +754,8 @@ def allowed_term(policies: PolicySet, env: RequestEnv, schema: Schema, senv: Sym
     permits = []
     forbids = []
     for p in policies.closed_policies:
-        expr = substitute_action(toexp(p), env.action)
-        compiled = compile_expr(expr, env, schema, senv, footprint=footprint)
-        if compiled.sort != SOption(BOOL_S):
-            raise AnalysisError(f"policy {p.id} compiled to a non-boolean term")
-        flag = is_true_term(compiled)
+        # Validation makes each policy Bool-typed: `is_true_term` checks it.
+        flag = is_true_term(compile_expr(toexp(p), env, schema, senv, footprint=footprint))
         if p.effect is Effect.PERMIT:
             permits.append(flag)
         else:
@@ -946,16 +852,14 @@ def reconstruct_counterexample(
         raise AnalysisError("context did not decode to a record")
 
     triples = []
+    # The footprint holds only schema entity types, each of which has an
+    # attribute function and an ancestor function per allowed parent type.
     for ref, value in refs.items():
-        decl = schema.entity(ref.entity_type)
-        if decl is None:
-            continue
+        decl = schema.entity_types[ref.entity_type]
         rec = _decode_value(senv, ev.apply(senv.attr_fn[ref.entity_type], [value]))
         direct = set()
         for ancestor_type in sorted(decl.parents):
-            fn = senv.anc_fn.get((ref.entity_type, ancestor_type))
-            if fn is None:
-                continue
+            fn = senv.anc_fn[(ref.entity_type, ancestor_type)]
             got = _decode_value(senv, ev.apply(fn, [value]))
             assert isinstance(got, VSet)
             for elem in got.elems:
@@ -981,7 +885,7 @@ def analyze_equivalence(
     environment.  Sat models are reconstructed into a request and store and
     re-verified against the concrete authorizer before being reported.
     """
-    from .smt_backend import SolverConfig, SolverOutcome, print_script, run_solver
+    from .smt_backend import SolverConfig, print_script, run_solver
 
     if config is None:
         config = SolverConfig.default()

@@ -7,11 +7,12 @@ checked there too, so building an ill-sorted term raises
 application against its function's signature, each constant against its
 declaration) are left to `smt_backend.print_script`.
 
-The smart constructors partially evaluate
-(literal guards collapse conditionals, `and`/`or`/`implies` drop literal
-operands) so that statically-decided subexpressions vanish from the output,
-and the printer emits the finite-set theory spellings (`set.member`,
-`set.subset`, `set.inter`, `set.singleton`, `as set.empty`).
+The smart constructors check their operands' sorts first, then partially
+evaluate (literal guards collapse conditionals, `and`/`or`/`implies` drop
+literal operands, membership in a set literal listing the element is true)
+so that statically-decided subexpressions vanish from the output, and the
+printer emits the finite-set theory spellings (`set.member`, `set.subset`,
+`set.inter`, `set.singleton`, `as set.empty`).
 
 Option-wrapped sorts carry the error channel: `none` is a runtime error.
 """
@@ -393,7 +394,13 @@ def mk_not(t: Term) -> Term:
     return TNot(t)
 
 
+def _require_same_sort(op: str, a: Term, b: Term) -> None:
+    if a.sort != b.sort:
+        raise InternalSortError(f"{op} on {sort_sexpr(a.sort)} vs {sort_sexpr(b.sort)}")
+
+
 def mk_and2(a: Term, b: Term) -> Term:
+    _require_bool("and", (a, b))
     if isinstance(a, TBoolLit):
         return b if a.b else FALSE_TERM
     if isinstance(b, TBoolLit):
@@ -402,6 +409,7 @@ def mk_and2(a: Term, b: Term) -> Term:
 
 
 def mk_or2(a: Term, b: Term) -> Term:
+    _require_bool("or", (a, b))
     if isinstance(a, TBoolLit):
         return TRUE_TERM if a.b else b
     if isinstance(b, TBoolLit):
@@ -409,22 +417,9 @@ def mk_or2(a: Term, b: Term) -> Term:
     return TOr((a, b))
 
 
-def mk_and(args) -> Term:
-    out = []
-    for a in args:
-        if isinstance(a, TBoolLit):
-            if not a.b:
-                return FALSE_TERM
-            continue
-        out.append(a)
-    if not out:
-        return TRUE_TERM
-    if len(out) == 1:
-        return out[0]
-    return TAnd(tuple(out))
-
-
 def mk_or(args) -> Term:
+    args = tuple(args)
+    _require_bool("or", args)
     out = []
     for a in args:
         if isinstance(a, TBoolLit):
@@ -440,6 +435,7 @@ def mk_or(args) -> Term:
 
 
 def mk_implies(a: Term, b: Term) -> Term:
+    _require_bool("=>", (a, b))
     if isinstance(a, TBoolLit):
         return b if a.b else TRUE_TERM
     if isinstance(b, TBoolLit) and b.b:
@@ -448,6 +444,7 @@ def mk_implies(a: Term, b: Term) -> Term:
 
 
 def mk_eq(a: Term, b: Term) -> Term:
+    _require_same_sort("=", a, b)
     if a == b:
         return TRUE_TERM
     if isinstance(a, TBoolLit) and isinstance(b, TBoolLit):
@@ -480,6 +477,8 @@ def _data_name(s: Sort) -> Optional[str]:
 
 
 def mk_ite(cond: Term, then: Term, els: Term) -> Term:
+    _require_bool("ite guard", (cond,))
+    _require_same_sort("ite branches", then, els)
     if isinstance(cond, TBoolLit):
         return then if cond.b else els
     if then == els:
@@ -494,6 +493,19 @@ def mk_ite(cond: Term, then: Term, els: Term) -> Term:
     if isinstance(then, TSome) and isinstance(els, TSome):
         return TSome(mk_ite(cond, then.arg, els.arg))
     return TIte(cond, then, els)
+
+
+def mk_member(elem: Term, s: Term) -> Term:
+    """set.member, true when `elem` is itself an element of the set literal
+    `s` (as `mk_set_literal` builds it)."""
+    member = TSetMember(elem, s)
+    while isinstance(s, TSetUnion):
+        if isinstance(s.right, TSetSingleton) and s.right.elem == elem:
+            return TRUE_TERM
+        s = s.left
+    if isinstance(s, TSetSingleton) and s.elem == elem:
+        return TRUE_TERM
+    return member
 
 
 def mk_is_some(t: Term) -> Term:
@@ -521,9 +533,8 @@ def mk_ifok(guarded: Term, body: Term) -> Term:
     return mk_ite(b, body, TNone(s.elem))
 
 
-def mk_set_literal(elems, elem_sort: Sort) -> Term:
-    if not elems:
-        return TSetEmpty(elem_sort)
+def mk_set_literal(elems) -> Term:
+    """The union of singletons of a non-empty list of elements."""
     out = TSetSingleton(elems[0])
     for e in elems[1:]:
         out = TSetUnion(out, TSetSingleton(e))

@@ -719,11 +719,33 @@ def enumerate_conforming(
 # ---------------------------------------------------------------------------
 
 
+# String literals of the structured forms: the menu `enumerate_conforming`
+# draws from, so that brute force reaches them, and one value outside it.
+_STRUCTURED_STRINGS = ("s0", "s1", "alpha")
+
+
 class _TypedGen:
-    def __init__(self, rng: random.Random, env: RequestEnv, schema: Schema, store: EntityStore):
+    """Well-typed candidates for the symbolic-fidelity suites.  With
+    ``structured``, `bool_expr` also draws forms whose operands may have
+    different encodings (`_structured_bool`); without it, only the others."""
+
+    def __init__(self, rng: random.Random, env: RequestEnv, schema: Schema, store: EntityStore, structured: bool = False):
         self.rng = rng
         self.env = env
         self.schema = schema
+        self.structured = structured
+        self.strings = _STRUCTURED_STRINGS if structured else ("", "alpha", "beta", "s*r")
+        # (projection, type) of each required context attribute, at any depth.
+        self.paths = []
+        stack = [(EVar("context"), env.context_type)]
+        while stack:
+            base, rec = stack.pop()
+            for a in rec.attrs:
+                if a.required:
+                    self.paths.append((EGetAttr(base, a.name), a.type))
+                    if isinstance(a.type, TRecord):
+                        stack.append((EGetAttr(base, a.name), a.type))
+        self.records = [t for _, t in self.paths if isinstance(t, TRecord)]
         self.instances: dict = {}
         for ref in store.refs():
             self.instances.setdefault(ref.entity_type, []).append(ref)
@@ -775,7 +797,7 @@ class _TypedGen:
                     opts.append(lambda a=attr, o=owner: self._project(o, a, depth))
             return rng.choice(opts)()
         if isinstance(want, TString):
-            opts = [lambda: ELit(VString(rng.choice(["", "alpha", "beta", "s*r"])))]
+            opts = [lambda: ELit(VString(rng.choice(self.strings)))]
             for attr, owner in self._attr_paths(STRING):
                 opts.append(lambda a=attr, o=owner: self._project(o, a, depth))
             return rng.choice(opts)()
@@ -811,7 +833,9 @@ class _TypedGen:
         rng = self.rng
         if depth <= 0:
             return ELit(VBool(rng.random() < 0.5))
-        k = rng.randrange(12)
+        k = rng.randrange(16 if self.structured else 12)
+        if k >= 12:
+            return self._structured_bool(k - 12, depth)
         if k in (0, 1):  # hierarchy membership
             lhs_type = rng.choice((self.env.principal_type, self.env.resource_type))
             lhs = self.entity_expr(lhs_type, depth - 1)
@@ -889,11 +913,63 @@ class _TypedGen:
                     out.append(((attr.name, attr.type.elem), name))
         return out
 
+    # -- structured forms ------------------------------------------------------
 
-def gen_typed_bool_expr(rng: random.Random, env: RequestEnv, schema: Schema, store: EntityStore, depth: int = 3) -> Optional[Expr]:
+    def value(self, want, depth: int) -> Optional[Expr]:
+        """An expression whose type joins `want`: a record literal has every
+        attribute required, so it joins a record with optional ones."""
+        if isinstance(want, TSet):
+            return self._set_expr(want.elem, depth)
+        if not isinstance(want, TRecord):
+            return self.typed(want, depth)
+        opts = [lambda p=p: p for p, t in self.paths if t == want]
+        opts.append(lambda: self._record_literal(want, depth))
+        if depth > 0:
+            opts.append(lambda: self._branches(want, depth))
+        return self.rng.choice(opts)()
+
+    def _record_literal(self, want: TRecord, depth: int) -> Optional[Expr]:
+        fields = tuple((a.name, self.value(a.type, max(0, depth - 1))) for a in want.attrs)
+        return None if any(v is None for _, v in fields) else ERecord(fields)
+
+    def _branches(self, want, depth: int) -> Optional[Expr]:
+        parts = (self.bool_expr(depth - 1), self.value(want, depth - 1), self.value(want, depth - 1))
+        return None if None in parts else EIf(*parts)
+
+    def _set_expr(self, elem, depth: int) -> Optional[Expr]:
+        rng = self.rng
+        paths = [p for p, t in self.paths if t == TSet(elem)]
+        if paths and rng.random() < 0.3:
+            return rng.choice(paths)
+        elems = tuple(self.value(elem, max(0, depth - 1)) for _ in range(rng.randint(1, 2)))
+        return None if None in elems else ESet(elems)
+
+    def _structured_bool(self, k: int, depth: int) -> Optional[Expr]:
+        """Set and record literals, `containsAny`/`containsAll`, record-valued
+        `if` branches and `contains` across encodings."""
+        rng = self.rng
+        t = rng.choice(self.records + [STRING, TEntity(self.env.principal_type)])
+        if k == 0:
+            ops = ("contains", self._set_expr(t, depth - 1), self.value(t, depth - 1))
+        elif k == 1:
+            op = rng.choice(("containsAny", "containsAll"))
+            ops = (op, self._set_expr(t, depth - 1), self._set_expr(t, depth - 1))
+        elif k == 2:  # equality of values, or of sets of them
+            want = t if rng.random() < 0.7 else TSet(t)
+            ops = ("==", self.value(want, depth - 1), self.value(want, depth - 1))
+        else:
+            want = rng.choice(self.records) if self.records else t
+            ops = ("==", self._branches(want, max(1, depth - 1)), self.value(want, depth - 1))
+        return None if None in ops else EBinop(*ops)
+
+
+def gen_typed_bool_expr(
+    rng: random.Random, env: RequestEnv, schema: Schema, store: EntityStore, depth: int = 3, structured: bool = False
+) -> Optional[Expr]:
     """A candidate boolean expression over schema-declared attributes; the
-    caller typechecks it and discards failures."""
-    return _TypedGen(rng, env, schema, store).bool_expr(depth)
+    caller typechecks it and discards failures.  ``structured`` adds the set
+    and record forms (see `_TypedGen`)."""
+    return _TypedGen(rng, env, schema, store, structured).bool_expr(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +1001,6 @@ class TermInterpreter:
     # -- encoding runtime values into the term domain -------------------------
 
     def encode_value(self, v: Value, t) -> object:
-        from .ast import TBool as _TB, TFalse as _TF, TTrue as _TT
-
         if isinstance(v, VBool):
             return v.b
         if isinstance(v, VLong):

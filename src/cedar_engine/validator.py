@@ -59,8 +59,6 @@ from .ast import (
     VBool,
     VEntity,
     VLong,
-    VRecord,
-    VSet,
     VString,
     Value,
     render_type,
@@ -296,34 +294,19 @@ class PolicyTypeError(CedarError):
 
 
 def value_type(v: Value) -> CedarType:
+    """The type of an `ELit`'s value: a Bool, Long, String or entity."""
     if isinstance(v, VBool):
         return TRUE_T if v.b else FALSE_T
     if isinstance(v, VLong):
         return LONG
     if isinstance(v, VString):
         return STRING
-    if isinstance(v, VEntity):
-        return TEntity(v.ref.entity_type)
-    if isinstance(v, VSet):
-        ts = [value_type(e) for e in v.elems]
-        if not ts:
-            raise PolicyTypeError(TypeErrorKind.EMPTY_SET_LITERAL, "empty set literal has no type")
-        out = ts[0]
-        for t in ts[1:]:
-            j = join(out, t)
-            if j is None:
-                raise PolicyTypeError(
-                    TypeErrorKind.HETEROGENEOUS_SET,
-                    f"set mixes {render_type(out)} and {render_type(t)}",
-                )
-            out = j
-        return TSet(out)
-    if isinstance(v, VRecord):
-        return TRecord(tuple(TRecordAttr(k, True, value_type(x)) for k, x in v.fields))
-    raise TypeError(f"not a value: {v!r}")
+    return TEntity(v.ref.entity_type)
 
 
-def _as_action_literal(e: Expr, schema: Schema) -> Optional[EntityRef]:
+def action_literal(e: Expr, schema: Schema) -> Optional[EntityRef]:
+    """The action an expression names literally, or None.  The validator and
+    the symbolic compiler both fold comparisons of such literals statically."""
     if isinstance(e, ELit) and isinstance(e.value, VEntity):
         ref = e.value.ref
         if ref.is_action() or ref in schema.actions:
@@ -331,22 +314,17 @@ def _as_action_literal(e: Expr, schema: Schema) -> Optional[EntityRef]:
     return None
 
 
-def _action_set_literal(e: Expr, schema: Schema) -> Optional[list]:
+def action_set_literal(e: Expr, schema: Schema) -> Optional[list]:
+    """The actions a set literal of action literals names, or None."""
+    if not isinstance(e, ESet):
+        return None
     refs = []
-    if isinstance(e, ESet):
-        for elem in e.elems:
-            ref = _as_action_literal(elem, schema)
-            if ref is None:
-                return None
-            refs.append(ref)
-        return refs
-    if isinstance(e, ELit) and isinstance(e.value, VSet):
-        for elem in e.value.elems:
-            if not (isinstance(elem, VEntity) and elem.ref.is_action()):
-                return None
-            refs.append(elem.ref)
-        return refs
-    return None
+    for elem in e.elems:
+        ref = action_literal(elem, schema)
+        if ref is None:
+            return None
+        refs.append(ref)
+    return refs
 
 
 class _Checker:
@@ -556,8 +534,8 @@ class _Checker:
         if e.left == e.right:
             # Syntactically identical expressions evaluate to equal values.
             return (TRUE_T, CAPS_NONE)
-        a1 = _as_action_literal(e.left, self.schema)
-        a2 = _as_action_literal(e.right, self.schema)
+        a1 = action_literal(e.left, self.schema)
+        a2 = action_literal(e.right, self.schema)
         if a1 is not None and a2 is not None:
             return (TRUE_T, CAPS_NONE) if a1 == a2 else (FALSE_T, CAPS_TOP)
         if isinstance(t1, TEntity) and isinstance(t2, TEntity):
@@ -583,10 +561,10 @@ class _Checker:
             raise PolicyTypeError(
                 TypeErrorKind.NOT_COMPARABLE, f"in with left operand {render_type(t1)}", e
             )
-        lhs_action = _as_action_literal(e.left, self.schema)
+        lhs_action = action_literal(e.left, self.schema)
         if lhs_action is not None:
-            rhs_one = _as_action_literal(e.right, self.schema)
-            rhs_many = _action_set_literal(e.right, self.schema)
+            rhs_one = action_literal(e.right, self.schema)
+            rhs_many = action_set_literal(e.right, self.schema)
             if rhs_one is not None:
                 rhs_many = [rhs_one]
             if rhs_many is not None:

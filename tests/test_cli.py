@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from cedar_engine.cli import main
 
@@ -341,3 +342,142 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
 def test_json_values_at_the_nesting_bound_authorize(tmp_path, capsys):
     code, out, err = _authorize_with(tmp_path, capsys, 64, 64)
     assert (code, out.splitlines()[0], err) == (0, "ALLOW", "")
+
+
+# -- analysis failures are internal or solver errors (exit 3), not input errors
+
+_RECORD_SCHEMA = (
+    "entity User;\n"
+    "action view appliesTo { principal: [User], resource: [User], context: { r: { a?: String } } };\n"
+)
+
+
+def _analyze_files(tmp_path, old, new, schema):
+    for name, text in (("old.cedar", old), ("new.cedar", new), ("schema.cedarschema", schema)):
+        (tmp_path / name).write_text(text)
+    return (
+        "analyze", "equivalence",
+        "--old", str(tmp_path / "old.cedar"),
+        "--new", str(tmp_path / "new.cedar"),
+        "--schema", str(tmp_path / "schema.cedarschema"),
+    )
+
+
+def test_malformed_solver_model_exits_3(tmp_path, capsys):
+    solver = tmp_path / "solver.sh"
+    solver.write_text("#!/bin/sh\ncat > /dev/null\necho sat\necho '(model (define-fun x () Bool'\n")
+    solver.chmod(0o755)
+    code, out, err = run(
+        capsys,
+        "analyze", "equivalence",
+        "--old", F("tinytodo", "policies_guardrail_old.cedar"),
+        "--new", F("tinytodo", "policies_guardrail_new.cedar"),
+        "--schema", F("tinytodo", "tinytodo.cedarschema"),
+        "--solver", str(solver),
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("error:") == 1
+
+
+def test_set_that_would_need_re_encoding_exits_3(tmp_path, capsys):
+    # The policy validates, but comparing the literal's records with the
+    # optional-attribute record would re-encode each element of a set.
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal, action, resource) when { [{a: "x"}].contains(context.r) };',
+        "permit(principal, action, resource) when { false };",
+        _RECORD_SCHEMA,
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "re-encode a set" in err
+
+
+def test_internal_sort_error_exits_3(capsys, monkeypatch):
+    import cedar_engine.cli as cli
+    from cedar_engine.terms import InternalSortError
+
+    def ill_sorted(*args, **kwargs):
+        raise InternalSortError("= on Bool vs (_ BitVec 64)")
+
+    monkeypatch.setattr(cli, "analyze_equivalence", ill_sorted)
+    code, out, err = run(
+        capsys,
+        "analyze", "equivalence",
+        "--old", F("tinytodo", "policies.cedar"),
+        "--new", F("tinytodo", "refactored.cedar"),
+        "--schema", F("tinytodo", "tinytodo.cedarschema"),
+    )
+    assert (code, out, err) == (3, "", "error: = on Bool vs (_ BitVec 64)\n")
+
+
+def test_records_of_different_encodings_are_joined(tmp_path, capsys):
+    # The literal and the optional-attribute record join to the latter's
+    # type, so the set literal holds both and contains its own element.
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal, action, resource) when { [context.r, {a: "x"}].contains({a: "x"}) };',
+        "permit(principal, action, resource);",
+        _RECORD_SCHEMA,
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("overall: equivalent")
+
+
+_ONE_TYPE_SCHEMA = "entity User;\naction view appliesTo { principal: [User], resource: [User] };\n"
+_MODEL = {
+    "principal": '(User "a")',
+    "resource": '(User "r")',
+    "context": "UserRecord",
+}
+
+
+def _fake_solver(tmp_path, answer: str):
+    solver = tmp_path / "solver.sh"
+    solver.write_text("#!/bin/sh\ncat > /dev/null\ncat <<'EOF'\n" + answer + "\nEOF\n")
+    solver.chmod(0o755)
+    return str(solver)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        ({"principal": '(User "b")'}, "counterexample failed concrete re-verification"),
+        ({"resource": "true"}, "expected an entity value"),
+        ({"context": "true"}, "context did not decode to a record"),
+        ({"context": "(as none (Option Bool))"}, "cannot decode model value"),
+    ],
+    ids=["not-a-counterexample", "resource-not-an-entity", "context-not-a-record", "undecodable-value"],
+)
+def test_solver_model_that_contradicts_the_analysis_exits_3(tmp_path, capsys, wrong, message):
+    # Only a solver that breaks its contract reaches these checks.
+    model = dict(_MODEL, **wrong)
+    types = {"principal": "User", "resource": "User", "context": "UserRecord"}
+    defs = "".join(f"(define-fun {k} () {types[k]} {v})\n" for k, v in model.items())
+    solver = _fake_solver(tmp_path, "sat\n(\n" + defs + "(define-fun userAttrs ((x User)) UserRecord UserRecord)\n)")
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal == User::"a", action, resource);',
+        "permit(principal, action, resource) when { false };",
+        _ONE_TYPE_SCHEMA,
+    )
+    code, out, err = run(capsys, *argv, "--solver", solver)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_solver_past_its_deadline_is_a_timeout(tmp_path, capsys):
+    solver = tmp_path / "solver.sh"
+    solver.write_text("#!/bin/sh\nexec sleep 5\n")
+    solver.chmod(0o755)
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal == User::"a", action, resource);',
+        "permit(principal, action, resource) when { false };",
+        _ONE_TYPE_SCHEMA,
+    )
+    code, out, _ = run(capsys, *argv, "--solver", str(solver), "--timeout-ms", "200")
+    assert code == 3
+    assert out.splitlines()[0] == 'Action::"view" <User, User>: timeout (exceeded 200 ms)'

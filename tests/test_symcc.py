@@ -1,5 +1,7 @@
 """Type encoding, expression compilation, grounding, and equivalence analysis."""
 
+import random
+
 import pytest
 
 from cedar_engine.ast import EntityRef, substitute_action, toexp
@@ -133,6 +135,10 @@ def test_compile_action_groups_fold():
     assert t == TSome(TBoolLit(True))
     t, _, _ = compile_src('action in Action::"readRepository"', schema, "maintainRepository")
     assert t == TSome(TBoolLit(False))
+    # compile_expr substitutes the action itself.
+    env = get_env(schema, "readRepository")
+    expr = parse_expr('action in Action::"administrateRepository"')
+    assert compile_expr(expr, env, schema, encode_types(schema, [env])) == TSome(TBoolLit(True))
 
 
 def test_compiled_terms_sort_check(fig_schema, tinytodo_policies):
@@ -355,3 +361,196 @@ def test_single_string_field_records_are_decided(cond):
         assert cex.request.context == vrecord({"foo": VString("x")})
     else:
         assert cex.store.get(cex.request.principal).attrs == vrecord({"name": VString("x")})
+
+
+# ---------------------------------------------------------------------------
+# Set and record forms against both oracles
+# ---------------------------------------------------------------------------
+
+# The context's record has an optional attribute and a nested record with
+# one, so a record literal (every attribute required) joins it only through
+# coercion, and so do sets of either.
+STRUCTURED_SCHEMA = """
+entity Group in [Group];
+entity User in [Group] { name: String };
+entity Doc { owner: User };
+action view appliesTo { principal: [User], resource: [Doc],
+    context: { r: { a?: String, b: Bool, inner: { c?: String } }, s: Set<String> } };
+"""
+
+
+def _structured_exprs(schema, env, store, seed, count):
+    """`count` well-typed structured expressions from one generator seed, or None."""
+    from cedar_engine.testkit import gen_typed_bool_expr
+    from cedar_engine.validator import CAPS_NONE, PolicyTypeError, typecheck
+
+    rng = random.Random(seed ^ 0x5E7)
+    out = []
+    for _ in range(count):
+        expr = gen_typed_bool_expr(rng, env, schema, store, depth=rng.randint(1, 3), structured=True)
+        if expr is None:
+            return None
+        try:
+            typecheck(expr, env, schema, CAPS_NONE)
+        except PolicyTypeError:
+            return None
+        out.append(expr)
+    return out
+
+
+def _forms(expr) -> set:
+    from cedar_engine.ast import EBinop, EIf, ERecord, ESet, subexpressions
+
+    out = set()
+    for sub in subexpressions(expr):
+        if isinstance(sub, (ESet, ERecord)):
+            out.add(type(sub).__name__)
+        elif isinstance(sub, EBinop) and sub.op.startswith("contains"):
+            out.add(sub.op)
+        elif isinstance(sub, EIf) and isinstance(sub.then, ERecord):
+            out.add("record branches")
+    return out
+
+
+def test_set_and_record_forms_match_both_oracles(gen_seed):
+    from collections import Counter
+
+    from cedar_engine.ast import ANY, EIf, ELit, CondKind, Effect, Policy, VBool
+    from cedar_engine.entities import merge_action_hierarchy
+    from cedar_engine.evaluator import EvalError, evaluate
+    from cedar_engine.smt_backend import SolverConfig
+    from cedar_engine.symcc import UnsupportedConstruct
+    from cedar_engine.testkit import (
+        GenConfig,
+        TermInterpreter,
+        enumerate_conforming,
+        gen_conforming,
+        reference_evaluate,
+    )
+
+    schema = parse_schema(STRUCTURED_SCHEMA)
+    (env,) = environments(schema)
+    senv = encode_types(schema, [env])
+    base = gen_seed * 1_000_000
+
+    # Compiled terms, interpreted under a store and request, agree with
+    # evaluation; a set that would need re-encoding is refused, not guessed.
+    forms = Counter()
+    checked = unsupported = 0
+    for seed in range(base + 1, base + 3001):
+        store, request = gen_conforming(GenConfig(seed, max_entities=2), schema)
+        exprs = _structured_exprs(schema, env, store, seed, 1)
+        if exprs is None:
+            continue
+        (expr,) = exprs
+        try:
+            term = compile_expr(expr, env, schema, senv)
+        except UnsupportedConstruct as err:
+            assert "re-encode a set" in str(err), f"seed {seed}: {err}"
+            unsupported += 1
+            continue
+        interp = TermInterpreter(senv, env, schema, store, request)
+        symbolic = interp.run(term)
+        try:
+            concrete = ("some", evaluate(expr, store, request))
+        except EvalError:
+            concrete = ("none",)
+        got = symbolic if symbolic == ("none",) else ("some", interp.decode(symbolic[1]))
+        assert got == concrete, f"seed {seed}: {expr}"
+        forms.update(_forms(expr))
+        checked += 1
+    assert checked >= 2500 and unsupported < 0.1 * checked, (checked, unsupported)
+    for form in ("ESet", "ERecord", "contains", "containsAny", "containsAll", "record branches"):
+        assert forms[form] >= 50, forms
+
+    # Equivalence verdicts: `equivalent` agrees with brute force over every
+    # conforming store and request of two users, and every counterexample of
+    # `differs` separates the sets under the reference interpreter.
+    universe = list(enumerate_conforming(schema, 2, ids={"User": ["0", "1"], "Group": ["0"], "Doc": ["0"]}))
+
+    def allows(cond, store, request) -> bool:
+        return reference_evaluate(cond, store, request) == ("ok", VBool(True))
+
+    def policy_set(tag, cond):
+        return PolicySet.from_policies([Policy(tag, Effect.PERMIT, ANY, ANY, ANY, ((CondKind.WHEN, cond),))])
+
+    verdicts = Counter()
+    seed = base
+    while sum(verdicts.values()) < 100:
+        seed += 1
+        exprs = _structured_exprs(schema, env, universe[0][0], seed, 2)
+        if exprs is None:
+            continue
+        c1, c2 = exprs
+        # Against an unrelated condition, against false, and against an
+        # equivalent rewriting.
+        c2 = (c2, ELit(VBool(False)), EIf(c1, ELit(VBool(True)), ELit(VBool(False))))[seed % 3]
+        try:
+            (verdict,) = analyze_equivalence(policy_set("a", c1), policy_set("b", c2), schema, config=SolverConfig.bundled())
+        except UnsupportedConstruct:
+            verdicts["unsupported"] += 1
+            continue
+        verdicts[verdict.status] += 1
+        if verdict.status == "equivalent":
+            assert all(allows(c1, s, r) == allows(c2, s, r) for s, r in universe), f"seed {seed}: {c1} vs {c2}"
+        elif verdict.status == "differs":
+            cex = verdict.counterexample
+            store = merge_action_hierarchy(cex.store, schema)
+            assert allows(c1, store, cex.request) != allows(c2, store, cex.request), f"seed {seed}"
+    assert verdicts["equivalent"] >= 20 and verdicts["differs"] >= 20, verdicts
+    assert verdicts["unknown"] + verdicts["unsupported"] <= 40, verdicts
+
+
+# `q` and `r` differ only in whether `inner.c` is optional, so joining them
+# re-encodes an optional attribute; every literal has a Long field.
+COERCION_SCHEMA = """
+entity User { name: String };
+entity Doc;
+action view appliesTo { principal: [User], resource: [Doc], context: {
+    r: { a?: String, n: Long, inner?: { c?: String } },
+    q: { a?: String, n: Long, inner?: { c: String } } } };
+"""
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "[context.q, context.r].contains(context.q)",
+        "context.q == context.r",
+        '[context.r].contains({a: "alpha", n: 1, inner: {c: "x"}})',
+        '(if context.r.n < 0 then context.q else {a: "", n: context.q.n * 1, inner: {c: ""}}).n < 1',
+        "principal == resource",
+        "context has zz || context.r has zz",
+        "action is Action",
+    ],
+)
+def test_coercions_and_static_rules_agree_with_evaluation(src):
+    from cedar_engine.evaluator import EvalError, evaluate
+    from cedar_engine.testkit import GenConfig, TermInterpreter, gen_conforming
+    from cedar_engine.validator import CAPS_NONE, typecheck
+
+    schema = parse_schema(COERCION_SCHEMA)
+    (env,) = environments(schema)
+    expr = substitute_action(parse_expr(src), env.action)
+    typecheck(expr, env, schema, CAPS_NONE)
+    senv = encode_types(schema, [env])
+    term = compile_expr(expr, env, schema, senv)
+    for seed in range(200):
+        store, request = gen_conforming(GenConfig(seed, max_entities=2), schema)
+        interp = TermInterpreter(senv, env, schema, store, request)
+        symbolic = interp.run(term)
+        try:
+            concrete = ("some", evaluate(expr, store, request))
+        except EvalError:
+            concrete = ("none",)
+        got = symbolic if symbolic == ("none",) else ("some", interp.decode(symbolic[1]))
+        assert got == concrete, f"seed {seed}"
+
+
+def test_template_slots_are_not_compiled(fig_schema):
+    from cedar_engine.symcc import UnsupportedConstruct
+
+    (template,) = parse_policies("permit(principal == ?principal, action, resource);")
+    env = get_env(fig_schema, "GetList")
+    with pytest.raises(UnsupportedConstruct, match="link the template first"):
+        compile_expr(toexp(template, allow_slots=True), env, fig_schema, encode_types(fig_schema, [env]))

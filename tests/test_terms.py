@@ -30,7 +30,14 @@ from cedar_engine.terms import (
     TStrInRe,
     TStrLit,
     TVal,
+    TRUE_TERM,
+    mk_and2,
+    mk_eq,
     mk_ifok,
+    mk_implies,
+    mk_ite,
+    mk_or,
+    mk_or2,
 )
 
 P = TConst("p", BOOL_S)
@@ -64,11 +71,20 @@ NUMS, STRS = TSetEmpty(BV64_S), TSetEmpty(STRING_S)
         lambda: TStrInRe(N, RAll()),
         lambda: mk_ifok(OPT, P),
         lambda: mk_ifok(TSome(P), P),
+        # The smart constructors check sorts before they fold.
+        lambda: mk_eq(TRUE_TERM, N),
+        lambda: mk_and2(TRUE_TERM, N),
+        lambda: mk_or2(N, TRUE_TERM),
+        lambda: mk_implies(TRUE_TERM, N),
+        lambda: mk_ite(TRUE_TERM, N, S),
+        lambda: mk_ite(N, P, P),
+        lambda: mk_or([N]),
     ],
     ids=[
         "ite-guard", "ite-branches", "eq", "and", "or", "not", "implies", "member", "subset",
         "subset-non-set", "inter", "union", "val", "is-some", "bvadd", "bvslt", "bv-too-big",
-        "bv-too-small", "in-re", "ifok-body", "ifok-literal-guard",
+        "bv-too-small", "in-re", "ifok-body", "ifok-literal-guard", "mk-eq", "mk-and2", "mk-or2",
+        "mk-implies", "mk-ite-branches", "mk-ite-guard", "mk-or",
     ],
 )
 def test_ill_sorted_term_raises_where_it_is_built(build):

@@ -8,7 +8,7 @@ extensional: order and duplicates in a set literal never matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -498,14 +498,19 @@ class Policy:
                 return v
         return None
 
-    def slots(self):
+    def slots(self) -> frozenset:
+        """The slot names in the scope and conditions, found once per policy."""
+        return self._slots
+
+    @cached_property
+    def _slots(self) -> frozenset:
         found = set()
         for scope in (self.principal, self.resource):
             if isinstance(scope, (ScopeEq, ScopeIn)) and isinstance(scope.target, SlotRef):
                 found.add(scope.target.name)
         for _, e in self.conditions:
             found |= expr_slots(e)
-        return found
+        return frozenset(found)
 
     def is_template(self) -> bool:
         return bool(self.slots())
@@ -572,24 +577,26 @@ def link(template: Policy, bindings: Mapping[str, EntityRef], link_id: Optional[
         if name not in bindings:
             raise UnboundSlot(f"no binding for slot {name} of template {template.id}")
 
-    def fill(scope: Scope) -> Scope:
-        if isinstance(scope, ScopeEq) and isinstance(scope.target, SlotRef):
-            return ScopeEq(bindings[scope.target.name])
-        if isinstance(scope, ScopeIn) and isinstance(scope.target, SlotRef):
-            return ScopeIn(bindings[scope.target.name])
-        return scope
-
-    new_id = link_id if link_id is not None else template.id
     annotations = template.annotations
-    if link_id is not None:
-        annotations = tuple((k, v) for k, v in annotations if k != "id") + (("id", new_id),)
-    return replace(
-        template,
-        id=new_id,
-        principal=fill(template.principal),
-        resource=fill(template.resource),
-        annotations=annotations,
+    if link_id is None:
+        link_id = template.id
+    else:
+        annotations = tuple((k, v) for k, v in annotations if k != "id") + (("id", link_id),)
+    return Policy(
+        link_id,
+        template.effect,
+        _fill(template.principal, bindings),
+        template.action,
+        _fill(template.resource, bindings),
+        template.conditions,
+        annotations,
     )
+
+
+def _fill(scope: Scope, bindings: Mapping[str, EntityRef]) -> Scope:
+    if isinstance(scope, (ScopeEq, ScopeIn)) and isinstance(scope.target, SlotRef):
+        return scope.__class__(bindings[scope.target.name])
+    return scope
 
 
 # ---------------------------------------------------------------------------

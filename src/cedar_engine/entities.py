@@ -1,16 +1,17 @@
 """Entity hierarchy storage and the JSON ingestion formats.
 
-The store keeps, per entity, its attribute record and its *transitively
-closed* ancestor set: `in` tests are direct set membership, so the loader
-materializes the closure of the declared parent edges and rejects cycles.
-Stores are immutable after load; concurrent reads are safe.
+The store keeps, per entity, its attribute record and its declared parent
+edges; no closure is materialised, so loading (one shared `EntityRef` per uid,
+cycles rejected) is linear in time and memory.  `ancestors_of` closes a ref's
+edges on first use and memoises the set per store.  Stores are immutable after
+load; a memo write is idempotent, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Mapping, Optional
 
 from .ast import (
     CedarError,
@@ -51,8 +52,11 @@ class BadEntityRef(EntityLoadError):
 
 @dataclass(frozen=True)
 class EntityData:
+    """Attributes and the declared ancestor edges; `ancestors_of` closes the
+    edges.  A closed set is valid input too."""
+
     attrs: VRecord
-    ancestors: frozenset  # transitively closed
+    ancestors: Collection
 
 
 _EMPTY_ANCESTORS: frozenset = frozenset()
@@ -62,6 +66,7 @@ _EMPTY_RECORD_V = vrecord({})
 @dataclass(frozen=True)
 class EntityStore:
     entries: Mapping  # EntityRef -> EntityData
+    _closed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __contains__(self, ref: EntityRef) -> bool:
         return ref in self.entries
@@ -70,9 +75,24 @@ class EntityStore:
         return self.entries.get(ref)
 
     def ancestors_of(self, ref: EntityRef) -> frozenset:
-        """Closed ancestor set; empty for absent entities (absence is not an error)."""
-        data = self.entries.get(ref)
-        return data.ancestors if data is not None else _EMPTY_ANCESTORS
+        """Closed ancestor set, by reachability over the edges on first use, then
+        memoised; empty for absent entities (absence is not an error)."""
+        closed = self._closed.get(ref)
+        if closed is None:
+            data = self.entries.get(ref)
+            if data is None:
+                return _EMPTY_ANCESTORS
+            seen = set(data.ancestors)
+            todo = list(seen)
+            while todo:
+                above = self.entries.get(todo.pop())
+                if above is not None:
+                    for p in above.ancestors:
+                        if p not in seen:
+                            seen.add(p)
+                            todo.append(p)
+            closed = self._closed[ref] = frozenset(seen)
+        return closed
 
     def refs(self):
         return self.entries.keys()
@@ -89,54 +109,42 @@ class Request:
     context: VRecord = _EMPTY_RECORD_V
 
 
-def close_hierarchy(parents: Mapping) -> dict:
-    """Transitive closure of a direct-parent map; raises HierarchyCycle.
-
-    Depth-first with an explicit stack, so parent chains of any length close
-    without recursion.  A ref is closed once all its parents are; meeting a
-    ref that is still on the stack is a cycle.
-    """
-    closed: dict = {}
-    for root in parents:
-        if root in closed:
+def _check_acyclic(entries: Mapping, roots: Iterable) -> None:
+    """Raise HierarchyCycle if an edge path from ``roots`` comes back on itself.
+    Depth-first with an explicit stack, each ref finished once: O(V+E), and
+    chains of any length are checked without recursion."""
+    on_path: dict = {}  # ref -> True while on the search path, False once finished
+    stack: list = []
+    for root in roots:
+        if root in on_path:
             continue
-        active = {root}
-        stack = [(root, iter(parents[root]), set())]
+        on_path[root] = True
+        stack.append((root, iter(entries[root].ancestors)))
         while stack:
-            ref, todo, out = stack[-1]
+            ref, todo = stack[-1]
             for p in todo:
-                if p in parents and p not in closed:
-                    if p in active:
-                        raise HierarchyCycle(p)
-                    active.add(p)
-                    stack.append((p, iter(parents[p]), set()))
+                state = on_path.get(p)
+                if state:
+                    raise HierarchyCycle(p)
+                if state is None and p in entries:
+                    on_path[p] = True
+                    stack.append((p, iter(entries[p].ancestors)))
                     break
-                out.add(p)
-                out |= closed.get(p, _EMPTY_ANCESTORS)
             else:
                 stack.pop()
-                active.remove(ref)
-                closed[ref] = done = frozenset(out)
-                if stack:  # ref is a parent of the ref below it on the stack
-                    below = stack[-1][2]
-                    below.add(ref)
-                    below |= done
-    return closed
+                on_path[ref] = False
 
 
 def build_store(entities: Iterable) -> EntityStore:
-    """Build a closed store from (ref, attrs, direct_parents) triples."""
-    attrs_by_ref: dict = {}
-    parents: dict = {}
+    """Build a store from (ref, attrs, direct_parents) triples; rejects
+    duplicates and cycles."""
+    entries: dict = {}
     for ref, attrs, direct in entities:
-        if ref in attrs_by_ref:
+        if ref in entries:
             raise DuplicateEntity(ref)
-        attrs_by_ref[ref] = attrs
-        parents[ref] = tuple(direct)
-    closed = close_hierarchy(parents)
-    return EntityStore(
-        {ref: EntityData(attrs_by_ref[ref], closed.get(ref, _EMPTY_ANCESTORS)) for ref in attrs_by_ref}
-    )
+        entries[ref] = EntityData(attrs, tuple(direct))
+    _check_acyclic(entries, entries)
+    return EntityStore(entries)
 
 
 def merge_action_hierarchy(store: EntityStore, schema) -> EntityStore:
@@ -146,13 +154,13 @@ def merge_action_hierarchy(store: EntityStore, schema) -> EntityStore:
     need not appear in entity data.
     """
     entries = dict(store.entries)
-    for ref in schema.actions:
-        ancestors = schema.action_ancestors(ref)
+    for ref, decl in schema.actions.items():
         old = entries.get(ref)
         if old is not None:
-            entries[ref] = EntityData(old.attrs, old.ancestors | ancestors)
+            entries[ref] = EntityData(old.attrs, (*old.ancestors, *decl.parents))
         else:
-            entries[ref] = EntityData(_EMPTY_RECORD_V, ancestors)
+            entries[ref] = EntityData(_EMPTY_RECORD_V, decl.parents)
+    _check_acyclic(entries, schema.actions)  # only the action entries changed
     return EntityStore(entries)
 
 
@@ -161,13 +169,18 @@ def merge_action_hierarchy(store: EntityStore, schema) -> EntityStore:
 # ---------------------------------------------------------------------------
 
 
-def _ref_from_json(obj, where: str) -> EntityRef:
-    if not isinstance(obj, dict) or set(obj) != {"type", "id"}:
+def _ref_from_json(obj, where: str, refs: dict) -> EntityRef:
+    """Decode an entity uid.  ``refs`` maps (type, id) to the EntityRef made
+    for a uid the first time it was seen, which every later mention shares."""
+    if not isinstance(obj, dict) or len(obj) != 2 or "type" not in obj or "id" not in obj:
         raise BadEntityRef(f"{where}: an entity uid must be {{\"type\": ..., \"id\": ...}}")
     t, i = obj["type"], obj["id"]
     if not isinstance(t, str) or not t or not isinstance(i, str):
         raise BadEntityRef(f"{where}: malformed entity uid")
-    return EntityRef(t, i)
+    ref = refs.get((t, i))
+    if ref is None:
+        ref = refs[t, i] = EntityRef(t, i)
+    return ref
 
 
 def value_from_json(obj, where: str = "value", depth: int = 1) -> Value:
@@ -191,8 +204,8 @@ def value_from_json(obj, where: str = "value", depth: int = 1) -> Value:
     if isinstance(obj, list):
         return VSet(frozenset(value_from_json(x, where, depth + 1) for x in obj))
     if isinstance(obj, dict):
-        if set(obj) == {"__entity"}:
-            return VEntity(_ref_from_json(obj["__entity"], where))
+        if len(obj) == 1 and "__entity" in obj:
+            return VEntity(_ref_from_json(obj["__entity"], where, {}))
         return vrecord({k: value_from_json(v, f"{where}.{k}", depth + 1) for k, v in obj.items()})
     raise BadEntityRef(f"{where}: unsupported JSON value {obj!r}")
 
@@ -223,25 +236,31 @@ def _decode_json(json_text: str, what: str):
 
 
 def load_entities(json_text: str) -> EntityStore:
-    """Load the documented entities JSON format and close the hierarchy."""
+    """Load the documented entities JSON format in one pass over its entries."""
     data = _decode_json(json_text, "entities file")
     if not isinstance(data, list):
         raise BadEntityRef("entities file must be a JSON array")
+    refs: dict = {}
     triples = []
     for i, item in enumerate(data):
-        where = f"entity #{i}"
-        if not isinstance(item, dict) or "uid" not in item:
-            raise BadEntityRef(f"{where}: each entry needs a \"uid\"")
-        ref = _ref_from_json(item["uid"], where)
-        attrs_obj = item.get("attrs", {})
-        if not isinstance(attrs_obj, dict):
-            raise BadEntityRef(f"{where}: \"attrs\" must be an object")
-        attrs = vrecord({k: value_from_json(v, f"{where}.attrs.{k}") for k, v in attrs_obj.items()})
-        parents_obj = item.get("parents", [])
-        if not isinstance(parents_obj, list):
-            raise BadEntityRef(f"{where}: \"parents\" must be an array")
-        parents = [_ref_from_json(p, f"{where}.parents") for p in parents_obj]
-        triples.append((ref, attrs, parents))
+        # Messages are relative to the entry; its "entity #i" is added on error.
+        try:
+            if not isinstance(item, dict) or "uid" not in item:
+                raise BadEntityRef(': each entry needs a "uid"')
+            ref = _ref_from_json(item["uid"], "", refs)
+            attrs_obj = item.get("attrs", {})
+            if not isinstance(attrs_obj, dict):
+                raise BadEntityRef(': "attrs" must be an object')
+            try:
+                attrs = vrecord({k: value_from_json(v, k) for k, v in attrs_obj.items()})
+            except BadEntityRef as err:
+                raise BadEntityRef(f".attrs.{err}") from None
+            parents_obj = item.get("parents", [])
+            if not isinstance(parents_obj, list):
+                raise BadEntityRef(': "parents" must be an array')
+            triples.append((ref, attrs, [_ref_from_json(p, ".parents", refs) for p in parents_obj]))
+        except BadEntityRef as err:
+            raise BadEntityRef(f"entity #{i}{err}") from None
     return build_store(triples)
 
 
@@ -252,7 +271,8 @@ def load_request(json_text: str) -> Request:
     for key in ("principal", "action", "resource"):
         if key not in data:
             raise BadEntityRef(f"request is missing \"{key}\"")
-    action = _ref_from_json(data["action"], "action")
+    refs: dict = {}
+    action = _ref_from_json(data["action"], "action", refs)
     if action.type_tail != "Action":
         raise BadEntityRef(f"action entity type must end in Action, got {action.entity_type}")
     context_obj = data.get("context", {})
@@ -262,9 +282,9 @@ def load_request(json_text: str) -> Request:
     if not isinstance(context, VRecord):
         raise BadEntityRef("request context must decode to a record")
     return Request(
-        principal=_ref_from_json(data["principal"], "principal"),
+        principal=_ref_from_json(data["principal"], "principal", refs),
         action=action,
-        resource=_ref_from_json(data["resource"], "resource"),
+        resource=_ref_from_json(data["resource"], "resource", refs),
         context=context,
     )
 
@@ -280,7 +300,7 @@ def store_to_json(store: EntityStore) -> list:
                 "attrs": {k: value_to_json(v) for k, v in data.attrs.fields},
                 "parents": [
                     {"type": p.entity_type, "id": p.entity_id}
-                    for p in sorted(data.ancestors, key=lambda r: (r.entity_type, r.entity_id))
+                    for p in sorted(store.ancestors_of(ref), key=lambda r: (r.entity_type, r.entity_id))
                 ],
             }
         )

@@ -65,7 +65,7 @@ from .ast import (
     vrecord,
     vset,
 )
-from .entities import EntityData, EntityStore, Request, build_store, close_hierarchy
+from .entities import EntityData, EntityStore, Request, build_store
 from .validator import RequestEnv, Schema, environments
 
 
@@ -129,7 +129,7 @@ def _menu_refs(max_entities: int) -> list:
 
 
 def gen_store(cfg: GenConfig) -> EntityStore:
-    """A random closed DAG store over the shared entity menu."""
+    """A random acyclic store over the shared entity menu."""
     rng = cfg.rng()
     refs = []
     for t in _GEN_TYPES:
@@ -302,12 +302,7 @@ def reference_evaluate(expr: Expr, store: EntityStore, request: Request):
         return data
 
     def in_one(lhs: EntityRef, rhs: EntityRef) -> bool:
-        if rhs == lhs:
-            return True
-        data = lookup(lhs)
-        if data is None:
-            return False
-        return rhs in data.ancestors
+        return rhs == lhs or rhs in bfs_ancestors(store, lhs)
 
     def as_bool(r):
         if r[0] == _ERR:
@@ -465,7 +460,7 @@ def reference_evaluate(expr: Expr, store: EntityStore, request: Request):
 
 
 def bfs_ancestors(store: EntityStore, ref: EntityRef) -> frozenset:
-    """Reachability oracle over the (closed) ancestor sets viewed as edges."""
+    """Reachability oracle over the stored ancestors viewed as edges."""
     seen = set()
     frontier = [ref]
     while frontier:
@@ -641,8 +636,9 @@ def enumerate_stores(
 ) -> Iterator[EntityStore]:
     """Every conforming store up to ``bound`` ids per type.
 
-    Direct-parent assignments are enumerated and closed, so extensionally
-    equal stores may repeat.  Raises BoundTooLarge above the state ceiling.
+    Direct-parent assignments are enumerated and stored as edges, so
+    extensionally equal stores may repeat; cyclic ones are skipped.  Raises
+    BoundTooLarge above the state ceiling.
     """
     names = list(types) if types is not None else list(schema.entity_types)
     instances: dict = {}
@@ -673,14 +669,14 @@ def enumerate_stores(
         if total > ceiling:
             raise BoundTooLarge(f"enumeration exceeds {ceiling} stores")
 
+    no_attrs = vrecord({})
     for parent_combo in itertools.product(*parent_choices):
-        try:
-            closed = close_hierarchy({ref: tuple(ps) for ref, ps in zip(order, parent_combo)})
-        except CedarError:
+        edges = EntityStore({ref: EntityData(no_attrs, tuple(ps)) for ref, ps in zip(order, parent_combo)})
+        if any(ref in bfs_ancestors(edges, ref) for ref in order):
             continue  # cyclic direct-parent assignment
         for attr_combo in itertools.product(*attr_choices):
             entries = {
-                ref: EntityData(attrs, closed.get(ref, frozenset()))
+                ref: EntityData(attrs, edges.get(ref).ancestors)
                 for ref, attrs in zip(order, attr_combo)
             }
             yield EntityStore(entries)

@@ -597,11 +597,13 @@ class _Checker:
 
 
 def typecheck(expr: Expr, env: RequestEnv, schema: Schema, incap: Caps = CAPS_NONE):
-    """Type an expression (with `action` already substituted) in one environment.
+    """Type an expression in one environment.
 
+    The `action` variable is replaced by the environment's action first, so
+    `action == Action::"view"` types the same as its substituted form.
     Returns (type, capability) or raises PolicyTypeError.
     """
-    return _Checker(env, schema).check(expr, incap)
+    return _Checker(env, schema).check(substitute_action(expr, env.action), incap)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +668,8 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
             continue
         types = []
         for env in envs:
-            expr_a = substitute_action(expr, env.action)
             try:
-                t, _ = typecheck(expr_a, env, schema, CAPS_NONE)
+                t, _ = typecheck(expr, env, schema, CAPS_NONE)
                 if not is_subtype(t, BOOL):
                     raise PolicyTypeError(
                         TypeErrorKind.NON_BOOLEAN_GUARD,

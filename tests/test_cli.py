@@ -6,6 +6,7 @@ import pytest
 
 from cedar_engine.cli import main
 
+import huge_hierarchy
 from conftest import fixture_path
 
 
@@ -264,6 +265,16 @@ def test_long_parent_chain_authorizes(tmp_path, capsys):
         "--request", str(tmp_path / "request.json"),
     )
     assert (code, out.splitlines()[0], err) == (0, "ALLOW", "")
+
+
+@pytest.mark.parametrize("case", ["chain", "fan-out"])
+def test_huge_hierarchy_decides_in_bounded_memory(tmp_path, case):
+    # 10^5 entities: a chain whose closure would hold 5*10^9 pairs, and one
+    # group with 10^5 children.  The child process runs under a 1 GiB
+    # address-space cap; a quadratic store would die with MemoryError or a kill.
+    args = huge_hierarchy.write_case(huge_hierarchy.CASES[case](), str(tmp_path))
+    proc = huge_hierarchy.authorize(args, preexec_fn=huge_hierarchy.address_space_cap(1 << 30))
+    assert (proc.returncode, proc.stdout.splitlines()[:1], proc.stderr) == (0, ["ALLOW"], "")
 
 
 def test_internal_failure_exits_3_on_one_line(capsys, monkeypatch):

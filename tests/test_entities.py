@@ -1,6 +1,8 @@
 """Hierarchy closure, store loading, and the JSON formats."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,42 @@ def test_long_parent_chain_closes():
     assert store.ancestors_of(ref("G", str(n - 1))) == frozenset()
     with pytest.raises(HierarchyCycle):
         load_entities(_chain_json(n, close_cycle=True))
+
+
+def test_store_keeps_declared_edges_and_memoises_closures():
+    store = load_entities(_chain_json(4))
+    g = [ref("G", str(i)) for i in range(4)]
+    assert [store.get(r).ancestors for r in g] == [(g[1],), (g[2],), (g[3],), ()]
+    closed = store.ancestors_of(g[0])
+    assert closed == frozenset(g[1:]) and store.ancestors_of(g[0]) is closed
+    # A parent reference is the very EntityRef its entity was stored under.
+    stored = {r: r for r in store.refs()}
+    assert all(store.get(g[i]).ancestors[0] is stored[g[i + 1]] for i in range(3))
+
+
+def test_concurrent_first_reads_agree_with_oracle():
+    # Threads race to fill one store's memo; every read must still be the
+    # closure, and no thread may hang.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            store = gen_store(GenConfig(seed, max_entities=6))
+            want = {r: bfs_ancestors(store, r) for r in store.refs()}
+            wrong = []
+
+            def read():
+                wrong.extend(r for r in want if store.ancestors_of(r) != want[r])
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert wrong == []
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_duplicate_rejected():

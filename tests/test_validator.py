@@ -92,6 +92,20 @@ def test_dead_branch_pruned_under_mismatched_action(fig_schema, tinytodo_policie
     assert isinstance(t, TFalse)
 
 
+def test_action_variable_types_as_its_substituted_form(fig_schema):
+    # typecheck substitutes the environment's action itself, so a raw
+    # `action` comparison folds exactly as the substituted one does.
+    env = env_for(fig_schema, "GetList")
+    for src, want in (
+        ('action == Action::"GetList"', TTrue),
+        ('action == Action::"CreateList"', TFalse),
+        ('action in [Action::"CreateList", Action::"GetList"]', TTrue),
+    ):
+        raw = parse_expr(src)
+        assert typecheck(raw, env, fig_schema) == typecheck(substitute_action(raw, env.action), env, fig_schema)
+        assert isinstance(typecheck(raw, env, fig_schema)[0], want)
+
+
 def test_true_conjunction_is_true_singleton(fig_schema):
     env = env_for(fig_schema, "GetList")
     t, caps = check("true && true", env, fig_schema)

@@ -17,8 +17,10 @@ complete for the fragment: any model can be collapsed onto term-denoted
 elements plus the slack elements.  Scripts that use bit-vector arithmetic or
 regular-expression membership answer `unknown`.
 
-Models print in the same define-fun shape cvc5 uses, so one model grammar
-serves both solvers.
+The session takes command trees (`run_commands`) and answers with the model
+as define-fun trees, in the shape cvc5 prints, so one model grammar serves
+both solvers.  Text is read and written only at the standalone command's
+edge (`run`, `main`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from typing import Optional
 
 from .sat import CNF, dpll
-from .sexpr import SexprError, is_string_literal, read_sexprs
+from .sexpr import SexprError, is_string_literal, read_sexprs, write_sexpr
 
 
 class Unsupported(Exception):
@@ -38,39 +40,20 @@ class Unsupported(Exception):
 # Sorts
 # ---------------------------------------------------------------------------
 
-BOOL = ("Bool",)
-STRING = ("String",)
-BV = ("BV", 64)
+# A sort is its tree in the script: a name (Bool, String or a datatype),
+# (_ BitVec 64), or (Set s) and (Option s).
+BOOL = "Bool"
+STRING = "String"
+BV = ("_", "BitVec", 64)
 
 
-def parse_sort(sexp):
-    if sexp == "Bool":
-        return BOOL
-    if sexp == "String":
-        return STRING
-    if isinstance(sexp, tuple):
-        if sexp[0] == "_" and sexp[1] == "BitVec":
-            return BV
-        if sexp[0] == "Set":
-            return ("Set", parse_sort(sexp[1]))
-        if sexp[0] == "Option":
-            return ("Option", parse_sort(sexp[1]))
-        raise Unsupported(f"sort {sexp!r}")
-    return ("DT", sexp)
-
-
-def sort_text(sort) -> str:
-    if sort == BOOL:
-        return "Bool"
-    if sort == STRING:
-        return "String"
-    if sort == BV:
-        return "(_ BitVec 64)"
-    if sort[0] == "Set":
-        return f"(Set {sort_text(sort[1])})"
-    if sort[0] == "Option":
-        return f"(Option {sort_text(sort[1])})"
-    return sort[1]
+def check_sort(sort):
+    """`sort`, if the solver supports it."""
+    if type(sort) is tuple and len(sort) == 2 and sort[0] in ("Set", "Option"):
+        check_sort(sort[1])
+    elif type(sort) is not str and sort != BV:
+        raise Unsupported(f"sort {sort!r}")
+    return sort
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +144,9 @@ class Pool:
         self.elems: list = []  # concrete strings or ("fresh", k)
 
 
+_BOOL_HEADS = frozenset(("=", "distinct", "not", "and", "or", "=>", "set.member", "set.subset", "str.in_re", "bvslt", "bvsle"))
+
+
 # ---------------------------------------------------------------------------
 # The solver session
 # ---------------------------------------------------------------------------
@@ -169,7 +155,8 @@ class Pool:
 class Session:
     """One script: declarations, assertions, and the answer to its check-sat.
 
-    Past `deadline`, a `time.monotonic()` value, `run` raises `sat.Timeout`.
+    Past `deadline`, a `time.monotonic()` value, `run` and `run_commands`
+    raise `sat.Timeout`.
     """
 
     def __init__(self, deadline: Optional[float] = None):
@@ -178,24 +165,32 @@ class Session:
         self.funs: dict = {}  # name -> (arg sorts, ret sort)
         self.consts: dict = {}  # name -> sort
         self.asserts: list = []
-        self.result: Optional[str] = None
-        self.model_lines: Optional[list] = None
         self.deadline = deadline
 
     # -- command loop -------------------------------------------------------
 
-    def run(self, text: str, out, err=None) -> None:
-        """Answer the script on `out`; `(error "...")` notes go to `err`,
-        by default the `sys.stderr` of the moment."""
-        if err is None:
-            err = sys.stderr
+    def run(self, text: str, out, err=None) -> list:
+        """Answer the script on `out`, and return the replies as
+        `run_commands` does; `(error "...")` notes go to `err`, by default
+        the `sys.stderr` of the moment."""
+        err = sys.stderr if err is None else err
         try:
-            commands = read_sexprs(text)
+            replies = self.run_commands(read_sexprs(text), err)
         except SexprError as exc:
             print(f'(error "{exc}")', file=err)
-            print("unknown", file=out)
-            return
+            replies = ["unknown"]
+        for reply in replies:
+            print(reply if type(reply) is str else "\n".join(["(", *map(write_sexpr, reply), ")"]), file=out)
+        return replies
+
+    def run_commands(self, commands, err) -> list:
+        """The replies to the commands, trees as `read_sexprs` reads them:
+        "sat", "unsat" or "unknown" for each check-sat, and the list of
+        define-fun trees of the model for a get-model after `sat`.  Notes
+        `(error "...")` go to `err`."""
+        replies: list = []
         poisoned: Optional[str] = None
+        model: Optional[list] = None  # after a check-sat that answered sat
         for cmd in commands:
             if not isinstance(cmd, tuple) or not cmd:
                 continue
@@ -207,32 +202,31 @@ class Session:
                     self._declare_datatype(cmd)
                 elif head == "declare-fun":
                     name, args, ret = cmd[1], cmd[2], cmd[3]
-                    self.funs[name] = (tuple(parse_sort(a) for a in args), parse_sort(ret))
+                    self.funs[name] = (tuple(map(check_sort, args)), check_sort(ret))
                 elif head == "declare-const":
-                    self.consts[cmd[1]] = parse_sort(cmd[2])
+                    self.consts[cmd[1]] = check_sort(cmd[2])
                 elif head == "assert":
                     self.asserts.append(cmd[1])
                 elif head == "check-sat":
+                    model = None
                     try:
                         if poisoned is not None:
                             raise Unsupported(poisoned)
-                        self._check(out)
+                        model = self._check()
+                        replies.append("unsat" if model is None else "sat")
                     except Unsupported as exc:
                         print(f'(error "unsupported: {exc}")', file=err)
-                        print("unknown", file=out)
-                        self.result = "unknown"
+                        replies.append("unknown")
                 elif head == "get-model":
-                    if self.result == "sat" and self.model_lines is not None:
-                        print("(", file=out)
-                        for line in self.model_lines:
-                            print(line, file=out)
-                        print(")", file=out)
+                    if model is not None:
+                        replies.append(model)
                     else:
                         print('(error "no model available")', file=err)
                 elif head == "exit":
-                    return
+                    break
             except Unsupported as exc:
                 poisoned = str(exc)
+        return replies
 
     def _declare_datatype(self, cmd) -> None:
         name, ctors = cmd[1], cmd[2]
@@ -241,23 +235,16 @@ class Session:
         ctor = ctors[0]
         if ctor[0] != name:
             raise Unsupported("constructor name differing from datatype name")
-        fields = []
-        for idx, fdecl in enumerate(ctor[1:]):
-            sel, sort = fdecl[0], parse_sort(fdecl[1])
-            fields.append((sel, sort))
+        fields = tuple((sel, check_sort(sort)) for sel, sort in ctor[1:])
+        for idx, (sel, sort) in enumerate(fields):
             self.selectors[sel] = (name, idx, sort)
-        self.datatypes[name] = tuple(fields)
+        self.datatypes[name] = fields
 
-    def _check(self, out) -> None:
+    def _check(self) -> Optional[list]:
+        """The model's define-fun trees, or None when unsat."""
         check = _Check(self)
         assignment = check.solve(self.deadline)
-        if assignment is None:
-            self.result = "unsat"
-            print("unsat", file=out)
-            return
-        self.result = "sat"
-        self.model_lines = check.render_model(assignment)
-        print("sat", file=out)
+        return None if assignment is None else check.render_model(assignment)
 
 
 class _Check:
@@ -307,8 +294,8 @@ class _Check:
         that its selector and its constructor are the identity."""
         if sort == STRING:
             return "String"
-        if sort[0] == "DT" and self._entity_like(sort[1]):
-            return "String" if sort[1] in self.selected else sort[1]
+        if type(sort) is str and self._entity_like(sort):
+            return "String" if sort in self.selected else sort
         return None
 
     # -- sort inference -----------------------------------------------------
@@ -331,7 +318,7 @@ class _Check:
             if node in self.consts:
                 return self.consts[node]
             if node in self.datatypes and not self.datatypes[node]:
-                return ("DT", node)
+                return node
             raise Unsupported(f"unknown symbol {node}")
         if isinstance(node, int):
             raise Unsupported("bare numeral")
@@ -342,46 +329,32 @@ class _Check:
             raise Unsupported(f"indexed {node!r}")
         if head == "as":
             if node[1] in ("none", "set.empty"):
-                return parse_sort(node[2])
+                return check_sort(node[2])
             raise Unsupported(f"as-expression {node!r}")
-        if head in ("=", "distinct", "not", "and", "or", "=>", "set.member", "set.subset", "str.in_re", "bvslt", "bvsle"):
-            for a in node[1:]:
-                self.infer(a)
-            return BOOL
-        if isinstance(head, tuple) and head[:2] == ("_", "is"):
-            self.infer(node[1])
+        args = [self.infer(a) for a in node[1:]]
+        if head in _BOOL_HEADS or (isinstance(head, tuple) and head[:2] == ("_", "is")):
             return BOOL
         if head == "ite":
-            self.infer(node[1])
-            s = self.infer(node[2])
-            self.infer(node[3])
-            return s
+            return args[1]
         if head == "some":
-            return ("Option", self.infer(node[1]))
+            return ("Option", args[0])
         if head == "val":
-            s = self.infer(node[1])
-            if s[0] != "Option":
+            if args[0][0] != "Option":
                 raise Unsupported("val on a non-Option")
-            return s[1]
+            return args[0][1]
         if head in ("set.union", "set.inter", "set.minus"):
-            s = self.infer(node[1])
-            self.infer(node[2])
-            return s
+            return args[0]
         if head == "set.singleton":
-            return ("Set", self.infer(node[1]))
+            return ("Set", args[0])
         if head in ("bvadd", "bvsub", "bvneg", "bvmul"):
-            for a in node[1:]:
-                self.infer(a)
             return BV
         if isinstance(head, str):
-            for a in node[1:]:
-                self.infer(a)
             if head in self.funs:
                 return self.funs[head][1]
             if head in self.datatypes:
                 if self._entity_like(head) and not is_string_literal(node[1]):
                     self.selected.add(head)
-                return ("DT", head)
+                return head
             if head in self.selectors:
                 dt = self.selectors[head][0]
                 if self._entity_like(dt):
@@ -423,7 +396,7 @@ class _Check:
                 continue
             head = node[0]
             if head in self.datatypes and self._entity_like(head) and len(node) == 2 and is_string_literal(node[1]):
-                lits.setdefault(self._pool_key(("DT", head)), set()).add(node[1][1])
+                lits.setdefault(self._pool_key(head), set()).add(node[1][1])
             if head == "set.subset" and pol != 1:
                 witness_atoms += 1
             if head in ("=", "distinct") and len(node) >= 3:
@@ -456,7 +429,7 @@ class _Check:
     def _pool_for(self, sort) -> Pool:
         key = self._pool_key(sort)
         if key is None:
-            raise Unsupported(f"no finite domain for sort {sort_text(sort)}")
+            raise Unsupported(f"no finite domain for sort {write_sexpr(sort)}")
         pool = self.pools.get(key)
         if pool is None:
             pool = Pool(key)
@@ -477,18 +450,16 @@ class _Check:
             bits = [cnf.new_var() for _ in pool.elems]
             cnf.exactly_one(bits)
             return EnumV(bits, pool, sort)
+        if type(sort) is str:
+            fields = self.datatypes.get(sort)
+            if fields is None:
+                raise Unsupported(f"unknown datatype {sort}")
+            return RecV([Lazy(_Check.fresh, fs) for _, fs in fields], sort)
         if sort[0] == "Set":
             pool = self._pool_for(sort[1])
             bits = [cnf.new_var() for _ in pool.elems]
             return SetV(bits, pool, sort)
-        if sort[0] == "Option":
-            return OptV(cnf.new_var(), Lazy(_Check.fresh, sort[1]), sort)
-        if sort[0] == "DT":
-            fields = self.datatypes.get(sort[1])
-            if fields is None:
-                raise Unsupported(f"unknown datatype {sort[1]}")
-            return RecV([Lazy(_Check.fresh, fs) for _, fs in fields], sort)
-        raise Unsupported(f"cannot build values of sort {sort_text(sort)}")
+        return OptV(cnf.new_var(), Lazy(_Check.fresh, sort[1]), sort)
 
     def fn_value(self, fn: str, index: int):
         table = self.fn_tables.setdefault(fn, {})
@@ -593,7 +564,7 @@ class _Check:
                     self.const_vals[node] = got
                 return got
             if node in self.datatypes and not self.datatypes[node]:
-                return RecV([], ("DT", node))
+                return RecV([], node)
             raise Unsupported(f"unknown symbol {node}")
         head = node[0]
         if head == "_":
@@ -601,20 +572,14 @@ class _Check:
                 raw = int(node[1][2:]) % (1 << 64)
                 return BVV(raw)
             raise Unsupported(f"indexed {node!r}")
-        if head == "as":
+        if head == "as":  # (as none (Option s)) or (as set.empty (Set s)), as `infer` checked
+            sort = node[2]
             if node[1] == "none":
-                sort = parse_sort(node[2])
                 return OptV(CNF.FALSE, Lazy(_Check.fresh, sort[1]), sort)
-            if node[1] == "set.empty":
-                sort = parse_sort(node[2])
-                pool = self._pool_for(sort[1])
-                return SetV([CNF.FALSE] * len(pool.elems), pool, sort)
-            raise Unsupported(f"as-expression {node!r}")
+            pool = self._pool_for(sort[1])
+            return SetV([CNF.FALSE] * len(pool.elems), pool, sort)
         if head == "ite":
-            c = bool_lit(node[1])
-            a = trans(node[2])
-            b = trans(node[3])
-            return self.mux2(c, a, b)
+            return self.mux2(bool_lit(node[1]), trans(node[2]), trans(node[3]))
         if head == "=":
             return BoolV(self.val_eq(trans(node[1]), trans(node[2])))
         if head == "distinct":
@@ -668,10 +633,10 @@ class _Check:
             if head in self.datatypes:
                 if self._entity_like(head):
                     if is_string_literal(node[1]):
-                        return self._literal(node[1][1], ("DT", head))
+                        return self._literal(node[1][1], head)
                     field = trans(node[1])  # shares the String domain: the constructor is the identity
-                    return EnumV(field.bits, field.pool, ("DT", head))
-                return RecV([Lazy(None, value=trans(x)) for x in node[1:]], ("DT", head))
+                    return EnumV(field.bits, field.pool, head)
+                return RecV([Lazy(None, value=trans(x)) for x in node[1:]], head)
             if head in self.selectors:
                 dt, index, sort = self.selectors[head]
                 arg = trans(node[1])
@@ -699,13 +664,14 @@ class _Check:
     # -- model rendering -------------------------------------------------------
 
     def render_model(self, assignment) -> list:
+        """The model, one define-fun tree per constant and function."""
         self.assignment = assignment
         self.fresh_names: dict = {}
-        lines = []
+        defs = []
         for name, sort in self.consts.items():
             v = self.const_vals.get(name)
-            body = self.render(v) if v is not None else self.default_text(sort)
-            lines.append(f"(define-fun {name} () {sort_text(sort)} {body})")
+            body = self.render(v) if v is not None else self.default_tree(sort)
+            defs.append(("define-fun", name, (), sort, body))
         for fn, (arg_sorts, ret) in self.funs.items():
             if not arg_sorts:
                 continue
@@ -714,17 +680,15 @@ class _Check:
                 pool = self._pool_for(arg_sort)
             except Unsupported:
                 table = {}  # no finite domain, so never applied
-            body = self.default_text(ret)
+            body = self.default_tree(ret)
             for index in sorted(table, reverse=True):
                 try:
-                    value_text = self.render(table[index])
+                    value = self.render(table[index])
                 except Unsupported:
-                    value_text = self.default_text(ret)
-                body = f"(ite (= x!0 {self.elem_text(pool, index, arg_sort)}) {value_text} {body})"
-            lines.append(
-                f"(define-fun {fn} ((x!0 {sort_text(arg_sort)})) {sort_text(ret)} {body})"
-            )
-        return lines
+                    value = self.default_tree(ret)
+                body = ("ite", ("=", "x!0", self.elem_tree(pool, index, arg_sort)), value, body)
+            defs.append(("define-fun", fn, (("x!0", arg_sort),), ret, body))
+        return defs
 
     def lit_true(self, lit: int) -> bool:
         if lit == CNF.TRUE:
@@ -751,72 +715,63 @@ class _Check:
             return name
         return elem
 
-    def elem_text(self, pool: Pool, index: int, sort) -> str:
-        s = '"' + self.elem_string(pool, index).replace('"', '""') + '"'
-        if sort != STRING:
-            return f"({sort[1]} {s})"
-        return s
+    def elem_tree(self, pool: Pool, index: int, sort):
+        s = ("string", self.elem_string(pool, index))
+        return s if sort == STRING else (sort, s)
 
-    def default_text(self, sort) -> str:
+    def default_tree(self, sort):
         if sort == BOOL:
             return "false"
         if sort == STRING:
-            return '""'
+            return ("string", "")
         if sort == BV:
-            return "(_ bv0 64)"
-        if sort[0] == "Set":
-            return f"(as set.empty {sort_text(sort)})"
-        if sort[0] == "Option":
-            return f"(as none {sort_text(sort)})"
-        if sort[0] == "DT":
-            if self._entity_like(sort[1]):
-                return f'({sort[1]} "default")'
-            fields = self.datatypes.get(sort[1], ())
-            if not fields:
-                return sort[1]
-            inner = " ".join(self.default_text(fs) for _, fs in fields)
-            return f"({sort[1]} {inner})"
-        return "false"
+            return ("_", "bv0", 64)
+        if type(sort) is str:
+            if self._entity_like(sort):
+                return (sort, ("string", "default"))
+            fields = self.datatypes.get(sort, ())
+            return (sort, *(self.default_tree(fs) for _, fs in fields)) if fields else sort
+        return ("as", "set.empty" if sort[0] == "Set" else "none", sort)
 
-    def render(self, v) -> str:
+    def render(self, v):
         if isinstance(v, BoolV):
             return "true" if self.lit_true(v.lit) else "false"
         if isinstance(v, EnumV):
             for i, bit in enumerate(v.bits):
                 if self.lit_true(bit):
-                    return self.elem_text(v.pool, i, v.sort)
-            return self.default_text(v.sort)
+                    return self.elem_tree(v.pool, i, v.sort)
+            return self.default_tree(v.sort)
         if isinstance(v, SetV):
-            members = [self.elem_text(v.pool, i, v.sort[1]) for i, bit in enumerate(v.bits) if self.lit_true(bit)]
+            members = [self.elem_tree(v.pool, i, v.sort[1]) for i, bit in enumerate(v.bits) if self.lit_true(bit)]
             if not members:
-                return f"(as set.empty {sort_text(v.sort)})"
-            out = f"(set.singleton {members[0]})"
+                return ("as", "set.empty", v.sort)
+            out = ("set.singleton", members[0])
             for m in members[1:]:
-                out = f"(set.union {out} (set.singleton {m}))"
+                out = ("set.union", out, ("set.singleton", m))
             return out
         if isinstance(v, OptV):
             if self.lit_true(v.flag):
                 # Payloads never forced during solving are unconstrained.
                 if v.payload.make is None:
-                    return f"(some {self.render(v.payload.value)})"
-                return f"(some {self.default_text(v.sort[1])})"
-            return f"(as none {sort_text(v.sort)})"
+                    return ("some", self.render(v.payload.value))
+                return ("some", self.default_tree(v.sort[1]))
+            return ("as", "none", v.sort)
         if isinstance(v, RecV):
-            fields = self.datatypes[v.sort[1]]
+            fields = self.datatypes[v.sort]
             if not fields:
-                return v.sort[1]
+                return v.sort
             parts = []
             for lazy, (_, fsort) in zip(v.fields, fields):
                 if lazy.make is not None:
-                    parts.append(self.default_text(fsort))
+                    parts.append(self.default_tree(fsort))
                     continue
                 try:
                     parts.append(self.render(lazy.value))
                 except Unsupported:
-                    parts.append(self.default_text(fsort))
-            return f"({v.sort[1]} " + " ".join(parts) + ")"
+                    parts.append(self.default_tree(fsort))
+            return (v.sort, *parts)
         if isinstance(v, BVV):
-            return f"(_ bv{(v.value or 0) % (1 << 64)} 64)"
+            return ("_", f"bv{(v.value or 0) % (1 << 64)}", 64)
         raise Unsupported("cannot render model value")
 
 

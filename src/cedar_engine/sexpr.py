@@ -3,7 +3,8 @@
 Trees: a compound is a tuple, a string literal is ``("string", text)`` with
 ``""`` unescaped, a ``|quoted|`` symbol is the plain string between the bars,
 and an atom whose first character is a digit is an int when ``int()``
-accepts it.  Every other atom is a plain string.
+accepts it.  Every other atom is a plain string.  Trees are built through a
+`Sharer`, so equal nodes are one object; `write_sexpr` writes one as text.
 
 This module imports nothing from the package, so the solver driver and the
 bundled solver share it without importing each other.
@@ -36,27 +37,46 @@ _TOKEN_RE = re.compile(
 )
 
 
-def read_sexprs(text: str) -> list:
-    """The top-level s-expressions of `text`, in order; raises SexprError.
+class Sharer:
+    """Hash-consing for one set of trees: equal atoms, and compounds of the
+    same items, are one object, so `is` decides equality."""
 
-    Equal nodes read from one text are one object, so a tree takes the
-    memory of its distinct subterms only, and `is` decides equality.
-    A `(let ((name term) ...) body)` reads as its body with each name
-    replaced by its term, so a script that binds its shared subterms reads
-    as the same tree as one that writes them out.
-    """
-    atoms: dict = {}  # each distinct atom, keyed by itself
-    compounds: dict = {}  # each distinct compound, keyed by the ids of its items
+    __slots__ = ("atoms", "compounds")
 
-    def share(items) -> tuple:
+    def __init__(self):
+        self.atoms: dict = {}  # each distinct atom, keyed by itself
+        self.compounds: dict = {}  # each distinct compound, keyed by the ids of its items
+
+    def node(self, items) -> tuple:
         # Items are shared already, so their ids decide equality without
         # hashing whole subtrees; packed, a key is one small object.
         key = struct.pack(f"{len(items)}N", *map(id, items))
-        node = compounds.get(key)
+        node = self.compounds.get(key)
         if node is None:
-            node = compounds[key] = tuple(items)
+            node = self.compounds[key] = tuple(items)
         return node
 
+    def share(self, tree, leaf=None):
+        """`tree`, made of tuples and atoms, rebuilt from shared nodes; any
+        other item is replaced by `leaf(item)`, which must be shared
+        already."""
+        if type(tree) is tuple:
+            atoms = self.atoms
+            return self.node([atoms.setdefault(x, x) if type(x) is str else self.share(x, leaf) for x in tree])
+        if type(tree) is str or type(tree) is int:
+            return self.atoms.setdefault(tree, tree)
+        return leaf(tree)
+
+
+def read_sexprs(text: str) -> list:
+    """The top-level s-expressions of `text`, in order; raises SexprError.
+
+    The trees are built through one `Sharer`, so a tree takes the memory of
+    its distinct subterms only.  A `(let ((name term) ...) body)` reads as
+    its body with each name replaced by its term, so a script that binds its
+    shared subterms reads as the same tree as one that writes them out.
+    """
+    sharer = Sharer()
     stack: list = [[]]
     lets = False
     for m in _TOKEN_RE.finditer(text):
@@ -71,12 +91,11 @@ def read_sexprs(text: str) -> list:
         if kind == "close":
             if len(stack) == 1:
                 raise SexprError("unbalanced parenthesis")
-            node = share(stack.pop())
+            node = sharer.node(stack.pop())
             if node and node[0] == "let":
                 lets = True
         elif kind == "string":
-            body = m.group(kind).replace('""', '"')
-            node = share((atoms.setdefault("string", "string"), atoms.setdefault(body, body)))
+            node = sharer.share(("string", m.group(kind).replace('""', '"')))
         elif kind == "quoted" or kind == "atom":
             node = m.group(kind)
             if kind == "atom" and node[0].isdigit():
@@ -84,7 +103,7 @@ def read_sexprs(text: str) -> list:
                     node = int(node)
                 except ValueError:
                     pass
-            node = atoms.setdefault(node, node)
+            node = sharer.share(node)
         else:
             raise SexprError("unterminated string" if m.group() == '"' else "unterminated quoted symbol")
         stack[-1].append(node)
@@ -93,7 +112,7 @@ def read_sexprs(text: str) -> list:
     if not lets:
         return stack[0]
     try:
-        return [_expand(node, {}, {}, share) for node in stack[0]]
+        return [_expand(node, {}, {}, sharer.node) for node in stack[0]]
     except RecursionError:
         raise SexprError("s-expression nested too deeply") from None
 
@@ -127,3 +146,13 @@ def _expand(node, env: dict, memo: dict, share):
 def is_string_literal(node) -> bool:
     """Whether a node read by `read_sexprs` is a string literal."""
     return isinstance(node, tuple) and len(node) == 2 and node[0] == "string" and isinstance(node[1], str)
+
+
+def write_sexpr(tree, leaf=str) -> str:
+    """The text of a tree, as the reader reads it back; `leaf(item)` gives
+    the text of each item that is not a tuple."""
+    if type(tree) is not tuple:
+        return leaf(tree)
+    if is_string_literal(tree):
+        return '"' + tree[1].replace('"', '""') + '"'
+    return "(" + " ".join([write_sexpr(item, leaf) for item in tree]) + ")"

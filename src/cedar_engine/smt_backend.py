@@ -1,4 +1,4 @@
-"""SMT-LIB serialization, running the solver, and model parsing.
+"""Scripts as SMT-LIB text or as command trees, running the solver, models.
 
 All solver interaction is batch: one script in, one response back.  The
 script always ends with (check-sat)(get-model); the model block is only
@@ -7,13 +7,12 @@ parsed when the answer is `sat`, so solvers that complain about the trailing
 
 The solver comes from, in precedence order: an explicit config, the
 SOLVER_BIN environment variable, a `cvc5` on PATH, then the bundled
-finite-model solver.  The bundled solver runs in this process; any other
-solver runs as a child process that reads the script on standard input.
+finite-model solver, which runs in this process and takes command trees;
+any other solver runs as a child process that reads text on standard input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import os
 import shutil
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ast import CedarError
-from .sexpr import SexprError, is_string_literal, read_sexprs
-from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, sort_sexpr, term_sexpr
+from .sexpr import SexprError, Sharer, is_string_literal, read_sexprs, write_sexpr
+from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, sort_sexpr, sort_shape, term_shape
 
 
 class SolverUnavailable(CedarError):
@@ -45,7 +44,7 @@ class ModelParseError(SolverFailure):
 
 
 # ---------------------------------------------------------------------------
-# Script printing
+# Scripts
 # ---------------------------------------------------------------------------
 
 _OPTION_DECL = "(declare-datatypes ((Option 1)) ((par (X) ((none) (some (val X))))))"
@@ -56,18 +55,11 @@ _OPTION_DECL = "(declare-datatypes ((Option 1)) ((par (X) ((none) (some (val X))
 _INLINE_CHARS = 40
 
 
-def _children(t: Term) -> list:
-    out = []
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
-            out.append(v)
-        elif type(v) is tuple:
-            out.extend(a for a in v if isinstance(a, Term))
-    return out
+def _terms_in(shape) -> list:
+    return [x for x in shape if isinstance(x, Term)] if type(shape) is tuple else []
 
 
-def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set, signatures: dict) -> None:
+def _visit(node: Term, uses: dict, order: list, shapes: dict, consts: set, signatures: dict) -> None:
     key = id(node)
     if key in uses:
         uses[key] += 1
@@ -80,39 +72,66 @@ def _visit(node: Term, uses: dict, order: list, kids: dict, consts: set, signatu
         got = tuple(a.sort for a in node.args)
         if tuple(want_args) != got or want_res != node.sort:
             raise InternalSortError(f"application {node.fn}: got {[sort_sexpr(s) for s in got]}")
-    kids[key] = _children(node)
-    for child in kids[key]:
-        _visit(child, uses, order, kids, consts, signatures)
+    shapes[key] = term_shape(node)
+    for child in _terms_in(shapes[key]):
+        _visit(child, uses, order, shapes, consts, signatures)
     order.append(node)
 
 
-def _let_sexpr(t: Term, consts: set, signatures: dict) -> str:
+def _checked_walks(senv, assertions) -> list:
+    """For each assertion, (uses, order, shapes): how often each distinct
+    subterm occurs as an argument (the root: once), the distinct subterms
+    each after its children, and each one's `term_shape`, keyed by id.
+
+    The terms' own sorts were checked when they were built; here each
+    assertion must be Bool, and every application and constant must agree
+    with its declaration in `senv`."""
+    for a in assertions:
+        if a.sort != BOOL_S:
+            raise InternalSortError(f"assertion of sort {sort_sexpr(a.sort)}")
+    signatures = senv.signatures()
+    consts: set = set()
+    walks = []
+    for a in assertions:
+        walks.append(({}, [], {}))
+        _visit(a, *walks[-1], consts, signatures)
+    for name, sort in consts:
+        if senv.const_sigs.get(name) != sort:
+            raise InternalSortError(f"constant {name} used at {sort_sexpr(sort)}")
+    return walks
+
+
+def _declarations(senv) -> list:
+    """The declaration commands of a script, as trees, in dependency order."""
+    out = []
+    for name, fields in senv.datatypes:
+        out.append(("declare-datatype", name, ((name, *((sel, sort_shape(s)) for sel, s in fields)),)))
+    for fn in senv.fn_order:
+        args, ret = senv.fn_sigs[fn]
+        out.append(("declare-fun", fn, tuple(map(sort_shape, args)), sort_shape(ret)))
+    for name in senv.const_order:
+        out.append(("declare-const", name, sort_shape(senv.const_sigs[name])))
+    return out
+
+
+def _let_sexpr(t: Term, uses: dict, order: list, shapes: dict) -> str:
     """term_sexpr(t), except that a subterm occurring more than once, and
     longer than _INLINE_CHARS, is bound once by a `let` and named where it
     occurs, so the text grows with the distinct subterms, not with the
-    unfolded tree.  The constants of `t` are added to `consts`, and each
-    application named in `signatures` (name -> (argument sorts, result
-    sort)) is checked against it.
+    unfolded tree.  `uses`, `order` and `shapes` are t's walk.
 
     A binding's term names only bindings of earlier lets, so the lets nest
     as deep as the chain of shared subterms, not one per binding.
     """
-    uses: dict = {}  # id(node) -> occurrences as an argument (the root: 1)
-    order: list = []  # the distinct nodes, each after its children
-    kids: dict = {}  # id(node) -> its children
-    _visit(t, uses, order, kids, consts, signatures)
     text: dict = {}  # id(node) -> what stands for the node
     depth: dict = {}  # id(node) -> lets its text must be inside
     lets: list = []  # bindings of each let, outermost first
     bound = 0
-
-    def show(child: Term) -> str:
-        return text[id(child)]
-
+    leaf = lambda x: text[id(x)] if isinstance(x, Term) else str(x)  # noqa: E731
     for node in order:
         key = id(node)
-        need = max((depth[id(c)] for c in kids[key]), default=0)
-        body = term_sexpr(node, show)
+        need = max((depth[id(c)] for c in _terms_in(shapes[key])), default=0)
+        body = write_sexpr(shapes[key], leaf)
         if uses[key] > 1 and len(body) > _INLINE_CHARS:
             if need == len(lets):
                 lets.append([])
@@ -128,32 +147,31 @@ def _let_sexpr(t: Term, consts: set, signatures: dict) -> str:
 def print_script(senv, assertions) -> str:
     """Deterministic SMT-LIB 2 text: declarations in dependency order, one
     assert per term, then (check-sat).  Subterms shared within an assertion
-    are written once (see _let_sexpr).  The terms' own sorts were checked
-    when they were built; here each assertion must be Bool, and every
-    application and constant must agree with its declaration in `senv`."""
-    signatures = senv.signatures()
-    for a in assertions:
-        if a.sort != BOOL_S:
-            raise InternalSortError(f"assertion of sort {sort_sexpr(a.sort)}")
-    used_consts: set = set()
-    asserts = [f"(assert {_let_sexpr(a, used_consts, signatures)})" for a in assertions]
-    for name, sort in used_consts:
-        declared = senv.const_sigs.get(name)
-        if declared != sort:
-            raise InternalSortError(f"constant {name} used at {sort_sexpr(sort)}")
+    are written once (see _let_sexpr).  Raises InternalSortError as
+    `_checked_walks` does."""
+    walks = _checked_walks(senv, assertions)
     lines = ["(set-logic ALL)", "(set-option :produce-models true)", _OPTION_DECL]
-    for name, fields in senv.datatypes:
-        cols = "".join(f" ({sel} {sort_sexpr(sort)})" for sel, sort in fields)
-        lines.append(f"(declare-datatype {name} (({name}{cols})))")
-    for fn in senv.fn_order:
-        args, ret = senv.fn_sigs[fn]
-        arg_text = " ".join(sort_sexpr(s) for s in args)
-        lines.append(f"(declare-fun {fn} ({arg_text}) {sort_sexpr(ret)})")
-    for name in senv.const_order:
-        lines.append(f"(declare-const {name} {sort_sexpr(senv.const_sigs[name])})")
-    lines.extend(asserts)
+    lines.extend(map(write_sexpr, _declarations(senv)))
+    lines.extend(f"(assert {_let_sexpr(a, *walk)})" for a, walk in zip(assertions, walks))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
+
+
+def script_commands(senv, assertions) -> list:
+    """The commands of print_script(senv, assertions) as `read_sexprs`
+    reads them, built from the shapes of the checking walk, without the
+    set-logic, set-option and Option declarations, which the bundled solver
+    skips.  Raises InternalSortError as print_script does."""
+    sharer, trees = Sharer(), {}  # id(term) -> its tree
+    sub = lambda child: trees[id(child)]  # noqa: E731
+    for _, order, shapes in _checked_walks(senv, assertions):
+        for node in order:
+            if id(node) not in trees:
+                trees[id(node)] = sharer.share(shapes[id(node)], sub)
+    commands = [sharer.share(d) for d in _declarations(senv)]
+    commands.extend(sharer.node((sharer.share("assert"), trees[id(a)])) for a in assertions)
+    commands.append(sharer.share(("check-sat",)))
+    return commands
 
 
 def _read(text: str) -> list:
@@ -174,10 +192,16 @@ class Model:
 
     @staticmethod
     def parse(text: str) -> "Model":
+        return Model.of(_read(text))
+
+    @staticmethod
+    def of(trees: list) -> "Model":
+        """The model in solver-output trees: define-fun entries, bare or
+        inside a `(model ...)` or paren block."""
         defs: dict = {}
         # An explicit worklist (next item last) rather than a self-recursive
         # closure, which would leave a reference cycle behind every parse.
-        todo = list(reversed(_read(text)))
+        todo = list(reversed(trees))
         while todo:
             item = todo.pop()
             if not (isinstance(item, tuple) and item):
@@ -190,7 +214,7 @@ class Model:
                 # cvc5 wraps the model in a bare paren block.
                 todo.extend(reversed(item))
         if not defs:
-            raise ModelParseError("no define-fun entries found in model", text)
+            raise ModelParseError("no define-fun entries found in model", "\n".join(map(write_sexpr, trees)))
         return Model(defs)
 
 
@@ -218,8 +242,7 @@ class ModelEvaluator:
         if fn not in self.model.defs:
             raise ModelParseError(f"model has no definition for {fn}", "")
         params, body = self.model.defs[fn]
-        env = {name: value for (name, _), value in zip(params, args)}
-        return self.eval(body, env)
+        return self.eval(body, {name: value for (name, _), value in zip(params, args)})
 
     def eval(self, sexp, env: dict):
         if is_string_literal(sexp):
@@ -234,10 +257,9 @@ class ModelEvaluator:
             if sexp == "false":
                 return False
             if sexp in self.model.defs:
-                params, body = self.model.defs[sexp]
-                if params:
+                if self.model.defs[sexp][0]:
                     raise ModelParseError(f"{sexp} used without arguments", "")
-                return self.eval(body, {})
+                return self.apply(sexp, [])
             # Bare symbol: a nullary datatype constructor.
             return ("dt", sexp, ())
         if not isinstance(sexp, tuple) or not sexp:
@@ -277,21 +299,15 @@ class ModelEvaluator:
         if head == "set.singleton":
             return ("set", frozenset({self.eval(sexp[1], env)}))
         if head in _SET_OPS:
-            a = self.eval(sexp[1], env)
-            b = self.eval(sexp[2], env)
-            return ("set", _SET_OPS[head](a[1], b[1]))
+            return ("set", _SET_OPS[head](self.eval(sexp[1], env)[1], self.eval(sexp[2], env)[1]))
         if head == "set.insert":
             members = [self.eval(x, env) for x in sexp[1:-1]]
             base = self.eval(sexp[-1], env)
             return ("set", base[1] | frozenset(members))
         if head == "set.member":
-            elem = self.eval(sexp[1], env)
-            st = self.eval(sexp[2], env)
-            return elem in st[1]
+            return self.eval(sexp[1], env) in self.eval(sexp[2], env)[1]
         if head == "set.subset":
-            a = self.eval(sexp[1], env)
-            b = self.eval(sexp[2], env)
-            return a[1] <= b[1]
+            return self.eval(sexp[1], env)[1] <= self.eval(sexp[2], env)[1]
         if head == "_":
             # (_ bvN 64)
             if len(sexp) == 3 and isinstance(sexp[1], str) and sexp[1].startswith("bv"):
@@ -302,19 +318,15 @@ class ModelEvaluator:
             if head[:2] == ("_", "is"):
                 v = self.eval(sexp[1], env)
                 ctor = head[2]
-                if ctor == "some":
-                    return isinstance(v, tuple) and v[0] == "some"
-                if ctor == "none":
-                    return isinstance(v, tuple) and v[0] == "none"
+                if ctor in ("some", "none"):
+                    return isinstance(v, tuple) and v[0] == ctor
                 return isinstance(v, tuple) and v[0] == "dt" and v[1] == ctor
             if head[0] == "as":
                 return self.eval((head[1],) + sexp[1:], env)
         if isinstance(head, str):
             args = [self.eval(x, env) for x in sexp[1:]]
             if head in self.model.defs:
-                params, body = self.model.defs[head]
-                new_env = {name: value for (name, _), value in zip(params, args)}
-                return self.eval(body, new_env)
+                return self.apply(head, args)
             if head in self.selectors:
                 dt_name, index = self.selectors[head]
                 v = args[0]
@@ -326,11 +338,7 @@ class ModelEvaluator:
 
 
 def selector_table(senv) -> dict:
-    out = {}
-    for dt_name, fields in senv.datatypes:
-        for index, (sel, _) in enumerate(fields):
-            out[sel] = (dt_name, index)
-    return out
+    return {sel: (dt_name, index) for dt_name, fields in senv.datatypes for index, (sel, _) in enumerate(fields)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +367,11 @@ class SolverConfig:
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
 
+    @property
+    def in_process(self) -> bool:
+        """Whether this is the bundled solver, which runs in this process."""
+        return tuple(self.argv) == _BUNDLED_ARGV
+
     @staticmethod
     def bundled(timeout_ms: int = 60000) -> "SolverConfig":
         return SolverConfig(_BUNDLED_ARGV, timeout_ms)
@@ -381,53 +394,56 @@ class SolverConfig:
         return SolverConfig.bundled(timeout_ms)
 
 
-def run_solver(config: SolverConfig, script: str) -> SolverOutcome:
+def run_solver(config: SolverConfig, script) -> SolverOutcome:
     """Hand the script to the solver and classify the response.
 
-    The bundled solver runs in this process, under a deadline checked inside
-    its CDCL loop; any other solver is spawned, and the child is always
-    reaped.  Past the timeout the outcome is `timeout`.  A `sat` answer is
-    followed by the model read from the same response.
+    `script` is SMT-LIB text, or the command trees of `script_commands`,
+    which only the bundled solver takes: it answers them without a round
+    trip through text.  The bundled solver runs in this process, under a
+    deadline checked inside its CDCL loop; any other solver is spawned, and
+    the child is always reaped.  Past the timeout the outcome is `timeout`.
+    A `sat` answer is followed by the model read from the same response.
     """
-    payload = script + "(get-model)\n"
-    if tuple(config.argv) == _BUNDLED_ARGV:
-        response = _run_bundled(payload, config.timeout_ms)
-    else:
-        response = _run_child(config, payload)
+    script = script + "(get-model)\n" if isinstance(script, str) else [*script, ("get-model",)]
+    response = _run_bundled(script, config.timeout_ms) if config.in_process else _run_child(config, script)
     if response is None:
         return SolverOutcome("timeout", detail=f"exceeded {config.timeout_ms} ms")
-    stdout, stderr, status = response
-    result = None
-    rest_index = 0
-    for line in stdout.splitlines(keepends=True):
-        rest_index += len(line)
-        word = line.strip()
-        if word in ("sat", "unsat", "unknown"):
-            result = word
-            break
-    if result is None:
-        raise SolverFailure(f"solver produced no answer ({status}):\n{stdout}\n{stderr}")
-    if result == "unsat":
+    out, stderr, status = response
+    replies = _replies(out) if isinstance(out, str) else out
+    if not replies:
+        raise SolverFailure(f"solver produced no answer ({status}):\n{out}\n{stderr}")
+    if replies[0] == "unsat":
         return SolverOutcome("unsat")
-    if result == "unknown":
+    if replies[0] == "unknown":
         return SolverOutcome("unknown", detail=stderr.strip() or "solver returned unknown")
-    return SolverOutcome("sat", model=Model.parse(stdout[rest_index:]))
+    model = replies[1]
+    return SolverOutcome("sat", model=Model.parse(model) if isinstance(model, str) else Model.of(model))
 
 
-def _run_bundled(payload: str, timeout_ms: int) -> Optional[tuple]:
-    """(stdout, stderr, status) of the bundled solver, or None past the
-    deadline.  Imported here, so that only analysis loads the solver."""
+def _replies(stdout: str) -> list:
+    """The first answer line of a solver's output and the text after it."""
+    lines = stdout.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.strip() in ("sat", "unsat", "unknown"):
+            return [line.strip(), "".join(lines[i + 1 :])]
+    return []
+
+
+def _run_bundled(script, timeout_ms: int) -> Optional[tuple]:
+    """(replies, stderr, status) of the bundled solver, as
+    `Session.run_commands` gives them, or None past the deadline.  Imported
+    here, so that only analysis loads the solver."""
     from .minisolver import Session
     from .sat import Timeout
 
-    out, err = io.StringIO(), io.StringIO()
+    session, err = Session(time.monotonic() + timeout_ms / 1000.0), io.StringIO()
     try:
-        Session(time.monotonic() + timeout_ms / 1000.0).run(payload, out, err)
+        replies = session.run(script, io.StringIO(), err) if isinstance(script, str) else session.run_commands(script, err)
     except Timeout:
         return None
     except Exception as exc:  # a crash of the solver, as a crashed child would be
         raise SolverFailure(f"bundled solver failed: {type(exc).__name__}: {exc}") from None
-    return out.getvalue(), err.getvalue(), "in-process"
+    return replies, err.getvalue(), "in-process"
 
 
 def _run_child(config: SolverConfig, payload: str) -> Optional[tuple]:

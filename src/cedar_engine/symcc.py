@@ -106,6 +106,7 @@ from .terms import (
     mk_set_literal,
     mk_val,
     term_sexpr,
+    term_tree,
 )
 
 
@@ -821,7 +822,7 @@ def reconstruct_counterexample(
 ) -> tuple:
     """Concrete (request, store) from a model: read entity ids at footprint
     points, apply attribute/ancestor functions there, close transitively."""
-    from .sexpr import read_sexprs
+    from .sexpr import Sharer
     from .smt_backend import ModelEvaluator, selector_table
 
     ev = ModelEvaluator(model, selector_table(senv))
@@ -836,9 +837,9 @@ def reconstruct_counterexample(
         return decoded.ref
 
     refs: dict = {}
-    # The footprint terms' values, from one read of all their text.
-    for sexp in read_sexprs("\n".join(term_sexpr(t) for t, _ in footprint)):
-        v = ev.eval(sexp, {})
+    sharer, trees = Sharer(), {}
+    for t, _ in footprint:
+        v = ev.eval(term_tree(t, sharer, trees), {})
         if isinstance(v, tuple) and v[0] == "none":
             continue
         if isinstance(v, tuple) and v[0] == "some":
@@ -885,7 +886,7 @@ def analyze_equivalence(
     environment.  Sat models are reconstructed into a request and store and
     re-verified against the concrete authorizer before being reported.
     """
-    from .smt_backend import SolverConfig, print_script, run_solver
+    from .smt_backend import SolverConfig, print_script, run_solver, script_commands
 
     if config is None:
         config = SolverConfig.default()
@@ -900,7 +901,7 @@ def analyze_equivalence(
             verdicts.append(EnvVerdict(env, "equivalent", detail="statically identical"))
             continue
         assertions = wf_from_footprint(footprint, schema, senv) + [mk_not(phi)]
-        script = print_script(senv, assertions)
+        text = print_script(senv, assertions) if emit_dir is not None or not config.in_process else None
         if emit_dir is not None:
             import os
 
@@ -909,8 +910,9 @@ def analyze_equivalence(
                 f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}"
             ) + ".smt2"
             with open(os.path.join(emit_dir, fname), "w", encoding="utf-8") as fh:
-                fh.write(script)
-        outcome = run_solver(config, script)
+                fh.write(text)
+        # The bundled solver takes the script as trees; text is for the others.
+        outcome = run_solver(config, script_commands(senv, assertions) if config.in_process else text)
         if outcome.kind == "unsat":
             verdicts.append(EnvVerdict(env, "equivalent"))
         elif outcome.kind == "sat":

@@ -5,14 +5,16 @@ or derived from its children's sorts when it is built.  The sort rules are
 checked there too, so building an ill-sorted term raises
 `InternalSortError`.  Only the checks that need the declarations (each
 application against its function's signature, each constant against its
-declaration) are left to `smt_backend.print_script`.
+declaration) are left to `smt_backend`, which makes them once for a
+script, whether it is printed or built as trees.
 
 The smart constructors check their operands' sorts first, then partially
 evaluate (literal guards collapse conditionals, `and`/`or`/`implies` drop
 literal operands, membership in a set literal listing the element is true)
-so that statically-decided subexpressions vanish from the output, and the
-printer emits the finite-set theory spellings (`set.member`, `set.subset`,
-`set.inter`, `set.singleton`, `as set.empty`).
+so that statically-decided subexpressions vanish from the output.  Terms
+are spelled (`term_shape`) in the finite-set theory's names (`set.member`,
+`set.subset`, `set.inter`, `set.singleton`, `as set.empty`), as text
+(`term_sexpr`) or as a shared tree (`term_tree`).
 
 Option-wrapped sorts carry the error channel: `none` is a runtime error.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast import CedarError, I64_MAX, I64_MIN
+from .sexpr import Sharer, write_sexpr
 
 
 class InternalSortError(CedarError):
@@ -73,20 +76,28 @@ BV64_S = SBV64()
 STRING_S = SString()
 
 
-def sort_sexpr(s: Sort) -> str:
+def sort_shape(s: Sort):
+    """The s-expression tree of a sort."""
     if isinstance(s, SBool):
         return "Bool"
     if isinstance(s, SBV64):
-        return "(_ BitVec 64)"
+        return _BITVEC_64
     if isinstance(s, SString):
         return "String"
     if isinstance(s, SSet):
-        return f"(Set {sort_sexpr(s.elem)})"
+        return ("Set", sort_shape(s.elem))
     if isinstance(s, SData):
         return s.name
     if isinstance(s, SOption):
-        return f"(Option {sort_sexpr(s.elem)})"
+        return ("Option", sort_shape(s.elem))
     raise TypeError(f"not a sort: {s!r}")
+
+
+_BITVEC_64 = ("_", "BitVec", 64)
+
+
+def sort_sexpr(s: Sort) -> str:
+    return write_sexpr(sort_shape(s))
 
 
 # ---------------------------------------------------------------------------
@@ -544,24 +555,59 @@ def mk_set_literal(elems) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
+#
+# A term's shape is one level of its s-expression tree (see `sexpr`): atoms,
+# string literals ("string", text), nested tuples for sorts and regexes, and
+# the term's children as Term objects.  Text and shared trees are both made
+# from it, so the two cannot disagree.
 
 
-def _smt_string(s: str) -> str:
-    return '"' + s.replace('"', '""') + '"'
-
-
-def regex_sexpr(r: Regex) -> str:
+def _regex_shape(r: Regex):
     if isinstance(r, RLit):
-        return f"(str.to_re {_smt_string(r.s)})"
+        return ("str.to_re", ("string", r.s))
     if isinstance(r, RAll):
         return "re.all"
     if isinstance(r, RConcat):
         if not r.parts:
-            return '(str.to_re "")'
+            return ("str.to_re", ("string", ""))
         if len(r.parts) == 1:
-            return regex_sexpr(r.parts[0])
-        return "(re.++ " + " ".join(regex_sexpr(p) for p in r.parts) + ")"
+            return _regex_shape(r.parts[0])
+        return ("re.++", *map(_regex_shape, r.parts))
     raise TypeError(f"not a regex: {r!r}")
+
+
+_SHAPES = {
+    TBoolLit: lambda t: "true" if t.b else "false",
+    TBVLit: lambda t: ("_", f"bv{t.i % (1 << 64)}", 64),
+    TStrLit: lambda t: ("string", t.s),
+    TConst: lambda t: t.name,
+    TApp: lambda t: (t.fn, *t.args) if t.args else t.fn,
+    TSome: lambda t: ("some", t.arg),
+    TNone: lambda t: ("as", "none", ("Option", sort_shape(t.elem))),
+    TVal: lambda t: ("val", t.arg),
+    TIsSome: lambda t: (("_", "is", "some"), t.arg),
+    TIte: lambda t: ("ite", t.cond, t.then, t.els),
+    TEq: lambda t: ("=", t.left, t.right),
+    TNot: lambda t: ("not", t.arg),
+    TAnd: lambda t: ("and", *t.args),
+    TOr: lambda t: ("or", *t.args),
+    TImplies: lambda t: ("=>", t.left, t.right),
+    TSetMember: lambda t: ("set.member", t.elem, t.set),
+    TSetSubset: lambda t: ("set.subset", t.left, t.right),
+    TSetInter: lambda t: ("set.inter", t.left, t.right),
+    TSetUnion: lambda t: ("set.union", t.left, t.right),
+    TSetSingleton: lambda t: ("set.singleton", t.elem),
+    TSetEmpty: lambda t: ("as", "set.empty", ("Set", sort_shape(t.elem))),
+    TBVOp: lambda t: (t.op, *t.args),
+    TStrInRe: lambda t: ("str.in_re", t.s, _regex_shape(t.re)),
+}
+
+
+def term_shape(t: Term):
+    shape = _SHAPES.get(type(t))
+    if shape is None:
+        raise TypeError(f"not a term: {t!r}")
+    return shape(t)
 
 
 def term_sexpr(t: Term, show=None) -> str:
@@ -569,52 +615,14 @@ def term_sexpr(t: Term, show=None) -> str:
     default term_sexpr itself."""
     if show is None:
         show = term_sexpr
-    if isinstance(t, TBoolLit):
-        return "true" if t.b else "false"
-    if isinstance(t, TBVLit):
-        return f"(_ bv{t.i % (1 << 64)} 64)"
-    if isinstance(t, TStrLit):
-        return _smt_string(t.s)
-    if isinstance(t, TConst):
-        return t.name
-    if isinstance(t, TApp):
-        if not t.args:
-            return t.fn
-        return f"({t.fn} " + " ".join(show(a) for a in t.args) + ")"
-    if isinstance(t, TSome):
-        return f"(some {show(t.arg)})"
-    if isinstance(t, TNone):
-        return f"(as none (Option {sort_sexpr(t.elem)}))"
-    if isinstance(t, TVal):
-        return f"(val {show(t.arg)})"
-    if isinstance(t, TIsSome):
-        return f"((_ is some) {show(t.arg)})"
-    if isinstance(t, TIte):
-        return f"(ite {show(t.cond)} {show(t.then)} {show(t.els)})"
-    if isinstance(t, TEq):
-        return f"(= {show(t.left)} {show(t.right)})"
-    if isinstance(t, TNot):
-        return f"(not {show(t.arg)})"
-    if isinstance(t, TAnd):
-        return "(and " + " ".join(show(a) for a in t.args) + ")"
-    if isinstance(t, TOr):
-        return "(or " + " ".join(show(a) for a in t.args) + ")"
-    if isinstance(t, TImplies):
-        return f"(=> {show(t.left)} {show(t.right)})"
-    if isinstance(t, TSetMember):
-        return f"(set.member {show(t.elem)} {show(t.set)})"
-    if isinstance(t, TSetSubset):
-        return f"(set.subset {show(t.left)} {show(t.right)})"
-    if isinstance(t, TSetInter):
-        return f"(set.inter {show(t.left)} {show(t.right)})"
-    if isinstance(t, TSetUnion):
-        return f"(set.union {show(t.left)} {show(t.right)})"
-    if isinstance(t, TSetSingleton):
-        return f"(set.singleton {show(t.elem)})"
-    if isinstance(t, TSetEmpty):
-        return f"(as set.empty (Set {sort_sexpr(t.elem)}))"
-    if isinstance(t, TBVOp):
-        return f"({t.op} " + " ".join(show(a) for a in t.args) + ")"
-    if isinstance(t, TStrInRe):
-        return f"(str.in_re {show(t.s)} {regex_sexpr(t.re)})"
-    raise TypeError(f"not a term: {t!r}")
+    return write_sexpr(term_shape(t), lambda leaf: show(leaf) if isinstance(leaf, Term) else str(leaf))
+
+
+def term_tree(t: Term, sharer: Sharer, trees: dict) -> tuple:
+    """The tree `read_sexprs` reads from term_sexpr(t), built through
+    `sharer`.  `trees` maps id(term) to the tree of each term built so far,
+    and gets `t` and its subterms."""
+    got = trees.get(id(t))
+    if got is None:
+        got = trees[id(t)] = sharer.share(term_shape(t), lambda child: term_tree(child, sharer, trees))
+    return got

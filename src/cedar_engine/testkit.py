@@ -156,9 +156,17 @@ def gen_store(cfg: GenConfig) -> EntityStore:
     return build_store(triples)
 
 
+# The last store `gen_request` drew from, and its refs sorted by str: fuzz
+# loops draw thousands of requests from each store, and a store is not
+# changed once built.
+_sorted_refs: dict = {"store": None, "refs": []}
+
+
 def gen_request(cfg: GenConfig, store: EntityStore) -> Request:
     rng = random.Random(cfg.seed ^ 0x9E3779B9)
-    refs = sorted(store.refs(), key=str)
+    if _sorted_refs["store"] is not store:
+        _sorted_refs.update(store=store, refs=sorted(store.refs(), key=str))
+    refs = _sorted_refs["refs"]
     absent = EntityRef("E0", "absent")
 
     def pick():

@@ -8,12 +8,25 @@ attribute projection does not).
 Expressions are compiled, not interpreted: ``compile_expr`` turns a tree into
 closures once, and each policy keeps its compiled body (``Policy.compiled``),
 so a request pays only for evaluation.
+
+A policy's scope is decided without building values.  ``toexp`` makes it the
+head of a right-nested ``&&`` chain; ``compile_expr`` turns the chain's leading
+conjuncts that cannot fail (literal ``true``, or ``principal``, ``action`` or
+``resource`` compared by ``==`` or ``in`` with an entity literal or a set of
+them) into plain tests on the request's EntityRefs and ``ancestors_of``, which
+return FALSE at the first that fails.  Only the conjuncts after them run
+through the general closures, their result checked as the ``&&`` would.  As
+these tests cannot raise, they give the same decisions, errors and traces as
+the general closures.
+
+An error's trace is rendered from the failing node when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .ast import (
@@ -34,6 +47,7 @@ from .ast import (
     ESet,
     ESlot,
     EVar,
+    EntityRef,
     Expr,
     FALSE,
     I64_MAX,
@@ -60,11 +74,22 @@ class EvalErrorKind(Enum):
 
 
 class EvalError(CedarError):
-    def __init__(self, kind: EvalErrorKind, detail: str, trace: str = ""):
+    def __init__(self, kind: EvalErrorKind, detail: str, trace: str = "", *, at: Optional[Expr] = None):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
-        self.trace = trace
+        self._trace = trace
+        self._at = at
+
+    @property
+    def trace(self) -> str:
+        """The failing expression ``at``, rendered when first read: most
+        errors are counted, not shown, and rendering costs more than failing."""
+        if self._at is not None:
+            from .parser import render_expr  # local import to avoid a cycle
+
+            self._trace, self._at = render_expr(self._at), None
+        return self._trace
 
 
 def _type_name(v: Value) -> str:
@@ -79,9 +104,7 @@ def _type_name(v: Value) -> str:
 
 
 def _fail(kind: EvalErrorKind, detail: str, at: Expr):
-    from .parser import render_expr  # local import to avoid a cycle
-
-    raise EvalError(kind, detail, trace=render_expr(at))
+    raise EvalError(kind, detail, at=at)
 
 
 def _long(v: Value, at: Expr) -> int:
@@ -134,6 +157,10 @@ def compile_expr(e: Expr) -> Compiled:
     if cls in _ON_OBJECT:
         obj, apply = compile_expr(e.obj), _ON_OBJECT[cls]
         return lambda store, request: apply(obj(store, request), store, e)
+    if cls is EAnd:
+        tests, rest = _scope_prefix(e)
+        if rest is not e:
+            return _after_scope_prefix(tests, rest)
     if cls is EAnd or cls is EOr:
         left, right, stop = compile_expr(e.left), compile_expr(e.right), cls is EOr
 
@@ -165,6 +192,79 @@ def compile_expr(e: Expr) -> Compiled:
         # Both operands are evaluated, left first, before either is type-checked.
         return lambda store, request: apply(left(store, request), right(store, request), store, e)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# The request variables a scope constrains (see ``ast._scope_expr``).
+_SCOPE_VARS = {name: attrgetter(name) for name in ("principal", "action", "resource")}
+
+
+def _entity_literal(e: Expr) -> Optional[EntityRef]:
+    return e.value.ref if e.__class__ is ELit and e.value.__class__ is VEntity else None
+
+
+def _scope_test(e: Expr) -> Optional[Callable[[EntityStore, Request], bool]]:
+    """A plain predicate deciding ``e`` if it is a scope-shaped comparison,
+    else None."""
+    if e.__class__ is not EBinop or e.left.__class__ is not EVar or e.left.name not in _SCOPE_VARS:
+        return None
+    get, target = _SCOPE_VARS[e.left.name], _entity_literal(e.right)
+    if e.op == "==" and target is not None:
+        return lambda store, request: get(request) == target
+    if e.op != "in":
+        return None
+    if target is not None:
+        targets = frozenset([target])
+    elif e.right.__class__ is ESet and all(_entity_literal(x) is not None for x in e.right.elems):
+        targets = frozenset(_entity_literal(x) for x in e.right.elems)
+    else:
+        return None
+
+    def test_in(store, request):
+        ref = get(request)
+        return ref in targets or not targets.isdisjoint(store.ancestors_of(ref))
+
+    return test_in
+
+
+def _scope_prefix(e: EAnd) -> tuple:
+    """Split the right-nested chain ``c1 && (c2 && ...)`` at its first conjunct
+    that is neither literal ``true`` nor scope-shaped: the tests of the
+    conjuncts before it, and the sub-chain from it on (None if there is none;
+    ``e`` itself if the first conjunct is that one)."""
+    tests = []
+    while True:
+        conjunct, rest = (e.left, e.right) if e.__class__ is EAnd else (e, None)
+        if not (conjunct.__class__ is ELit and conjunct.value == TRUE):
+            test = _scope_test(conjunct)
+            if test is None:
+                return tests, e
+            tests.append(test)
+        if rest is None:
+            return tests, None
+        e = rest
+
+
+def _after_scope_prefix(tests: list, rest: Optional[Expr]) -> Compiled:
+    """FALSE as soon as a test fails, else ``rest`` checked for a boolean as
+    the ``&&`` it follows would have."""
+    if rest is None:
+
+        def run_prefix(store, request):
+            for test in tests:
+                if not test(store, request):
+                    return FALSE
+            return TRUE
+
+        return run_prefix
+    then = compile_expr(rest)
+
+    def run(store, request):
+        for test in tests:
+            if not test(store, request):
+                return FALSE
+        return TRUE if _bool(then(store, request), rest) else FALSE
+
+    return run
 
 
 def evaluate(expr: Expr, store: EntityStore, request: Request) -> Value:

@@ -152,7 +152,7 @@ _TOKEN_RE = re.compile(
     |(?P<ident>{_IDENT_RE.pattern})
     |(?P<slot>\?{_IDENT_RE.pattern})
     |(?P<string>")
-    |(?P<punct>&&|\|\||==|<=|::|[()\[\]{{}}<>,;:.@!+\-*?=])
+    |(?P<punct>&&|\|\||==|!=|<=|>=|::|[()\[\]{{}}<>,;:.@!+\-*?=])
     |(?P<bad>.)""",
     re.VERBOSE | re.DOTALL,
 )
@@ -252,6 +252,11 @@ class _Lexer:
                 self.error(f"unknown escape \\{esc}", self._span(pos - 1, pos))
         return Token("string", src[start:pos], "".join(buf), self._span(start, pos))
 
+
+# Cedar's other relations, parsed as the negations of the ones the AST has:
+# `a != b` is `!(a == b)`, `a > b` is `!(a <= b)` and `a >= b` is `!(a < b)`.
+# The operands keep their order, so they are still evaluated left to right.
+_NEGATED_RELATIONS = {"!=": "==", ">": "<=", ">=": "<"}
 
 # ---------------------------------------------------------------------------
 # Token stream base
@@ -462,6 +467,9 @@ class _PolicyParser(_Parser):
             if tok.kind in ("==", "<", "<="):
                 self.next()
                 left = EBinop(tok.kind, left, self._add())
+            elif tok.kind in _NEGATED_RELATIONS:
+                self.next()
+                left = ENot(EBinop(_NEGATED_RELATIONS[tok.kind], left, self._add()))
             elif tok.kind == "ident" and tok.text == "in":
                 self.next()
                 left = EBinop("in", left, self._add())

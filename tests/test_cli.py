@@ -188,6 +188,44 @@ def test_analyze_differs_with_counterexample(capsys, tmp_path):
     assert dumped and all(p.suffix == ".smt2" for p in dumped)
 
 
+_RELATIONS_SCHEMA = """
+entity User { age: Long };
+entity Doc { owner: User };
+action read appliesTo { principal: [User], resource: [Doc], context: { n: Long } };
+"""
+
+
+@pytest.mark.parametrize(
+    "old,new,verdict",
+    [
+        # `>` and `>=` desugar to the negated `<=` and `<`, so these pairs are
+        # the same policy once desugared (the bundled solver has no Longs).
+        ("when { principal.age > context.n }", "unless { principal.age <= context.n }", "equivalent"),
+        ("when { context.n >= 3 }", "unless { context.n < 3 }", "equivalent"),
+        ("when { principal != resource.owner }", "when { resource.owner != principal }", "equivalent"),
+        ("when { principal != resource.owner }", "when { principal == resource.owner }", "differs"),
+    ],
+)
+def test_analyze_derived_relations(capsys, tmp_path, old, new, verdict):
+    head = "permit(principal, action, resource) "
+    (tmp_path / "s.cedarschema").write_text(_RELATIONS_SCHEMA)
+    (tmp_path / "old.cedar").write_text(head + old + ";")
+    (tmp_path / "new.cedar").write_text(head + new + ";")
+    code, out, _ = run(
+        capsys,
+        "analyze", "equivalence",
+        "--old", str(tmp_path / "old.cedar"),
+        "--new", str(tmp_path / "new.cedar"),
+        "--schema", str(tmp_path / "s.cedarschema"),
+        "--json",
+    )
+    doc = json.loads(out)
+    assert (code, doc["verdict"]) == ({"equivalent": 0, "differs": 1}[verdict], verdict)
+    if verdict == "differs":
+        cex = doc["environments"][0]["counterexample"]
+        assert cex["decisions"] == {"old": "DENY", "new": "ALLOW"}
+
+
 def test_analyze_identical_files_equivalent(capsys):
     code, out, _ = run(
         capsys,

@@ -203,6 +203,31 @@ def test_set_and_string_operators():
         ev('1 like "x"')
 
 
+def test_derived_relations():
+    request = Request(EntityRef("User", "u"), EntityRef("Action", "a"), EntityRef("R", "r"), vrecord({"n": VLong(4)}))
+    for src, want in [
+        ("context.n > 3", True),
+        ("context.n > 4", False),
+        ("context.n >= 4", True),
+        ("context.n >= 5", False),
+        ('principal != User::"u"', False),
+        ('principal != resource', True),
+        ("1 != true", True),
+    ]:
+        assert ev(src, request=request) == VBool(want), src
+    # Operands are evaluated left to right and checked as `<=` and `<` check
+    # them: the right operand's error wins over the left one's type.
+    for src, kind, trace in [
+        ('"a" > 1', EvalErrorKind.TYPE_MISMATCH, '"a"'),
+        ("1 >= true", EvalErrorKind.TYPE_MISMATCH, "true"),
+        ('"a" > context.m', EvalErrorKind.ATTR_NOT_FOUND, "context.m"),
+        ("context.m != 1", EvalErrorKind.ATTR_NOT_FOUND, "context.m"),
+    ]:
+        with pytest.raises(EvalError) as err:
+            ev(src, request=request)
+        assert (err.value.kind, err.value.trace) == (kind, trace), src
+
+
 def test_type_mismatches():
     for src in ('1 in User::"x"', "true + 1", '"a" < "b"', "[1].containsAny(2)", "5 has f", "!5"):
         with pytest.raises(EvalError) as err:

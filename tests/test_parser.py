@@ -13,8 +13,11 @@ from cedar_engine.ast import (
     ScopeEq,
     ScopeIn,
     ScopeInSet,
+    TSet,
     VLong,
     I64_MAX,
+    LONG,
+    STRING,
     I64_MIN,
 )
 from cedar_engine.authorizer import PolicySet, Verdict, authorize
@@ -155,6 +158,41 @@ def test_precedence_golden():
     assert render_expr(parse_expr("(1 + 2) * 3")) == "3 * (1 + 2)"
     assert render_expr(parse_expr("!(true && false)")) == "!(true && false)"
     assert render_expr(parse_expr("a0 :: \"x\" == A::\"y\"".replace(" :: ", "::"))) == 'a0::"x" == A::"y"'
+
+
+@pytest.mark.parametrize(
+    "src,desugared",
+    [
+        ("context.n > 3", "!(context.n <= 3)"),
+        ("context.n >= 3", "!(context.n < 3)"),
+        ("principal != resource.owner", "!(principal == resource.owner)"),
+        # Same precedence as the other relations, left-associative, operands
+        # kept in source order.
+        ("1 + 2 > 3 && 4 >= 5 - 1", "!(1 + 2 <= 3) && !(4 < 5 - 1)"),
+        ("1 > 2 > 3", "!(!(1 <= 2) <= 3)"),
+        ("1 != 2 == false", "!(1 == 2) == false"),
+        ("!(1 > 2)", "!!(1 <= 2)"),
+    ],
+)
+def test_derived_relations_parse_as_negations(src, desugared):
+    e = parse_expr(src)
+    assert e == parse_expr(desugared)
+    assert render_expr(e) == desugared
+    text = f"permit(principal, action, resource) when {{ {src} }};"
+    (p,) = parse_policies(text)
+    assert parse_policies(render_policy(p)) == [p]
+
+
+def test_derived_relation_tokens():
+    # `!=` and `>=` are one token each, `> =` and `! =` are not them, and
+    # `>>` stays two tokens, so nested schema types still close.
+    assert parse_expr("1 >= 2") != parse_expr("1 > 2")
+    for src in ("1 > = 2", "1 ! = 2", "1 >> 2", "1 =! 2"):
+        with pytest.raises(ParseError):
+            parse_expr(src)
+    schema = parse_schema("entity A { x: Set<Set<Long>>, y: Set<Set<Set<String>>>};")
+    assert schema.entity_types["A"].attrs.attr("x").type == TSet(TSet(LONG))
+    assert schema.entity_types["A"].attrs.attr("y").type == TSet(TSet(TSet(STRING)))
 
 
 def test_if_then_else_expression():

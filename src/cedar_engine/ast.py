@@ -517,26 +517,29 @@ class Policy:
 
     @cached_property
     def compiled(self) -> Callable:
-        """``compile_expr(toexp(self))``: desugared and compiled on first use,
-        then kept with the policy.
+        """``evaluator.compile_policy(self)``: compiled on first use, then
+        kept with the policy.  It maps a store and a request to a bool.
 
         Raises NotClosed for a template (and then caches nothing)."""
-        from .evaluator import compile_expr  # local import to avoid a cycle
+        from .evaluator import compile_policy  # local import to avoid a cycle
 
-        return compile_expr(toexp(self))
+        return compile_policy(self)
+
+
+def closed_target(var: str, target: ScopeTarget) -> EntityRef:
+    """The entity a scope part of ``var`` names; NotClosed for a slot."""
+    if isinstance(target, SlotRef):
+        raise NotClosed(f"slot {target.name} in {var} constraint")
+    return target
 
 
 def _scope_expr(var: str, scope: Scope) -> Expr:
     if isinstance(scope, ScopeAny):
         return E_TRUE
     if isinstance(scope, ScopeEq):
-        if isinstance(scope.target, SlotRef):
-            raise NotClosed(f"slot {scope.target.name} in {var} constraint")
-        return EBinop("==", EVar(var), ELit(VEntity(scope.target)))
+        return EBinop("==", EVar(var), ELit(VEntity(closed_target(var, scope.target))))
     if isinstance(scope, ScopeIn):
-        if isinstance(scope.target, SlotRef):
-            raise NotClosed(f"slot {scope.target.name} in {var} constraint")
-        return EBinop("in", EVar(var), ELit(VEntity(scope.target)))
+        return EBinop("in", EVar(var), ELit(VEntity(closed_target(var, scope.target))))
     if isinstance(scope, ScopeInSet):
         return EBinop("in", EVar(var), ESet(tuple(ELit(VEntity(r)) for r in scope.targets)))
     raise TypeError(f"not a scope constraint: {scope!r}")
@@ -550,20 +553,28 @@ def _scope_expr_sloted(var: str, scope: Scope) -> Expr:
     return _scope_expr(var, scope)
 
 
+def condition_expr(policy: Policy) -> Optional[Expr]:
+    """The policy's conditions as one right-nested conjunction
+    ``c1 && (c2 && ...)``, `unless` conditions negated; None if it has none."""
+    out = None
+    for kind, cond in reversed(policy.conditions):
+        cond = ENot(cond) if kind is CondKind.UNLESS else cond
+        out = cond if out is None else EAnd(cond, out)
+    return out
+
+
 def toexp(policy: Policy, allow_slots: bool = False) -> Expr:
     """Desugar a policy to one expression.
 
     The conjunction is right-nested with scope conjuncts first:
-    ``p && (a && (r && (c1 && (c2 && ...))))``.  Unconstrained scope parts
-    contribute literal ``true``; `unless` conditions are negated.
+    ``p && (a && (r && condition_expr(policy)))``.  Unconstrained scope parts
+    contribute literal ``true``.
     """
     mk = _scope_expr_sloted if allow_slots else _scope_expr
-    conjuncts = [mk("principal", policy.principal), mk("action", policy.action), mk("resource", policy.resource)]
-    for kind, cond in policy.conditions:
-        conjuncts.append(ENot(cond) if kind is CondKind.UNLESS else cond)
-    out = conjuncts[-1]
-    for c in reversed(conjuncts[:-1]):
-        out = EAnd(c, out)
+    scopes = [mk("principal", policy.principal), mk("action", policy.action), mk("resource", policy.resource)]
+    out = condition_expr(policy)
+    for c in reversed(scopes):
+        out = c if out is None else EAnd(c, out)
     return out
 
 

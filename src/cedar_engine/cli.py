@@ -145,6 +145,8 @@ def _counterexample_doc(cex) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if args.timeout_ms <= 0:
+        raise _InputError(f"--timeout-ms must be positive, got {args.timeout_ms}")
     old = _load_policies(args.old)
     new = _load_policies(args.new)
     schema = _load_schema(args.schema)

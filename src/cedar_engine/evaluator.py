@@ -6,18 +6,11 @@ references that are absent from the store (equality and hierarchy tests work,
 attribute projection does not).
 
 Expressions are compiled, not interpreted: ``compile_expr`` turns a tree into
-closures once, and each policy keeps its compiled body (``Policy.compiled``),
-so a request pays only for evaluation.
-
-A policy's scope is decided without building values.  ``toexp`` makes it the
-head of a right-nested ``&&`` chain; ``compile_expr`` turns the chain's leading
-conjuncts that cannot fail (literal ``true``, or ``principal``, ``action`` or
-``resource`` compared by ``==`` or ``in`` with an entity literal or a set of
-them) into plain tests on the request's EntityRefs and ``ancestors_of``, which
-return FALSE at the first that fails.  Only the conjuncts after them run
-through the general closures, their result checked as the ``&&`` would.  As
-these tests cannot raise, they give the same decisions, errors and traces as
-the general closures.
+closures once.  A policy is compiled from its parts (``compile_policy``, kept
+as ``Policy.compiled``), so a request pays only for evaluation: each
+constrained scope part is a plain test on the request's EntityRef and
+``ancestors_of``, which cannot fail and builds no value, and only the
+conditions run through the closures.
 
 An error's trace is rendered from the failing node when first read.
 """
@@ -47,12 +40,15 @@ from .ast import (
     ESet,
     ESlot,
     EVar,
-    EntityRef,
     Expr,
     FALSE,
     I64_MAX,
     I64_MIN,
     Policy,
+    Scope,
+    ScopeAny,
+    ScopeEq,
+    ScopeInSet,
     TRUE,
     VBool,
     VEntity,
@@ -61,6 +57,8 @@ from .ast import (
     VSet,
     VString,
     Value,
+    closed_target,
+    condition_expr,
     vrecord,
 )
 from .entities import EntityStore, Request
@@ -157,10 +155,6 @@ def compile_expr(e: Expr) -> Compiled:
     if cls in _ON_OBJECT:
         obj, apply = compile_expr(e.obj), _ON_OBJECT[cls]
         return lambda store, request: apply(obj(store, request), store, e)
-    if cls is EAnd:
-        tests, rest = _scope_prefix(e)
-        if rest is not e:
-            return _after_scope_prefix(tests, rest)
     if cls is EAnd or cls is EOr:
         left, right, stop = compile_expr(e.left), compile_expr(e.right), cls is EOr
 
@@ -194,30 +188,16 @@ def compile_expr(e: Expr) -> Compiled:
     raise TypeError(f"not an expression: {e!r}")
 
 
-# The request variables a scope constrains (see ``ast._scope_expr``).
-_SCOPE_VARS = {name: attrgetter(name) for name in ("principal", "action", "resource")}
-
-
-def _entity_literal(e: Expr) -> Optional[EntityRef]:
-    return e.value.ref if e.__class__ is ELit and e.value.__class__ is VEntity else None
-
-
-def _scope_test(e: Expr) -> Optional[Callable[[EntityStore, Request], bool]]:
-    """A plain predicate deciding ``e`` if it is a scope-shaped comparison,
-    else None."""
-    if e.__class__ is not EBinop or e.left.__class__ is not EVar or e.left.name not in _SCOPE_VARS:
+def _scope_test(var: str, scope: Scope) -> Optional[Callable[[EntityStore, Request], bool]]:
+    """A plain predicate deciding the scope part ``scope`` of ``var``, or None
+    if it holds for every request.  A lone ``in`` target is a one-element set."""
+    if scope.__class__ is ScopeAny:
         return None
-    get, target = _SCOPE_VARS[e.left.name], _entity_literal(e.right)
-    if e.op == "==" and target is not None:
+    get = attrgetter(var)
+    if scope.__class__ is ScopeEq:
+        target = closed_target(var, scope.target)
         return lambda store, request: get(request) == target
-    if e.op != "in":
-        return None
-    if target is not None:
-        targets = frozenset([target])
-    elif e.right.__class__ is ESet and all(_entity_literal(x) is not None for x in e.right.elems):
-        targets = frozenset(_entity_literal(x) for x in e.right.elems)
-    else:
-        return None
+    targets = frozenset(scope.targets if scope.__class__ is ScopeInSet else [closed_target(var, scope.target)])
 
     def test_in(store, request):
         ref = get(request)
@@ -226,43 +206,24 @@ def _scope_test(e: Expr) -> Optional[Callable[[EntityStore, Request], bool]]:
     return test_in
 
 
-def _scope_prefix(e: EAnd) -> tuple:
-    """Split the right-nested chain ``c1 && (c2 && ...)`` at its first conjunct
-    that is neither literal ``true`` nor scope-shaped: the tests of the
-    conjuncts before it, and the sub-chain from it on (None if there is none;
-    ``e`` itself if the first conjunct is that one)."""
-    tests = []
-    while True:
-        conjunct, rest = (e.left, e.right) if e.__class__ is EAnd else (e, None)
-        if not (conjunct.__class__ is ELit and conjunct.value == TRUE):
-            test = _scope_test(conjunct)
-            if test is None:
-                return tests, e
-            tests.append(test)
-        if rest is None:
-            return tests, None
-        e = rest
+def compile_policy(policy: Policy) -> Callable[[EntityStore, Request], bool]:
+    """Compile ``policy`` to ``f(store, request) -> bool``, whether it is
+    satisfied.  Raises NotClosed for a template.
 
-
-def _after_scope_prefix(tests: list, rest: Optional[Expr]) -> Compiled:
-    """FALSE as soon as a test fails, else ``rest`` checked for a boolean as
-    the ``&&`` it follows would have."""
-    if rest is None:
-
-        def run_prefix(store, request):
-            for test in tests:
-                if not test(store, request):
-                    return FALSE
-            return TRUE
-
-        return run_prefix
-    then = compile_expr(rest)
+    Each constrained scope part is a test on the request's ref, and the first
+    that fails decides False.  Only the conditions run through
+    ``compile_expr``, their value checked for a boolean as the ``&&`` of
+    ``toexp`` would."""
+    scopes = (_scope_test(var, getattr(policy, var)) for var in ("principal", "action", "resource"))
+    tests = tuple(test for test in scopes if test is not None)
+    conditions = condition_expr(policy)
+    body = None if conditions is None else compile_expr(conditions)
 
     def run(store, request):
         for test in tests:
             if not test(store, request):
-                return FALSE
-        return TRUE if _bool(then(store, request), rest) else FALSE
+                return False
+        return body is None or _bool(body(store, request), conditions)
 
     return run
 
@@ -368,19 +329,11 @@ NOT_SATISFIED = PolicyOutcome(PolicyEvalStatus.NOT_SATISFIED)
 
 
 def evaluate_policy(policy: Policy, store: EntityStore, request: Request) -> PolicyOutcome:
-    """Satisfied iff the desugared policy evaluates to boolean true."""
+    """Satisfied iff the policy's scope holds and its conditions are true."""
     try:
-        v = policy.compiled(store, request)
+        return SATISFIED if policy.compiled(store, request) else NOT_SATISFIED
     except EvalError as err:
         return PolicyOutcome(PolicyEvalStatus.ERRORED, err)
     except CedarError as err:
         wrapped = EvalError(EvalErrorKind.TYPE_MISMATCH, str(err))
         return PolicyOutcome(PolicyEvalStatus.ERRORED, wrapped)
-    if v == TRUE:
-        return SATISFIED
-    if v == FALSE:
-        return NOT_SATISFIED
-    # Desugared policies cannot produce non-boolean values, but map them to an
-    # error rather than trusting that.
-    bad = EvalError(EvalErrorKind.TYPE_MISMATCH, f"policy evaluated to {_type_name(v)}")
-    return PolicyOutcome(PolicyEvalStatus.ERRORED, bad)

@@ -146,6 +146,26 @@ class Pool:
 
 _BOOL_HEADS = frozenset(("=", "distinct", "not", "and", "or", "=>", "set.member", "set.subset", "str.in_re", "bvslt", "bvsle"))
 
+# The number of arguments each command and built-in term head takes.  A
+# declared function, constructor or selector takes those its declaration says.
+_ARITY = {
+    "declare-datatype": 2, "declare-fun": 3, "declare-const": 2, "assert": 1,
+    "_": 2, "as": 2, "ite": 3, "=": 2, "distinct": 2, "not": 1, "=>": 2, "some": 1, "val": 1,
+    "set.singleton": 1, "set.union": 2, "set.inter": 2, "set.minus": 2, "set.member": 2, "set.subset": 2,
+}
+
+
+def check_arity(node, want: Optional[int] = None) -> tuple:
+    """`node`, a command or an application, if it has the `want` arguments
+    its head takes (by default its head's in `_ARITY`, if any)."""
+    if type(node) is not tuple or not node:
+        raise Unsupported(f"expected an application, got {write_sexpr(node)}")
+    if want is None:
+        want = _ARITY.get(node[0])
+    if want is not None and len(node) - 1 != want:
+        raise Unsupported(f"{write_sexpr(node[0])} applied to {len(node) - 1} arguments, expected {want}")
+    return node
+
 
 # ---------------------------------------------------------------------------
 # The solver session
@@ -196,12 +216,15 @@ class Session:
                 continue
             head = cmd[0]
             try:
+                check_arity(cmd)
                 if head in ("set-logic", "set-option", "set-info", "declare-datatypes"):
                     continue  # the parametric Option family is built in
                 if head == "declare-datatype":
                     self._declare_datatype(cmd)
                 elif head == "declare-fun":
                     name, args, ret = cmd[1], cmd[2], cmd[3]
+                    if type(args) is not tuple:
+                        raise Unsupported(f"argument sorts {write_sexpr(args)}")
                     self.funs[name] = (tuple(map(check_sort, args)), check_sort(ret))
                 elif head == "declare-const":
                     self.consts[cmd[1]] = check_sort(cmd[2])
@@ -230,12 +253,12 @@ class Session:
 
     def _declare_datatype(self, cmd) -> None:
         name, ctors = cmd[1], cmd[2]
-        if len(ctors) != 1:
+        if type(ctors) is not tuple or len(ctors) != 1:
             raise Unsupported("multi-constructor datatypes")
         ctor = ctors[0]
-        if ctor[0] != name:
+        if type(ctor) is not tuple or ctor[:1] != (name,):
             raise Unsupported("constructor name differing from datatype name")
-        fields = tuple((sel, check_sort(sort)) for sel, sort in ctor[1:])
+        fields = tuple((sel, check_sort(sort)) for sel, sort in (check_arity(field, 1) for field in ctor[1:]))
         for idx, (sel, sort) in enumerate(fields):
             self.selectors[sel] = (name, idx, sort)
         self.datatypes[name] = fields
@@ -322,9 +345,9 @@ class _Check:
             raise Unsupported(f"unknown symbol {node}")
         if isinstance(node, int):
             raise Unsupported("bare numeral")
-        head = node[0]
+        head = check_arity(node)[0]
         if head == "_":
-            if isinstance(node[1], str) and node[1].startswith("bv"):
+            if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdigit():
                 return BV
             raise Unsupported(f"indexed {node!r}")
         if head == "as":
@@ -332,7 +355,10 @@ class _Check:
                 return check_sort(node[2])
             raise Unsupported(f"as-expression {node!r}")
         args = [self.infer(a) for a in node[1:]]
-        if head in _BOOL_HEADS or (isinstance(head, tuple) and head[:2] == ("_", "is")):
+        if head in _BOOL_HEADS:
+            return BOOL
+        if isinstance(head, tuple) and len(head) == 3 and head[:2] == ("_", "is"):
+            check_arity(node, 1)
             return BOOL
         if head == "ite":
             return args[1]
@@ -350,18 +376,28 @@ class _Check:
             return BV
         if isinstance(head, str):
             if head in self.funs:
+                self._check_args(head, args, self.funs[head][0])
                 return self.funs[head][1]
             if head in self.datatypes:
+                self._check_args(head, args, [sort for _, sort in self.datatypes[head]])
                 if self._entity_like(head) and not is_string_literal(node[1]):
                     self.selected.add(head)
                 return head
             if head in self.selectors:
                 dt = self.selectors[head][0]
+                self._check_args(head, args, [dt])
                 if self._entity_like(dt):
                     self.selected.add(dt)
                 return self.selectors[head][2]
             raise Unsupported(f"unknown application head {head}")
         raise Unsupported(f"term {node!r}")
+
+    @staticmethod
+    def _check_args(head: str, args: list, sorts) -> None:
+        """Unsupported unless a declared symbol is applied to arguments of
+        its declared sorts."""
+        if args != list(sorts):
+            raise Unsupported(f"{head} takes arguments of sorts {write_sexpr(tuple(sorts))}")
 
     # -- pools ---------------------------------------------------------------
 

@@ -222,7 +222,7 @@ _SET_OPS = {"set.union": frozenset.__or__, "set.inter": frozenset.__and__, "set.
 
 
 class ModelEvaluator:
-    """Evaluates model define-fun bodies (and ground term s-expressions).
+    """Evaluates model define-fun bodies (and ground term trees).
 
     Values: True/False, ("bv", int), ("string", str), ("dt", ctor, args),
     ("set", frozenset), ("some", v), ("none",).
@@ -231,12 +231,6 @@ class ModelEvaluator:
     def __init__(self, model: Model, selectors: Optional[dict] = None):
         self.model = model
         self.selectors = selectors or {}
-
-    def eval_sexpr(self, text: str):
-        parsed = _read(text)
-        if len(parsed) != 1:
-            raise ModelParseError("expected a single term", text)
-        return self.eval(parsed[0], {})
 
     def apply(self, fn: str, args: list):
         if fn not in self.model.defs:

@@ -39,6 +39,7 @@ from cedar_engine.entities import Request, build_store, merge_action_hierarchy
 from cedar_engine.evaluator import EvalError, PolicyEvalStatus, evaluate, evaluate_policy
 from cedar_engine.parser import ParseError, parse_policies, parse_schema, render_policies
 from cedar_engine.symcc import analyze_equivalence, compile_expr, encode_types, is_true_term
+from cedar_engine.sexpr import read_sexprs
 from cedar_engine.smt_backend import ModelEvaluator, SolverConfig, print_script, run_solver, selector_table
 from cedar_engine.terms import term_sexpr
 from cedar_engine.testkit import (
@@ -566,8 +567,8 @@ def test_criterion_7_grounding_necessity():
     outcome = run_solver(config, without_wf)
     assert outcome.kind == "sat"
     ev = ModelEvaluator(outcome.model, selector_table(senv2))
-    a_below_b = ev.eval_sexpr('(set.member (Team "B") (teamInTeam (Team "A")))')
-    b_below_a = ev.eval_sexpr('(set.member (Team "A") (teamInTeam (Team "B")))')
+    a_below_b = ev.eval(read_sexprs('(set.member (Team "B") (teamInTeam (Team "A")))')[0], {})
+    b_below_a = ev.eval(read_sexprs('(set.member (Team "A") (teamInTeam (Team "B")))')[0], {})
     assert a_below_b is True and b_below_a is True, "model must exhibit the hierarchy cycle"
     _ok(7, "cycle claim unsat with grounding, sat without, and the model contains the two-team cycle")
 

@@ -15,7 +15,7 @@ from cedar_engine.authorizer import (
     slice_policies,
 )
 from cedar_engine.entities import EMPTY_STORE, Request, build_store
-from cedar_engine.evaluator import PolicyEvalStatus, evaluate_policy
+from cedar_engine.evaluator import EvalErrorKind, PolicyEvalStatus, evaluate_policy
 from cedar_engine.parser import parse_policies
 from cedar_engine.testkit import GenConfig, gen_policies, gen_request, gen_store, gen_template_links
 
@@ -258,64 +258,53 @@ def test_index_built_once_per_policy_set(monkeypatch):
 
 
 def test_each_policy_desugared_at_most_once(monkeypatch):
-    import cedar_engine.ast as ast
+    # Authorization compiles each policy from its scope and conditions, so it
+    # never desugars one: zero times, sliced or not, under any module's name.
+    import sys
 
-    counts = {}
-    real = ast.toexp
-
-    def counting(policy, *args, **kwargs):
-        counts[policy.id] = counts.get(policy.id, 0) + 1
-        return real(policy, *args, **kwargs)
-
-    monkeypatch.setattr(ast, "toexp", counting)
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cedar_engine" and hasattr(module, "toexp"):
+            monkeypatch.setattr(module, "toexp", lambda *args, **kwargs: calls.append(args))
     for seed in range(20):
         cfg = GenConfig(seed)
         store = gen_store(cfg)
-        counts.clear()
-        # Fresh policy objects, so no body is cached before the count starts.
         template, links = gen_template_links(cfg, store, probability=0.2)
         ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
         for request in _gen_requests(seed, store, 30):
             authorize(ps, store, request)
             authorize(ps, store, request, use_slicing=False)
-        assert set(counts) == {p.id for p in ps.closed_policies}
-        assert set(counts.values()) == {1}
+    assert calls == []
 
 
 def test_each_policy_compiled_at_most_once(monkeypatch):
     import cedar_engine.evaluator as evaluator
 
-    roots, depth = [], [0]
-    real = evaluator.compile_expr
+    compiled = []
+    real = evaluator.compile_policy
 
-    def counting(e):
-        # compile_expr recurses through the module name, so only calls made
-        # at depth 0 compile a whole policy body.
-        if depth[0] == 0:
-            roots.append(e)
-        depth[0] += 1
-        try:
-            return real(e)
-        finally:
-            depth[0] -= 1
+    def counting(policy):
+        compiled.append(policy.id)
+        return real(policy)
 
-    monkeypatch.setattr(evaluator, "compile_expr", counting)
+    monkeypatch.setattr(evaluator, "compile_policy", counting)
     for seed in range(20):
         cfg = GenConfig(seed)
         store = gen_store(cfg)
-        roots.clear()
+        compiled.clear()
+        # Fresh policy objects, so no body is cached before the count starts.
         template, links = gen_template_links(cfg, store, probability=0.2)
         ps = PolicySet.from_policies(gen_policies(cfg) + [template], links=links)
         requests = _gen_requests(seed, store, 30)
         for request in requests:
             authorize(ps, store, request)
-        assert len(roots) <= len(ps.closed_policies)
+        assert len(compiled) <= len(ps.closed_policies)
         for request in requests:
             authorize(ps, store, request, use_slicing=False)
-        assert len(roots) == len(ps.closed_policies)
+        assert sorted(compiled) == sorted(p.id for p in ps.closed_policies)
         for request in requests:
             authorize(ps, store, request)
-        assert len(roots) == len(ps.closed_policies)
+        assert len(compiled) == len(ps.closed_policies)
 
 
 def test_one_policy_set_over_two_stores():
@@ -374,6 +363,8 @@ def test_linked_and_errored_policies_report_the_same(tinytodo_store):
     # A template is never closed: evaluating one directly still reports the error.
     outcome = evaluate_policy(ps.by_id("grant"), tinytodo_store, aaron)
     assert outcome.status is PolicyEvalStatus.ERRORED
+    assert outcome.error.kind is EvalErrorKind.TYPE_MISMATCH
+    assert outcome.error.detail == "slot ?principal in principal constraint"
 
 
 def test_duplicate_ids_are_rejected():

@@ -530,3 +530,16 @@ def test_solver_past_its_deadline_is_a_timeout(tmp_path, capsys):
     code, out, _ = run(capsys, *argv, "--solver", str(solver), "--timeout-ms", "200")
     assert code == 3
     assert out.splitlines()[0] == 'Action::"view" <User, User>: timeout (exceeded 200 ms)'
+
+
+@pytest.mark.parametrize("timeout", ["0", "-5"])
+def test_non_positive_timeout_is_a_usage_error(tmp_path, capsys, timeout):
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal == User::"a", action, resource);',
+        "permit(principal, action, resource) when { false };",
+        _ONE_TYPE_SCHEMA,
+    )
+    code, out, err = run(capsys, *argv, "--timeout-ms", timeout)
+    assert (code, out) == (2, "")
+    assert err == f"error: --timeout-ms must be positive, got {timeout}\n"

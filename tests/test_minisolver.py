@@ -2,7 +2,10 @@
 
 import gc
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 
@@ -198,6 +201,40 @@ def test_malformed_script_answers_unknown(capsys):
         assert capsys.readouterr().err.startswith('(error "')
 
 
+MALFORMED = (
+    ("(declare-const x)(check-sat)", "declare-const applied to 1 arguments, expected 2"),
+    ("(assert)(check-sat)", "assert applied to 0 arguments, expected 1"),
+    ("(declare-fun f (Bool))(check-sat)", "declare-fun applied to 2 arguments, expected 3"),
+    ("(declare-datatype D)(check-sat)", "declare-datatype applied to 1 arguments, expected 2"),
+    ("(declare-const x Bool)(assert (ite x))(check-sat)", "ite applied to 1 arguments, expected 3"),
+    ("(declare-const x Bool)(assert (and x (not)))(check-sat)", "not applied to 0 arguments, expected 1"),
+    ("(declare-datatype D ((D f)))(check-sat)", "expected an application, got f"),
+    ("(declare-datatype D (()))(check-sat)", "constructor name differing from datatype name"),
+    ("(declare-datatype D ((D (f String))))(assert (= (D) (D)))(check-sat)", "D takes arguments of sorts (String)"),
+    ("(declare-fun f (String) Bool)(assert (f true))(check-sat)", "f takes arguments of sorts (String)"),
+)
+
+
+@pytest.mark.parametrize(
+    "script,note",
+    MALFORMED,
+    ids=["declare-const", "assert", "declare-fun", "declare-datatype", "ite", "not", "field", "ctor", "arity", "sorts"],
+)
+def test_malformed_commands_and_terms_answer_unknown(script, note):
+    out, err = io.StringIO(), io.StringIO()
+    assert Session().run(script, out, err) == ["unknown"]
+    assert (out.getvalue(), err.getvalue()) == ("unknown\n", f'(error "unsupported: {note}")\n')
+
+
+def test_the_standalone_solver_answers_malformed_input():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script, note = MALFORMED[4]
+    done = subprocess.run(
+        [sys.executable, "-m", "cedar_engine.minisolver"], input=script, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "unknown\n", f'(error "unsupported: {note}")\n')
+
+
 def pigeonhole(pigeons: int) -> str:
     """Unsatisfiable, and hard for resolution: `pigeons` pigeons in one hole fewer."""
     holes = pigeons - 1
@@ -286,5 +323,5 @@ def test_single_string_field_records_are_read():
     )
     assert out.startswith("sat\n")
     ev = ModelEvaluator(Model.parse(out[4:]), {"f": ("R", 0)})
-    a, b, s = (ev.eval_sexpr(x) for x in "abs")
+    a, b, s = (ev.eval(read_sexprs(x)[0], {}) for x in "abs")
     assert a == ("dt", "R", (s,)) and a != b and s != ("string", "x") and b != ("dt", "R", (("string", "x"),))

@@ -1,12 +1,13 @@
-"""Scope-shaped conjuncts decided on entity refs agree with the reference
-interpreter.
+"""Scopes decided on entity refs agree with the reference interpreter.
 
-`compile_expr` decides the leading conjuncts of an `&&` chain that are
-literal `true`, or `principal`/`action`/`resource` compared by `==` or `in`
-with entity literals, on the request's refs and the store's ancestor sets.
-These tests compare each policy's outcome with `testkit.reference_evaluate`
-over generated policies and stores, and pin the error kind, detail and trace
-of errors raised after such a prefix.
+`evaluator.compile_policy` decides each constrained scope part on the
+request's refs and the store's ancestor sets, and runs only the conditions
+through `compile_expr`; scope-shaped conjuncts inside a condition (literal
+`true`, or `principal`/`action`/`resource` compared by `==` or `in` with
+entity literals) go through the general closures.  These tests compare each
+policy's outcome with `testkit.reference_evaluate` on its `toexp` over
+generated policies and stores, and pin the error kind, detail and trace of
+errors raised after a scope or such a conjunct.
 """
 
 import random

@@ -179,7 +179,7 @@ def test_run_solver_trivial_sat_with_model():
     outcome = run_solver(SolverConfig.bundled(), script)
     assert outcome.kind == "sat"
     ev = ModelEvaluator(outcome.model)
-    assert ev.eval_sexpr("p") is True
+    assert ev.eval(read_sexprs("p")[0], {}) is True
 
 
 def test_cycle_claim_needs_grounding():
@@ -191,8 +191,8 @@ def test_cycle_claim_needs_grounding():
     outcome = run_solver(SolverConfig.bundled(), print_script(senv, asserts))
     assert outcome.kind == "sat"
     ev = ModelEvaluator(outcome.model, selector_table(senv))
-    assert ev.eval_sexpr('(set.member (Team "B") (teamInTeam (Team "A")))') is True
-    assert ev.eval_sexpr('(set.member (Team "A") (teamInTeam (Team "B")))') is True
+    assert ev.eval(read_sexprs('(set.member (Team "B") (teamInTeam (Team "A")))')[0], {}) is True
+    assert ev.eval(read_sexprs('(set.member (Team "A") (teamInTeam (Team "B")))')[0], {}) is True
 
 
 def test_solver_unavailable():
@@ -222,7 +222,7 @@ def test_model_parsing_shapes():
     """
     model = Model.parse(text)
     ev = ModelEvaluator(model)
-    assert ev.eval_sexpr("principal") == ("dt", "User", (("string", "aaron"),))
+    assert ev.eval(read_sexprs("principal")[0], {}) == ("dt", "User", (("string", "aaron"),))
     got = ev.apply("userInTeam", [("dt", "User", (("string", "aaron"),))])
     assert got == (
         "set",
@@ -231,7 +231,7 @@ def test_model_parsing_shapes():
         ),
     )
     assert ev.apply("userInTeam", [("dt", "User", (("string", "bob"),))]) == ("set", frozenset())
-    assert ev.eval_sexpr("opt") == ("none",)
+    assert ev.eval(read_sexprs("opt")[0], {}) == ("none",)
 
 
 def test_malformed_solver_output_is_a_model_parse_error():
@@ -279,7 +279,7 @@ def test_awkward_entity_ids_round_trip_through_solver():
     outcome = run_solver(SolverConfig.bundled(), script)
     assert outcome.kind == "sat"
     ev = ModelEvaluator(outcome.model)
-    assert ev.eval_sexpr("x") == ("dt", "T", (("string", 'a"b c'),))
+    assert ev.eval(read_sexprs("x")[0], {}) == ("dt", "T", (("string", 'a"b c'),))
 
     from cedar_engine.ast import EntityRef, VEntity
     from cedar_engine.terms import TSome
@@ -300,7 +300,7 @@ def test_awkward_entity_ids_round_trip_through_solver():
     outcome = run_solver(SolverConfig.bundled(), script)
     assert outcome.kind == "sat"
     ev = ModelEvaluator(outcome.model)
-    assert ev.eval_sexpr("principal") == ("dt", "T", (("string", 'a"b c'),))
+    assert ev.eval(read_sexprs("principal")[0], {}) == ("dt", "T", (("string", 'a"b c'),))
 
 
 def test_solver_config_precedence(monkeypatch):

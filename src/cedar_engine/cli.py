@@ -39,7 +39,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read {path}: {err}") from None
 
 

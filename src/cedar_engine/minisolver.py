@@ -14,8 +14,13 @@ membership bit-vectors, uninterpreted functions become lazily-materialized
 tables, and the whole assertion set is Tseitin-translated to CNF and handed
 to the CDCL loop in `sat.py`.  The domain bound makes this decision procedure
 complete for the fragment: any model can be collapsed onto term-denoted
-elements plus the slack elements.  Scripts that use bit-vector arithmetic or
-regular-expression membership answer `unknown`.
+elements plus the slack elements.
+
+Every term is sort-checked before any is translated: `_SIGNATURES` states a
+built-in head's argument and result sorts, a declaration those of a declared
+symbol.  An ill-sorted script answers `unknown`, as does one that uses
+bit-vector arithmetic or regular-expression membership; the first fault is
+noted as `(error "unsupported: ...")`.
 
 The session takes command trees (`run_commands`) and answers with the model
 as define-fun trees, in the shape cvc5 prints, so one model grammar serves
@@ -26,6 +31,7 @@ edge (`run`, `main`).
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 from typing import Optional
 
 from .sat import CNF, dpll
@@ -40,11 +46,12 @@ class Unsupported(Exception):
 # Sorts
 # ---------------------------------------------------------------------------
 
-# A sort is its tree in the script: a name (Bool, String or a datatype),
-# (_ BitVec 64), or (Set s) and (Option s).
+# A sort is its tree in the script: a name (Bool, String, RegLan or a
+# datatype), (_ BitVec 64), or (Set s) and (Option s).
 BOOL = "Bool"
 STRING = "String"
 BV = ("_", "BitVec", 64)
+REGLAN = "RegLan"
 
 
 def check_sort(sort):
@@ -144,15 +151,48 @@ class Pool:
         self.elems: list = []  # concrete strings or ("fresh", k)
 
 
-_BOOL_HEADS = frozenset(("=", "distinct", "not", "and", "or", "=>", "set.member", "set.subset", "str.in_re", "bvslt", "bvsle"))
+# The number of arguments each command, `_` and `as` take.  A term head takes
+# those its signature says.
+_ARITY = {"declare-datatype": 2, "declare-fun": 3, "declare-const": 2, "assert": 1, "_": 2, "as": 2}
 
-# The number of arguments each command and built-in term head takes.  A
-# declared function, constructor or selector takes those its declaration says.
-_ARITY = {
-    "declare-datatype": 2, "declare-fun": 3, "declare-const": 2, "assert": 1,
-    "_": 2, "as": 2, "ite": 3, "=": 2, "distinct": 2, "not": 1, "=>": 2, "some": 1, "val": 1,
-    "set.singleton": 1, "set.union": 2, "set.inter": 2, "set.minus": 2, "set.member": 2, "set.subset": 2,
+
+class _SortVar(str):
+    """A signature's sort variable: any one sort, the same wherever it occurs."""
+
+
+A = _SortVar("A")
+SET_A = ("Set", A)
+BV_OP, BV_CMP = ((BV, BV), BV), ((BV, BV), BOOL)
+
+# Each built-in term head's (argument sorts, result sort), its rank in the
+# SMT-LIB 2.6 theory declarations; `(s, ...)` takes any number of arguments
+# of sort s.  A declared function, constructor or selector has the signature
+# its declaration gives, in the same shape.
+_SIGNATURES = {
+    "ite": ((BOOL, A, A), A), "=": ((A, A), BOOL), "distinct": ((A, A), BOOL), "not": ((BOOL,), BOOL),
+    "and": ((BOOL, ...), BOOL), "or": ((BOOL, ...), BOOL), "=>": ((BOOL, BOOL), BOOL),
+    "some": ((A,), ("Option", A)), "val": ((("Option", A),), A), ("_", "is", "some"): ((("Option", A),), BOOL),
+    "set.singleton": ((A,), SET_A), "set.union": ((SET_A, SET_A), SET_A), "set.inter": ((SET_A, SET_A), SET_A),
+    "set.minus": ((SET_A, SET_A), SET_A), "set.member": ((A, SET_A), BOOL), "set.subset": ((SET_A, SET_A), BOOL),
+    "bvadd": BV_OP, "bvsub": BV_OP, "bvmul": BV_OP, "bvneg": ((BV,), BV), "bvslt": BV_CMP, "bvsle": BV_CMP,
+    "str.in_re": ((STRING, REGLAN), BOOL), "str.to_re": ((STRING,), REGLAN), "re.++": ((REGLAN, ...), REGLAN),
 }
+
+
+def _unify(want, got, binding: dict) -> bool:
+    """Whether sort `got` is an instance of `want`, binding A in `binding`."""
+    if type(want) is _SortVar:
+        return binding.setdefault(want, got) == got
+    if type(want) is not tuple:
+        return want == got
+    return type(got) is tuple and len(got) == len(want) and all(map(_unify, want, got, repeat(binding)))
+
+
+def _fill(sort, binding: dict):
+    """`sort` with A replaced by its binding."""
+    if type(sort) is _SortVar:
+        return binding[sort]
+    return tuple(_fill(s, binding) for s in sort) if type(sort) is tuple and binding else sort
 
 
 def check_arity(node, want: Optional[int] = None) -> tuple:
@@ -248,7 +288,7 @@ class Session:
                 elif head == "exit":
                     break
             except Unsupported as exc:
-                poisoned = str(exc)
+                poisoned = poisoned or str(exc)  # the first fault
         return replies
 
     def _declare_datatype(self, cmd) -> None:
@@ -342,62 +382,48 @@ class _Check:
                 return self.consts[node]
             if node in self.datatypes and not self.datatypes[node]:
                 return node
+            if node == "re.all":
+                return REGLAN
             raise Unsupported(f"unknown symbol {node}")
         if isinstance(node, int):
             raise Unsupported("bare numeral")
         head = check_arity(node)[0]
         if head == "_":
-            if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdigit():
+            if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdigit() and node[2] == 64:
                 return BV
             raise Unsupported(f"indexed {node!r}")
         if head == "as":
-            if node[1] in ("none", "set.empty"):
-                return check_sort(node[2])
+            sort = check_sort(node[2])
+            if type(sort) is tuple and (node[1], sort[0]) in (("none", "Option"), ("set.empty", "Set")):
+                return sort
             raise Unsupported(f"as-expression {node!r}")
+        # The head's signature: built in, or declared, looked up in the
+        # order `_trans` dispatches on it.
+        sig = _SIGNATURES.get(head)
+        if sig is not None:
+            wants, result = sig
+            if wants[-1] is ...:
+                wants = wants[:1] * (len(node) - 1)
+            else:
+                check_arity(node, len(wants))
+        elif head in self.datatypes:
+            wants, result = tuple(sort for _, sort in self.datatypes[head]), head
+            if self._entity_like(head) and not is_string_literal(node[-1]):  # its field is built
+                self.selected.add(head)
+        elif head in self.selectors:
+            dt, _, result = self.selectors[head]
+            wants = (dt,)
+            if self._entity_like(dt):
+                self.selected.add(dt)
+        elif head in self.funs:
+            wants, result = self.funs[head]
+        else:
+            raise Unsupported(f"unknown application head {write_sexpr(head)}")
         args = [self.infer(a) for a in node[1:]]
-        if head in _BOOL_HEADS:
-            return BOOL
-        if isinstance(head, tuple) and len(head) == 3 and head[:2] == ("_", "is"):
-            check_arity(node, 1)
-            return BOOL
-        if head == "ite":
-            return args[1]
-        if head == "some":
-            return ("Option", args[0])
-        if head == "val":
-            if args[0][0] != "Option":
-                raise Unsupported("val on a non-Option")
-            return args[0][1]
-        if head in ("set.union", "set.inter", "set.minus"):
-            return args[0]
-        if head == "set.singleton":
-            return ("Set", args[0])
-        if head in ("bvadd", "bvsub", "bvneg", "bvmul"):
-            return BV
-        if isinstance(head, str):
-            if head in self.funs:
-                self._check_args(head, args, self.funs[head][0])
-                return self.funs[head][1]
-            if head in self.datatypes:
-                self._check_args(head, args, [sort for _, sort in self.datatypes[head]])
-                if self._entity_like(head) and not is_string_literal(node[1]):
-                    self.selected.add(head)
-                return head
-            if head in self.selectors:
-                dt = self.selectors[head][0]
-                self._check_args(head, args, [dt])
-                if self._entity_like(dt):
-                    self.selected.add(dt)
-                return self.selectors[head][2]
-            raise Unsupported(f"unknown application head {head}")
-        raise Unsupported(f"term {node!r}")
-
-    @staticmethod
-    def _check_args(head: str, args: list, sorts) -> None:
-        """Unsupported unless a declared symbol is applied to arguments of
-        its declared sorts."""
-        if args != list(sorts):
-            raise Unsupported(f"{head} takes arguments of sorts {write_sexpr(tuple(sorts))}")
+        binding: dict = {}
+        if len(args) != len(wants) or not all(map(_unify, wants, args, repeat(binding))):
+            raise Unsupported(f"{write_sexpr(head)} takes arguments of sorts {write_sexpr(wants)}")
+        return _fill(result, binding)
 
     # -- pools ---------------------------------------------------------------
 
@@ -531,10 +557,8 @@ class _Check:
         if isinstance(values[0], OptV):
             flag = cnf.mk_or([cnf.mk_and([s, v.flag]) for s, v in zip(sels, values)])
             return OptV(flag, Lazy(_Check._mux_payloads, sels, values, sort[1]), sort)
-        if isinstance(values[0], RecV):
-            fields = [Lazy(_Check._mux_fields, sels, values, i) for i in range(len(values[0].fields))]
-            return RecV(fields, sort)
-        raise Unsupported("mux over unsupported values")
+        fields = [Lazy(_Check._mux_fields, sels, values, i) for i in range(len(values[0].fields))]
+        return RecV(fields, sort)
 
     def _mux_payloads(self, sels, values, sort):
         return self.mux_list(sels, [v.payload.get(self) for v in values], sort)
@@ -544,36 +568,28 @@ class _Check:
         return self.mux_list(sels, chosen, chosen[0].sort)
 
     def val_eq(self, a, b) -> int:
+        """`a` = `b`, two values of one sort, so of one class and one pool."""
         cnf = self.cnf
-        if isinstance(a, BoolV) and isinstance(b, BoolV):
+        if isinstance(a, BoolV):
             return cnf.mk_eq(a.lit, b.lit)
-        if isinstance(a, EnumV) and isinstance(b, EnumV):
-            if a.pool is not b.pool:
-                return CNF.FALSE
+        if isinstance(a, EnumV):
             return cnf.mk_or([cnf.mk_and([x, y]) for x, y in zip(a.bits, b.bits)])
-        if isinstance(a, SetV) and isinstance(b, SetV):
-            if a.pool is not b.pool:
-                return CNF.FALSE
+        if isinstance(a, SetV):
             return cnf.mk_and([cnf.mk_eq(x, y) for x, y in zip(a.bits, b.bits)])
-        if isinstance(a, OptV) and isinstance(b, OptV):
+        if isinstance(a, OptV):
             if a.flag == CNF.FALSE or b.flag == CNF.FALSE:
                 return cnf.mk_and([-a.flag, -b.flag])
             both_none = cnf.mk_and([-a.flag, -b.flag])
             both_some = cnf.mk_and([a.flag, b.flag, self.val_eq(a.payload.get(self), b.payload.get(self))])
             return cnf.mk_or([both_none, both_some])
-        if isinstance(a, RecV) and isinstance(b, RecV):
+        if isinstance(a, RecV):
             return cnf.mk_and([self.val_eq(x.get(self), y.get(self)) for x, y in zip(a.fields, b.fields)])
-        if isinstance(a, BVV) and isinstance(b, BVV):
-            if a.value is not None and b.value is not None:
-                return CNF.TRUE if a.value == b.value else CNF.FALSE
-            raise Unsupported("equality over symbolic bit-vectors")
-        raise Unsupported("equality over mixed values")
+        if a.value is not None and b.value is not None:
+            return CNF.TRUE if a.value == b.value else CNF.FALSE
+        raise Unsupported("equality over symbolic bit-vectors")
 
     def bool_lit(self, node) -> int:
-        v = self.trans(node)
-        if not isinstance(v, BoolV):
-            raise Unsupported("expected a boolean")
-        return v.lit
+        return self.trans(node).lit
 
     def trans(self, node):
         key = id(node)
@@ -601,13 +617,10 @@ class _Check:
                 return got
             if node in self.datatypes and not self.datatypes[node]:
                 return RecV([], node)
-            raise Unsupported(f"unknown symbol {node}")
+            raise Unsupported(f"{node} (bit-vector/regex theory)")  # re.all, as `infer` checked
         head = node[0]
-        if head == "_":
-            if isinstance(node[1], str) and node[1].startswith("bv"):
-                raw = int(node[1][2:]) % (1 << 64)
-                return BVV(raw)
-            raise Unsupported(f"indexed {node!r}")
+        if head == "_":  # (_ bvN 64), as `infer` checked
+            return BVV(int(node[1][2:]) % (1 << 64))
         if head == "as":  # (as none (Option s)) or (as set.empty (Set s)), as `infer` checked
             sort = node[2]
             if node[1] == "none":
@@ -632,15 +645,9 @@ class _Check:
             inner = trans(node[1])
             return OptV(CNF.TRUE, Lazy(None, value=inner), ("Option", inner.sort))
         if head == "val":
-            opt = trans(node[1])
-            if not isinstance(opt, OptV):
-                raise Unsupported("val on a non-Option value")
-            return opt.payload.get(self)
-        if isinstance(head, tuple) and head[:2] == ("_", "is"):
-            opt = trans(node[1])
-            if not isinstance(opt, OptV):
-                raise Unsupported("tester on a non-Option value")
-            return BoolV(opt.flag if head[2] == "some" else -opt.flag)
+            return trans(node[1]).payload.get(self)
+        if head == ("_", "is", "some"):
+            return BoolV(trans(node[1]).flag)
         if head == "set.singleton":
             elem = trans(node[1])
             if not isinstance(elem, EnumV):
@@ -655,42 +662,33 @@ class _Check:
             return SetV(bits, a.pool, a.sort)
         if head == "set.member":
             elem, st = trans(node[1]), trans(node[2])
-            if not isinstance(elem, EnumV) or not isinstance(st, SetV):
-                raise Unsupported("set.member over unsupported values")
-            if elem.pool is not st.pool:
-                return BoolV(CNF.FALSE)
             return BoolV(cnf.mk_or([cnf.mk_and([x, y]) for x, y in zip(elem.bits, st.bits)]))
         if head == "set.subset":
             a, b = trans(node[1]), trans(node[2])
             return BoolV(cnf.mk_and([cnf.mk_or([-x, y]) for x, y in zip(a.bits, b.bits)]))
-        if head in ("bvadd", "bvsub", "bvneg", "bvmul", "bvslt", "bvsle", "str.in_re"):
+        if head in _SIGNATURES:  # the built-in heads left are sort-checked, not translated
             raise Unsupported(f"{head} (bit-vector/regex theory)")
-        if isinstance(head, str):
-            if head in self.datatypes:
-                if self._entity_like(head):
-                    if is_string_literal(node[1]):
-                        return self._literal(node[1][1], head)
-                    field = trans(node[1])  # shares the String domain: the constructor is the identity
-                    return EnumV(field.bits, field.pool, head)
-                return RecV([Lazy(None, value=trans(x)) for x in node[1:]], head)
-            if head in self.selectors:
-                dt, index, sort = self.selectors[head]
-                arg = trans(node[1])
-                if isinstance(arg, RecV):
-                    return arg.fields[index].get(self)
-                if isinstance(arg, EnumV) and dt in self.selected:
-                    return EnumV(arg.bits, arg.pool, sort)  # the identity, as for the constructor
-                raise Unsupported(f"selector {head} on a non-record value")
-            if head in self.funs:
-                arg_sorts, ret = self.funs[head]
-                if len(arg_sorts) != 1:
-                    raise Unsupported("multi-argument uninterpreted functions")
-                arg = trans(node[1])
-                if not isinstance(arg, EnumV):
-                    raise Unsupported("function argument without a finite domain")
-                values = [self.fn_value(head, i) for i in range(len(arg.pool.elems))]
-                return self.mux_list(arg.bits, values, ret)
-        raise Unsupported(f"term {node!r}")
+        if head in self.datatypes:
+            if self._entity_like(head):
+                if is_string_literal(node[1]):
+                    return self._literal(node[1][1], head)
+                field = trans(node[1])  # shares the String domain: the constructor is the identity
+                return EnumV(field.bits, field.pool, head)
+            return RecV([Lazy(None, value=trans(x)) for x in node[1:]], head)
+        if head in self.selectors:
+            index, sort = self.selectors[head][1:]
+            arg = trans(node[1])
+            if isinstance(arg, RecV):
+                return arg.fields[index].get(self)
+            return EnumV(arg.bits, arg.pool, sort)  # an entity read as its field: the identity
+        arg_sorts, ret = self.funs[head]  # a declared function, as `infer` checked
+        if len(arg_sorts) != 1:
+            raise Unsupported("multi-argument uninterpreted functions")
+        arg = trans(node[1])
+        if not isinstance(arg, EnumV):
+            raise Unsupported("function argument without a finite domain")
+        values = [self.fn_value(head, i) for i in range(len(arg.pool.elems))]
+        return self.mux_list(arg.bits, values, ret)
 
     def _literal(self, text: str, sort) -> EnumV:
         pool = self._pool_for(sort)

@@ -13,7 +13,7 @@ import pytest
 
 from cedar_engine.minisolver import CNF, Session, dpll
 from cedar_engine.sat import Timeout
-from cedar_engine.sexpr import read_sexprs
+from cedar_engine.sexpr import read_sexprs, write_sexpr
 from cedar_engine.smt_backend import Model, ModelEvaluator
 
 from conftest import fixture_path
@@ -212,13 +212,26 @@ MALFORMED = (
     ("(declare-datatype D (()))(check-sat)", "constructor name differing from datatype name"),
     ("(declare-datatype D ((D (f String))))(assert (= (D) (D)))(check-sat)", "D takes arguments of sorts (String)"),
     ("(declare-fun f (String) Bool)(assert (f true))(check-sat)", "f takes arguments of sorts (String)"),
+    # The first fault is noted, not the last.
+    ("(declare-const x)(assert)(check-sat)", "declare-const applied to 1 arguments, expected 2"),
+    # Built-in heads over arguments of the wrong sorts.
+    ('(declare-const x Bool)(assert (ite x x "a"))(check-sat)', "ite takes arguments of sorts (Bool A A)"),
+    ("(declare-datatype U ((U (u String))))(declare-datatype T ((T (t String))))(declare-const a (Set U))"
+     "(declare-const b (Set T))(declare-const x U)(assert (set.member x (set.union b a)))"
+     "(assert (not (set.member x a)))(check-sat)", "set.union takes arguments of sorts ((Set A) (Set A))"),
+    ("(declare-datatype U ((U (u String))))(declare-const a (Set U))(declare-const b (Set String))"
+     "(assert (= a b))(check-sat)", "= takes arguments of sorts (A A)"),
+    ("(declare-const s String)(assert ((_ is some) s))(check-sat)", "(_ is some) takes arguments of sorts ((Option A))"),
+    ("(declare-const o (Option Bool))(assert ((_ is foo) o))(check-sat)", "unknown application head (_ is foo)"),
 )
+HOSTILE_IDS = ["first-fault", "ite-branches", "set.union-elements", "=-elements", "tester-sort", "tester-name"]
 
 
 @pytest.mark.parametrize(
     "script,note",
     MALFORMED,
-    ids=["declare-const", "assert", "declare-fun", "declare-datatype", "ite", "not", "field", "ctor", "arity", "sorts"],
+    ids=["declare-const", "assert", "declare-fun", "declare-datatype", "ite", "not", "field", "ctor", "arity", "sorts",
+         *HOSTILE_IDS],
 )
 def test_malformed_commands_and_terms_answer_unknown(script, note):
     out, err = io.StringIO(), io.StringIO()
@@ -228,11 +241,12 @@ def test_malformed_commands_and_terms_answer_unknown(script, note):
 
 def test_the_standalone_solver_answers_malformed_input():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    script, note = MALFORMED[4]
-    done = subprocess.run(
-        [sys.executable, "-m", "cedar_engine.minisolver"], input=script, env=env, capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "unknown\n", f'(error "unsupported: {note}")\n')
+    for script, note in [MALFORMED[4], *MALFORMED[-len(HOSTILE_IDS):]]:
+        done = subprocess.run(
+            [sys.executable, "-m", "cedar_engine.minisolver"], input=script, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "unknown\n", f'(error "unsupported: {note}")\n'), script
 
 
 def pigeonhole(pigeons: int) -> str:
@@ -325,3 +339,88 @@ def test_single_string_field_records_are_read():
     ev = ModelEvaluator(Model.parse(out[4:]), {"f": ("R", 0)})
     a, b, s = (ev.eval(read_sexprs(x)[0], {}) for x in "abs")
     assert a == ("dt", "R", (s,)) and a != b and s != ("string", "x") and b != ("dt", "R", (("string", "x"),))
+
+
+def _sorted_scripts(monkeypatch) -> list:
+    """The command trees of the fixture pairs' and the wide pairs' scripts,
+    each with its argument slots, (parent tree, index, sort the argument
+    must have), and its subterm trees, (tree, sort).  Sorts are the
+    compiler's (`Term.sort`), not the solver's; by the compiler's rule a
+    tester takes any Option, written "Option"."""
+    from test_script_trees import _fixture_pairs, _wide_pairs
+
+    from cedar_engine import smt_backend
+    from cedar_engine.smt_backend import SolverConfig
+    from cedar_engine.symcc import analyze_equivalence
+    from cedar_engine.terms import Term, TIsSome, sort_shape, term_shape
+
+    captured = []
+    real = smt_backend.script_commands
+
+    def capture(senv, assertions):
+        captured.append((senv, assertions))
+        return real(senv, assertions)
+
+    monkeypatch.setattr(smt_backend, "script_commands", capture)
+    for _, old, new, schema in [*_fixture_pairs(), *_wide_pairs()]:
+        analyze_equivalence(old, new, schema, config=SolverConfig.bundled())
+
+    def walk(term, tree, seen, slots, subterms):
+        if id(tree) in seen:
+            return
+        seen.add(id(tree))
+        subterms.append((tree, sort_shape(term.sort)))
+        shape = term_shape(term)
+        for i, child in enumerate(shape if type(shape) is tuple else ()):
+            if isinstance(child, Term):
+                slots.append((tree, i, "Option" if isinstance(term, TIsSome) else sort_shape(child.sort)))
+                walk(child, tree[i], seen, slots, subterms)
+
+    scripts = []
+    for senv, assertions in captured:
+        commands, seen, slots, subterms = real(senv, assertions), set(), [], []
+        for term, command in zip(assertions, [c for c in commands if c[0] == "assert"]):
+            walk(term, command[1], seen, slots, subterms)
+        scripts.append((commands, slots, subterms))
+    return scripts
+
+
+def _swapped(commands, parent, index, donor) -> list:
+    """`commands` with argument `index` of `parent`, wherever it occurs,
+    replaced by `donor`."""
+    new, memo = parent[:index] + (donor,) + parent[index + 1 :], {}
+
+    def rebuild(node):
+        if node is parent:
+            return new
+        if type(node) is not tuple:
+            return node
+        got = memo.get(id(node))
+        if got is None:
+            got = memo[id(node)] = tuple(map(rebuild, node))
+        return got
+
+    return list(map(rebuild, commands))
+
+
+def test_sort_mutations_answer_unknown(monkeypatch, gen_seed):
+    """Swapping one argument of a compiled script for a subterm of another
+    sort makes it ill-sorted: the solver answers unknown and raises nothing.
+    A swap for a subterm of the same sort raises nothing either."""
+    scripts = _sorted_scripts(monkeypatch)
+    rng = random.Random(0x50127 + gen_seed)
+    answers = {True: set(), False: set()}
+    for i in range(600):
+        commands, slots, subterms = rng.choice(scripts)
+        parent, index, want = rng.choice(slots)
+        same = i % 4 == 0
+        donors = [tree for tree, s in subterms if (s[0] == want if want == "Option" else s == want) == same]
+        if not donors:
+            continue
+        mutated = _swapped(commands, parent, index, rng.choice(donors))
+        err = io.StringIO()
+        replies = Session().run_commands(mutated, err)
+        if not same:
+            assert replies == ["unknown"], (write_sexpr(parent), index, err.getvalue())
+        answers[same].update(replies)
+    assert answers[False] == {"unknown"} and answers[True] >= {"sat", "unsat"}

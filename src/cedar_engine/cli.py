@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .ast import CedarError
+from .ast import CedarError, render_value
 from .authorizer import PolicySet, Verdict, authorize, pof, rof, slice_policies
 from .entities import EMPTY_STORE, EntityStore, load_entities, load_request, merge_action_hierarchy, store_to_json, value_to_json
 from .evaluator import EvalError, evaluate
@@ -23,7 +23,6 @@ from .smt_backend import SolverConfig, SolverFailure, SolverUnavailable
 from .symcc import AnalysisError, analyze_equivalence
 from .terms import InternalSortError
 from .validator import Schema, validate
-from .ast import render_value
 
 EXIT_OK = 0
 EXIT_DENY = 1

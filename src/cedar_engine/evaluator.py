@@ -72,11 +72,11 @@ class EvalErrorKind(Enum):
 
 
 class EvalError(CedarError):
-    def __init__(self, kind: EvalErrorKind, detail: str, trace: str = "", *, at: Optional[Expr] = None):
+    def __init__(self, kind: EvalErrorKind, detail: str, *, at: Optional[Expr] = None):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
-        self._trace = trace
+        self._trace = ""
         self._at = at
 
     @property

@@ -16,7 +16,7 @@ to the CDCL loop in `sat.py`.  The domain bound makes this decision procedure
 complete for the fragment: any model can be collapsed onto term-denoted
 elements plus the slack elements.
 
-Every term is sort-checked before any is translated: `_SIGNATURES` states a
+Every term is sort-checked before any is translated: `sexpr.RANKS` states a
 built-in head's argument and result sorts, a declaration those of a declared
 symbol.  An ill-sorted script answers `unknown`, as does one that uses
 bit-vector arithmetic or regular-expression membership; the first fault is
@@ -31,11 +31,22 @@ edge (`run`, `main`).
 from __future__ import annotations
 
 import sys
-from itertools import repeat
 from typing import Optional
 
 from .sat import CNF, dpll
-from .sexpr import SexprError, is_string_literal, read_sexprs, write_sexpr
+from .sexpr import (
+    BOOL,
+    BV,
+    RANKS,
+    REGLAN,
+    STRING,
+    SexprError,
+    is_string_literal,
+    rank_arguments,
+    ranked_sort,
+    read_sexprs,
+    write_sexpr,
+)
 
 
 class Unsupported(Exception):
@@ -45,14 +56,6 @@ class Unsupported(Exception):
 # ---------------------------------------------------------------------------
 # Sorts
 # ---------------------------------------------------------------------------
-
-# A sort is its tree in the script: a name (Bool, String, RegLan or a
-# datatype), (_ BitVec 64), or (Set s) and (Option s).
-BOOL = "Bool"
-STRING = "String"
-BV = ("_", "BitVec", 64)
-REGLAN = "RegLan"
-
 
 def check_sort(sort):
     """`sort`, if the solver supports it."""
@@ -152,47 +155,8 @@ class Pool:
 
 
 # The number of arguments each command, `_` and `as` take.  A term head takes
-# those its signature says.
+# those its rank or its declaration says.
 _ARITY = {"declare-datatype": 2, "declare-fun": 3, "declare-const": 2, "assert": 1, "_": 2, "as": 2}
-
-
-class _SortVar(str):
-    """A signature's sort variable: any one sort, the same wherever it occurs."""
-
-
-A = _SortVar("A")
-SET_A = ("Set", A)
-BV_OP, BV_CMP = ((BV, BV), BV), ((BV, BV), BOOL)
-
-# Each built-in term head's (argument sorts, result sort), its rank in the
-# SMT-LIB 2.6 theory declarations; `(s, ...)` takes any number of arguments
-# of sort s.  A declared function, constructor or selector has the signature
-# its declaration gives, in the same shape.
-_SIGNATURES = {
-    "ite": ((BOOL, A, A), A), "=": ((A, A), BOOL), "distinct": ((A, A), BOOL), "not": ((BOOL,), BOOL),
-    "and": ((BOOL, ...), BOOL), "or": ((BOOL, ...), BOOL), "=>": ((BOOL, BOOL), BOOL),
-    "some": ((A,), ("Option", A)), "val": ((("Option", A),), A), ("_", "is", "some"): ((("Option", A),), BOOL),
-    "set.singleton": ((A,), SET_A), "set.union": ((SET_A, SET_A), SET_A), "set.inter": ((SET_A, SET_A), SET_A),
-    "set.minus": ((SET_A, SET_A), SET_A), "set.member": ((A, SET_A), BOOL), "set.subset": ((SET_A, SET_A), BOOL),
-    "bvadd": BV_OP, "bvsub": BV_OP, "bvmul": BV_OP, "bvneg": ((BV,), BV), "bvslt": BV_CMP, "bvsle": BV_CMP,
-    "str.in_re": ((STRING, REGLAN), BOOL), "str.to_re": ((STRING,), REGLAN), "re.++": ((REGLAN, ...), REGLAN),
-}
-
-
-def _unify(want, got, binding: dict) -> bool:
-    """Whether sort `got` is an instance of `want`, binding A in `binding`."""
-    if type(want) is _SortVar:
-        return binding.setdefault(want, got) == got
-    if type(want) is not tuple:
-        return want == got
-    return type(got) is tuple and len(got) == len(want) and all(map(_unify, want, got, repeat(binding)))
-
-
-def _fill(sort, binding: dict):
-    """`sort` with A replaced by its binding."""
-    if type(sort) is _SortVar:
-        return binding[sort]
-    return tuple(_fill(s, binding) for s in sort) if type(sort) is tuple and binding else sort
 
 
 def check_arity(node, want: Optional[int] = None) -> tuple:
@@ -397,15 +361,12 @@ class _Check:
             if type(sort) is tuple and (node[1], sort[0]) in (("none", "Option"), ("set.empty", "Set")):
                 return sort
             raise Unsupported(f"as-expression {node!r}")
-        # The head's signature: built in, or declared, looked up in the
-        # order `_trans` dispatches on it.
-        sig = _SIGNATURES.get(head)
-        if sig is not None:
-            wants, result = sig
-            if wants[-1] is ...:
-                wants = wants[:1] * (len(node) - 1)
-            else:
-                check_arity(node, len(wants))
+        # The head's rank: built in, or declared, looked up in the order
+        # `_trans` dispatches on it.
+        rank = RANKS.get(head)
+        if rank is not None:
+            wants, result = rank_arguments(rank, len(node) - 1), rank[1]
+            check_arity(node, len(wants))
         elif head in self.datatypes:
             wants, result = tuple(sort for _, sort in self.datatypes[head]), head
             if self._entity_like(head) and not is_string_literal(node[-1]):  # its field is built
@@ -419,11 +380,10 @@ class _Check:
             wants, result = self.funs[head]
         else:
             raise Unsupported(f"unknown application head {write_sexpr(head)}")
-        args = [self.infer(a) for a in node[1:]]
-        binding: dict = {}
-        if len(args) != len(wants) or not all(map(_unify, wants, args, repeat(binding))):
+        sort = ranked_sort(wants, result, [self.infer(a) for a in node[1:]])
+        if sort is None:
             raise Unsupported(f"{write_sexpr(head)} takes arguments of sorts {write_sexpr(wants)}")
-        return _fill(result, binding)
+        return sort
 
     # -- pools ---------------------------------------------------------------
 
@@ -666,7 +626,7 @@ class _Check:
         if head == "set.subset":
             a, b = trans(node[1]), trans(node[2])
             return BoolV(cnf.mk_and([cnf.mk_or([-x, y]) for x, y in zip(a.bits, b.bits)]))
-        if head in _SIGNATURES:  # the built-in heads left are sort-checked, not translated
+        if head in RANKS:  # the built-in heads left are sort-checked, not translated
             raise Unsupported(f"{head} (bit-vector/regex theory)")
         if head in self.datatypes:
             if self._entity_like(head):

@@ -624,20 +624,14 @@ class _PolicyParser(_Parser):
             if tok.text == "false":
                 self.next()
                 return ELit(VBool(False))
-            if tok.text == "if":
-                self.next()
-                cond = self._expr()
-                self.expect_ident("then")
-                then = self._expr()
-                self.expect_ident("else")
-                els = self._expr()
-                return EIf(cond, then, els)
             if tok.text in ("principal", "action", "resource", "context") and not (
                 self.peek(1).kind == "::"
             ):
                 self.next()
                 return EVar(tok.text)
-            if tok.text in RESERVED and tok.text not in ("true", "false", "if"):
+            if tok.text == "if":  # Cedar's grammar has `if` only where an expression starts
+                self.error("an if-then-else operand must be parenthesised", tok)
+            if tok.text in RESERVED and tok.text not in ("true", "false"):
                 self.error(f"reserved word {tok.text!r} cannot start an expression", tok)
             # Entity reference: Path::"id"
             save = self.i

@@ -6,14 +6,19 @@ and an atom whose first character is a digit is an int when ``int()``
 accepts it.  Every other atom is a plain string.  Trees are built through a
 `Sharer`, so equal nodes are one object; `write_sexpr` writes one as text.
 
-This module imports nothing from the package, so the solver driver and the
-bundled solver share it without importing each other.
+A sort is a tree too, and `RANKS` states each built-in term head's SMT-LIB
+rank over such trees, once for the term builder and the bundled solver.
+
+This module imports nothing from the package, so the term builder, the
+solver driver and the bundled solver share it without importing each other.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from itertools import repeat
+from typing import Optional
 
 
 class SexprError(Exception):
@@ -156,3 +161,71 @@ def write_sexpr(tree, leaf=str) -> str:
     if is_string_literal(tree):
         return '"' + tree[1].replace('"', '""') + '"'
     return "(" + " ".join([write_sexpr(item, leaf) for item in tree]) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Sorts and ranks
+# ---------------------------------------------------------------------------
+
+# A sort is its tree in SMT-LIB: a name (Bool, String, RegLan or a datatype),
+# (_ BitVec 64), or (Set s) and (Option s).
+BOOL = "Bool"
+STRING = "String"
+BV = ("_", "BitVec", 64)
+REGLAN = "RegLan"
+
+
+class _SortVar(str):
+    """A rank's sort variable: any one sort, the same wherever it occurs."""
+
+
+A = _SortVar("A")
+_SET_A = ("Set", A)
+_BV_OP, _BV_CMP = ((BV, BV), BV), ((BV, BV), BOOL)
+
+# Each built-in term head's (argument sorts, result sort), its rank in the
+# SMT-LIB 2.6 theory declarations; `(s, ...)` takes any number of arguments
+# of sort s.  A declared function, constructor or selector has the rank its
+# declaration gives, in the same shape.
+RANKS = {
+    "ite": ((BOOL, A, A), A), "=": ((A, A), BOOL), "distinct": ((A, A), BOOL), "not": ((BOOL,), BOOL),
+    "and": ((BOOL, ...), BOOL), "or": ((BOOL, ...), BOOL), "=>": ((BOOL, BOOL), BOOL),
+    "some": ((A,), ("Option", A)), "val": ((("Option", A),), A), ("_", "is", "some"): ((("Option", A),), BOOL),
+    "set.singleton": ((A,), _SET_A), "set.union": ((_SET_A, _SET_A), _SET_A), "set.inter": ((_SET_A, _SET_A), _SET_A),
+    "set.minus": ((_SET_A, _SET_A), _SET_A), "set.member": ((A, _SET_A), BOOL), "set.subset": ((_SET_A, _SET_A), BOOL),
+    "bvadd": _BV_OP, "bvsub": _BV_OP, "bvmul": _BV_OP, "bvneg": ((BV,), BV), "bvslt": _BV_CMP, "bvsle": _BV_CMP,
+    "str.in_re": ((STRING, REGLAN), BOOL), "str.to_re": ((STRING,), REGLAN), "re.++": ((REGLAN, ...), REGLAN),
+}
+
+
+def _unify(want, got, binding: dict) -> bool:
+    """Whether sort `got` is an instance of `want`, binding A in `binding`."""
+    if type(want) is _SortVar:
+        return binding.setdefault(want, got) == got
+    if type(want) is not tuple:
+        return want == got
+    return type(got) is tuple and len(got) == len(want) and all(map(_unify, want, got, repeat(binding)))
+
+
+def _fill(sort, binding: dict):
+    """`sort` with A replaced by its binding."""
+    if type(sort) is _SortVar:
+        return binding[sort]
+    return tuple(_fill(s, binding) for s in sort) if type(sort) is tuple and binding else sort
+
+
+def rank_arguments(rank: tuple, n: int) -> tuple:
+    """The argument sorts a head of rank `rank` wants when applied to `n`
+    arguments."""
+    wants = rank[0]
+    return wants[:1] * n if wants[-1] is ... else wants
+
+
+def ranked_sort(wants: tuple, result, args) -> Optional[object]:
+    """`result`, the sort of an application whose argument sorts are
+    `wants`, with A filled in from `args`, the sorts of its arguments; None
+    when they do not fit `wants`."""
+    binding: dict = {}
+    if len(args) != len(wants) or not all(map(_unify, wants, args, repeat(binding))):
+        return None
+    return _fill(result, binding)

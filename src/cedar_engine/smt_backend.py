@@ -24,7 +24,7 @@ from typing import Optional
 
 from .ast import CedarError
 from .sexpr import SexprError, Sharer, is_string_literal, read_sexprs, write_sexpr
-from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, sort_sexpr, sort_shape, term_shape
+from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, term_shape
 
 
 class SolverUnavailable(CedarError):
@@ -71,7 +71,7 @@ def _visit(node: Term, uses: dict, order: list, shapes: dict, consts: set, signa
         want_args, want_res = signatures[node.fn]
         got = tuple(a.sort for a in node.args)
         if tuple(want_args) != got or want_res != node.sort:
-            raise InternalSortError(f"application {node.fn}: got {[sort_sexpr(s) for s in got]}")
+            raise InternalSortError(f"application {node.fn}: got {[write_sexpr(s) for s in got]}")
     shapes[key] = term_shape(node)
     for child in _terms_in(shapes[key]):
         _visit(child, uses, order, shapes, consts, signatures)
@@ -88,7 +88,7 @@ def _checked_walks(senv, assertions) -> list:
     with its declaration in `senv`."""
     for a in assertions:
         if a.sort != BOOL_S:
-            raise InternalSortError(f"assertion of sort {sort_sexpr(a.sort)}")
+            raise InternalSortError(f"assertion of sort {write_sexpr(a.sort)}")
     signatures = senv.signatures()
     consts: set = set()
     walks = []
@@ -97,7 +97,7 @@ def _checked_walks(senv, assertions) -> list:
         _visit(a, *walks[-1], consts, signatures)
     for name, sort in consts:
         if senv.const_sigs.get(name) != sort:
-            raise InternalSortError(f"constant {name} used at {sort_sexpr(sort)}")
+            raise InternalSortError(f"constant {name} used at {write_sexpr(sort)}")
     return walks
 
 
@@ -105,12 +105,12 @@ def _declarations(senv) -> list:
     """The declaration commands of a script, as trees, in dependency order."""
     out = []
     for name, fields in senv.datatypes:
-        out.append(("declare-datatype", name, ((name, *((sel, sort_shape(s)) for sel, s in fields)),)))
+        out.append(("declare-datatype", name, ((name, *fields),)))
     for fn in senv.fn_order:
         args, ret = senv.fn_sigs[fn]
-        out.append(("declare-fun", fn, tuple(map(sort_shape, args)), sort_shape(ret)))
+        out.append(("declare-fun", fn, args, ret))
     for name in senv.const_order:
-        out.append(("declare-const", name, sort_shape(senv.const_sigs[name])))
+        out.append(("declare-const", name, senv.const_sigs[name]))
     return out
 
 

@@ -70,14 +70,9 @@ from .terms import (
     RAll,
     RConcat,
     RLit,
-    SBV64,
-    SBool,
-    SData,
     SOption,
     SSet,
-    SString,
     STRING_S,
-    Sort,
     TApp,
     TBVLit,
     TBVOp,
@@ -189,7 +184,7 @@ class SymbolicEnv:
         self.entity_of_name: dict = {}
         self.record_name: dict = {}
         self.record_of_name: dict = {}
-        self.datatypes: list = []  # (name, ((selector, Sort), ...))
+        self.datatypes: list = []  # (name, ((selector, sort), ...))
         self.selector_names: dict = {}  # (dt_name, attr) -> selector
         self.fn_sigs: dict = {}
         self.fn_order: list = []
@@ -197,11 +192,12 @@ class SymbolicEnv:
         self.anc_fn: dict = {}
         self.const_sigs: dict = {}
         self.const_order: list = []
-        self.var_consts: dict = {}  # (env, var) -> (name, Sort)
+        self.var_consts: dict = {}  # (env, var) -> (name, sort)
 
     # -- datatypes ----------------------------------------------------------
 
-    def ensure_entity(self, entity_type: str) -> SData:
+    def ensure_entity(self, entity_type: str) -> str:
+        """The name of the entity type's datatype, which is its sort."""
         name = self.entity_name.get(entity_type)
         if name is None:
             name = self._names.fresh(entity_type)
@@ -210,9 +206,9 @@ class SymbolicEnv:
             eid = self._names.fresh("eid")
             self.selector_names[(name, "eid")] = eid
             self.datatypes.append((name, ((eid, STRING_S),)))
-        return SData(name)
+        return name
 
-    def ensure_record(self, rec: TRecord, preferred: Optional[str] = None) -> SData:
+    def ensure_record(self, rec: TRecord, preferred: Optional[str] = None) -> str:
         name = self.record_name.get(rec)
         if name is None:
             fields = []
@@ -229,9 +225,9 @@ class SymbolicEnv:
                 self.selector_names[(name, attr_name)] = sel
                 fields.append((sel, sort))
             self.datatypes.append((name, tuple(fields)))
-        return SData(name)
+        return name
 
-    def encode_type(self, t: CedarType) -> Sort:
+    def encode_type(self, t: CedarType):
         if isinstance(t, TEntity):
             return self.ensure_entity(t.name)
         if isinstance(t, TRecord):
@@ -245,23 +241,22 @@ class SymbolicEnv:
         # Bool and its singletons share the Bool sort.
         return BOOL_S
 
-    def cedar_of_sort(self, s: Sort) -> CedarType:
-        if isinstance(s, SBool):
+    def cedar_of_sort(self, s) -> CedarType:
+        if s == BOOL_S:
             return BOOL
-        if isinstance(s, SBV64):
+        if s == BV64_S:
             return LONG
-        if isinstance(s, SString):
+        if s == STRING_S:
             return STRING
-        if isinstance(s, SSet):
-            return TSet(self.cedar_of_sort(s.elem))
-        # A datatype: payload sorts are never Option.
-        if s.name in self.entity_of_name:
-            return TEntity(self.entity_of_name[s.name])
-        return self.record_of_name[s.name]
+        if type(s) is tuple:  # payload sorts are never Option
+            return TSet(self.cedar_of_sort(s[1]))
+        if s in self.entity_of_name:
+            return TEntity(self.entity_of_name[s])
+        return self.record_of_name[s]
 
     # -- functions and constants --------------------------------------------
 
-    def _declare_fn(self, name: str, args: tuple, ret: Sort) -> str:
+    def _declare_fn(self, name: str, args: tuple, ret) -> str:
         self.fn_sigs[name] = (args, ret)
         self.fn_order.append(name)
         return name
@@ -271,8 +266,8 @@ class SymbolicEnv:
         if name is None:
             decl = self.schema.entity_types[entity_type]
             es = self.ensure_entity(entity_type)
-            rs = self.ensure_record(decl.attrs, preferred=f"{es.name}Record")
-            name = self._names.fresh(_lower_first(es.name) + "Attrs")
+            rs = self.ensure_record(decl.attrs, preferred=f"{es}Record")
+            name = self._names.fresh(_lower_first(es) + "Attrs")
             self.attr_fn[entity_type] = name
             self._declare_fn(name, (es,), rs)
         return name
@@ -283,7 +278,7 @@ class SymbolicEnv:
         if name is None:
             es = self.ensure_entity(entity_type)
             as_ = self.ensure_entity(ancestor_type)
-            name = self._names.fresh(f"{_lower_first(es.name)}In{as_.name}")
+            name = self._names.fresh(f"{_lower_first(es)}In{as_}")
             self.anc_fn[key] = name
             self._declare_fn(name, (es,), SSet(as_))
         return name
@@ -305,9 +300,9 @@ class SymbolicEnv:
     def signatures(self) -> dict:
         sigs = dict(self.fn_sigs)
         for dt_name, fields in self.datatypes:
-            sigs[dt_name] = (tuple(s for _, s in fields), SData(dt_name))
+            sigs[dt_name] = (tuple(s for _, s in fields), dt_name)
             for sel, sort in fields:
-                sigs[sel] = ((SData(dt_name),), sort)
+                sigs[sel] = ((dt_name,), sort)
         return sigs
 
 
@@ -351,11 +346,10 @@ class _Compiler:
     def compile(self, e: Expr) -> Term:
         out = self._go(e)
         if self.footprint is not None:
-            payload = out.sort
-            assert isinstance(payload, SOption)
-            inner = payload.elem
-            if isinstance(inner, SData):
-                entity_type = self.senv.entity_of_name.get(inner.name)
+            option, inner = out.sort
+            assert option == "Option"
+            if type(inner) is str:
+                entity_type = self.senv.entity_of_name.get(inner)
                 if entity_type is not None and entity_type in self.schema.entity_types:
                     key = (out, entity_type)
                     if key not in self._fp_seen:
@@ -378,14 +372,14 @@ class _Compiler:
         if isinstance(v, VString):
             return TStrLit(v.s)
         es = self.senv.ensure_entity(v.ref.entity_type)
-        return TApp(es.name, (TStrLit(v.ref.entity_id),), es)
+        return TApp(es, (TStrLit(v.ref.entity_id),), es)
 
     def _field(self, attr: str, v: Term):
         """Resolve an attribute on a record or entity payload term.
 
         Returns (required, field term) or None when statically absent.
         """
-        name = v.sort.name
+        name = v.sort
         entity_type = self.senv.entity_of_name.get(name)
         if entity_type is not None:
             fn = self.senv.ensure_attr_fn(entity_type)
@@ -408,7 +402,7 @@ class _Compiler:
         different datatypes."""
         if all(t.sort == terms[0].sort for t in terms):
             return terms
-        types = [self.senv.cedar_of_sort(t.sort.elem) for t in terms]
+        types = [self.senv.cedar_of_sort(t.sort[1]) for t in terms]
         target = types[0]
         for t in types[1:]:
             target = join(target, t)
@@ -443,7 +437,7 @@ class _Compiler:
                 args.append(coerced if da.required else TSome(coerced))
             else:
                 args.append(self._coerce(field, sa.type, da.type))
-        return TApp(dst_sort.name, tuple(args), dst_sort)
+        return TApp(dst_sort, tuple(args), dst_sort)
 
     # -- the rules ------------------------------------------------------------
 
@@ -468,7 +462,7 @@ class _Compiler:
                 tuple(
                     sorted(
                         (
-                            TRecordAttr(k, True, self.senv.cedar_of_sort(t.sort.elem))
+                            TRecordAttr(k, True, self.senv.cedar_of_sort(t.sort[1]))
                             for k, t in parts
                         ),
                         key=lambda a: a.name,
@@ -478,7 +472,7 @@ class _Compiler:
             rs = self.senv.ensure_record(rec)
             by_name = {k: mk_val(t) for k, t in parts}
             args = tuple(by_name[a.name] for a in rec.attrs)
-            out = TSome(TApp(rs.name, args, rs))
+            out = TSome(TApp(rs, args, rs))
             for _, t in reversed(parts):
                 out = mk_ifok(t, out)
             return out
@@ -501,7 +495,7 @@ class _Compiler:
             if a is not None:
                 return TSome(TBoolLit(a.entity_type == e.entity_type))
             obj = self.compile(e.obj)
-            entity_type = self.senv.entity_of_name[obj.sort.elem.name]
+            entity_type = self.senv.entity_of_name[obj.sort[1]]
             return mk_ifok(obj, TSome(TBoolLit(entity_type == e.entity_type)))
         if isinstance(e, ELike):
             obj = self.compile(e.obj)
@@ -604,9 +598,9 @@ class _Compiler:
         if op == "contains":
             # The operand is one set level below the set, so this is
             # `_unify` with the set's element type joined to the operand's.
-            if left.sort.elem != SSet(right.sort.elem):
-                set_type = self.senv.cedar_of_sort(left.sort.elem)
-                elem_type = self.senv.cedar_of_sort(right.sort.elem)
+            if left.sort[1] != SSet(right.sort[1]):
+                set_type = self.senv.cedar_of_sort(left.sort[1])
+                elem_type = self.senv.cedar_of_sort(right.sort[1])
                 target = join(set_type.elem, elem_type)
                 left = self._coerce(left, set_type, TSet(target))
                 right = self._coerce(right, elem_type, target)
@@ -615,7 +609,7 @@ class _Compiler:
             left, right = self._unify([left, right])
             if op == "containsAny":
                 inter = TSetInter(mk_val(left), mk_val(right))
-                body = mk_not(mk_eq(inter, TSetEmpty(left.sort.elem.elem)))
+                body = mk_not(mk_eq(inter, TSetEmpty(left.sort[1][1])))
             else:
                 body = TSetSubset(mk_val(right), mk_val(left))
         return mk_ifok(left, mk_ifok(right, TSome(body)))
@@ -648,11 +642,11 @@ class _Compiler:
         left = self.compile(e.left)
         right = self.compile(e.right)
         v1, v2 = mk_val(left), mk_val(right)
-        e1 = self.senv.entity_of_name[v1.sort.name]
+        e1 = self.senv.entity_of_name[v1.sort]
         # The right operand is an entity or a set of entities.
-        one = isinstance(v2.sort, SData)
-        rhs_sort = v2.sort if one else v2.sort.elem
-        e2 = self.senv.entity_of_name[rhs_sort.name]
+        one = type(v2.sort) is str
+        rhs_sort = v2.sort if one else v2.sort[1]
+        e2 = self.senv.entity_of_name[rhs_sort]
         if e1 != e2:
             b1: Term = TBoolLit(False)
         else:

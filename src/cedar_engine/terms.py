@@ -1,8 +1,10 @@
 """Typed SMT term trees.
 
-Every term has exactly one sort, its `sort` attribute: fixed by its class,
-or derived from its children's sorts when it is built.  The sort rules are
-checked there too, so building an ill-sorted term raises
+Every term has exactly one sort, its `sort` attribute, a tree as SMT-LIB
+writes it (see `sexpr`): fixed by its class, or derived from its children's
+sorts when it is built.  A term written ``(head, *children)`` gets its sort
+from its head's rank in `sexpr.RANKS`, the table the bundled solver checks
+its input against, so building an ill-sorted term raises
 `InternalSortError`.  Only the checks that need the declarations (each
 application against its function's signature, each constant against its
 declaration) are left to `smt_backend`, which makes them once for a
@@ -22,10 +24,10 @@ Option-wrapped sorts carry the error channel: `none` is a runtime error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
 
 from .ast import CedarError, I64_MAX, I64_MIN
-from .sexpr import Sharer, write_sexpr
+from .sexpr import BOOL, BV, RANKS, REGLAN, STRING, Sharer, rank_arguments, ranked_sort, write_sexpr
 
 
 class InternalSortError(CedarError):
@@ -36,68 +38,36 @@ class InternalSortError(CedarError):
 # Sorts
 # ---------------------------------------------------------------------------
 
-
-class Sort:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SBool(Sort):
-    pass
+# A sort is its `sexpr` tree; a datatype's is its name.  The compiler's
+# names for the sorts it builds:
+BOOL_S, BV64_S, STRING_S = BOOL, BV, STRING
 
 
-@dataclass(frozen=True)
-class SBV64(Sort):
-    pass
+def SSet(elem):
+    return ("Set", elem)
 
 
-@dataclass(frozen=True)
-class SString(Sort):
-    pass
+def SOption(elem):
+    return ("Option", elem)
 
 
-@dataclass(frozen=True)
-class SSet(Sort):
-    elem: Sort
+def _check(shape: tuple):
+    """The sort of the term written `shape`, `(head, *children)`, by its
+    head's rank; raises InternalSortError when the children's sorts do not
+    fit it."""
+    # Most terms built have one child (`TSome` above all): no loop for them.
+    sorts = (shape[1].sort,) if len(shape) == 2 else tuple([a.sort for a in shape[1:]])
+    sort = _result_sort(shape[0], sorts)
+    if sort is None:
+        raise InternalSortError(f"{write_sexpr(shape[0])} applied to arguments of sorts {write_sexpr(sorts)}")
+    return sort
 
 
-@dataclass(frozen=True)
-class SData(Sort):
-    name: str
-
-
-@dataclass(frozen=True)
-class SOption(Sort):
-    elem: Sort
-
-
-BOOL_S = SBool()
-BV64_S = SBV64()
-STRING_S = SString()
-
-
-def sort_shape(s: Sort):
-    """The s-expression tree of a sort."""
-    if isinstance(s, SBool):
-        return "Bool"
-    if isinstance(s, SBV64):
-        return _BITVEC_64
-    if isinstance(s, SString):
-        return "String"
-    if isinstance(s, SSet):
-        return ("Set", sort_shape(s.elem))
-    if isinstance(s, SData):
-        return s.name
-    if isinstance(s, SOption):
-        return ("Option", sort_shape(s.elem))
-    raise TypeError(f"not a sort: {s!r}")
-
-
-_BITVEC_64 = ("_", "BitVec", 64)
-
-
-def sort_sexpr(s: Sort) -> str:
-    return write_sexpr(sort_shape(s))
+@lru_cache(maxsize=4096)
+def _result_sort(head, sorts: tuple):
+    # Memoised: the compiler builds many terms of few distinct heads and sorts.
+    rank = RANKS.get(head)
+    return None if rank is None else ranked_sort(rank_arguments(rank, len(sorts)), rank[1], sorts)
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +87,27 @@ def _derived_sort():
     return field(init=False, compare=False, repr=False)
 
 
-def _set_sort(term: Term, sort: Sort) -> None:
-    object.__setattr__(term, "sort", sort)
+@dataclass(frozen=True)
+class _Ranked(Term):
+    """A term written `(head, *children)` (its `term_shape`), whose sort is
+    its head's rank applied to its children's sorts."""
 
+    sort: object = _derived_sort()
 
-def _require_bool(op: str, args) -> None:
-    if not all(isinstance(a.sort, SBool) for a in args):
-        raise InternalSortError(f"{op} over non-Bool")
+    def __post_init__(self):
+        object.__setattr__(self, "sort", _check(_SHAPES[type(self)](self)))
 
 
 @dataclass(frozen=True)
 class TBoolLit(Term):
     b: bool
-    sort = BOOL_S
+    sort = BOOL
 
 
 @dataclass(frozen=True)
 class TBVLit(Term):
     i: int  # signed, within 64-bit range
-    sort = BV64_S
+    sort = BV
 
     def __post_init__(self):
         if not (I64_MIN <= self.i <= I64_MAX):
@@ -145,13 +117,13 @@ class TBVLit(Term):
 @dataclass(frozen=True)
 class TStrLit(Term):
     s: str
-    sort = STRING_S
+    sort = STRING
 
 
 @dataclass(frozen=True)
 class TConst(Term):
     name: str
-    sort: Sort
+    sort: object
 
 
 @dataclass(frozen=True)
@@ -162,204 +134,114 @@ class TApp(Term):
 
     fn: str
     args: tuple
-    sort: Sort
+    sort: object
 
 
 @dataclass(frozen=True)
-class TSome(Term):
+class TSome(_Ranked):
     arg: Term
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        _set_sort(self, SOption(self.arg.sort))
 
 
 @dataclass(frozen=True)
 class TNone(Term):
-    elem: Sort
-    sort: Sort = _derived_sort()
+    elem: object
+    sort: object = _derived_sort()
 
     def __post_init__(self):
-        _set_sort(self, SOption(self.elem))
+        object.__setattr__(self, "sort", SOption(self.elem))
 
 
 @dataclass(frozen=True)
-class TVal(Term):
+class TVal(_Ranked):
     arg: Term  # Option-sorted
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        s = self.arg.sort
-        if not isinstance(s, SOption):
-            raise InternalSortError(f"val applied to {sort_sexpr(s)}")
-        _set_sort(self, s.elem)
 
 
 @dataclass(frozen=True)
-class TIsSome(Term):
+class TIsSome(_Ranked):
     arg: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        if not isinstance(self.arg.sort, SOption):
-            raise InternalSortError("is-some over non-Option")
 
 
 @dataclass(frozen=True)
-class TIte(Term):
+class TIte(_Ranked):
     cond: Term
     then: Term
     els: Term
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        if not isinstance(self.cond.sort, SBool):
-            raise InternalSortError("ite guard is not Bool")
-        st, se = self.then.sort, self.els.sort
-        if st != se:
-            raise InternalSortError(f"ite branches {sort_sexpr(st)} vs {sort_sexpr(se)}")
-        _set_sort(self, st)
 
 
 @dataclass(frozen=True)
-class TEq(Term):
+class TEq(_Ranked):
     left: Term
     right: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        sl, sr = self.left.sort, self.right.sort
-        if sl != sr:
-            raise InternalSortError(f"= on {sort_sexpr(sl)} vs {sort_sexpr(sr)}")
 
 
 @dataclass(frozen=True)
-class TNot(Term):
+class TNot(_Ranked):
     arg: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        _require_bool("not", (self.arg,))
 
 
 @dataclass(frozen=True)
-class TAnd(Term):
+class TAnd(_Ranked):
     args: tuple  # len >= 2
-    sort = BOOL_S
-
-    def __post_init__(self):
-        _require_bool("and", self.args)
 
 
 @dataclass(frozen=True)
-class TOr(Term):
+class TOr(_Ranked):
     args: tuple  # len >= 2
-    sort = BOOL_S
-
-    def __post_init__(self):
-        _require_bool("or", self.args)
 
 
 @dataclass(frozen=True)
-class TImplies(Term):
+class TImplies(_Ranked):
     left: Term
     right: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        _require_bool("=>", (self.left, self.right))
 
 
 @dataclass(frozen=True)
-class TSetMember(Term):
+class TSetMember(_Ranked):
     elem: Term
     set: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        if self.set.sort != SSet(self.elem.sort):
-            raise InternalSortError("set.member sorts disagree")
-
-
-def _check_set_operands(term) -> Sort:
-    sl = term.left.sort
-    if sl != term.right.sort or not isinstance(sl, SSet):
-        raise InternalSortError("set operation sorts disagree")
-    return sl
 
 
 @dataclass(frozen=True)
-class TSetSubset(Term):
+class TSetSubset(_Ranked):
     left: Term
     right: Term
-    sort = BOOL_S
-
-    def __post_init__(self):
-        _check_set_operands(self)
 
 
 @dataclass(frozen=True)
-class TSetInter(Term):
+class TSetInter(_Ranked):
     left: Term
     right: Term
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        _set_sort(self, _check_set_operands(self))
 
 
 @dataclass(frozen=True)
-class TSetUnion(Term):
+class TSetUnion(_Ranked):
     left: Term
     right: Term
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        _set_sort(self, _check_set_operands(self))
 
 
 @dataclass(frozen=True)
-class TSetSingleton(Term):
+class TSetSingleton(_Ranked):
     elem: Term
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        _set_sort(self, SSet(self.elem.sort))
 
 
 @dataclass(frozen=True)
 class TSetEmpty(Term):
-    elem: Sort
-    sort: Sort = _derived_sort()
+    elem: object
+    sort: object = _derived_sort()
 
     def __post_init__(self):
-        _set_sort(self, SSet(self.elem))
-
-
-_BV_RESULT = {
-    "bvadd": BV64_S,
-    "bvsub": BV64_S,
-    "bvneg": BV64_S,
-    "bvmul": BV64_S,
-    "bvslt": BOOL_S,
-    "bvsle": BOOL_S,
-}
+        object.__setattr__(self, "sort", SSet(self.elem))
 
 
 @dataclass(frozen=True)
-class TBVOp(Term):
+class TBVOp(_Ranked):
     op: str
     args: tuple
-    sort: Sort = _derived_sort()
-
-    def __post_init__(self):
-        if not all(isinstance(a.sort, SBV64) for a in self.args):
-            raise InternalSortError(f"{self.op} over non-bitvector")
-        _set_sort(self, _BV_RESULT[self.op])
 
 
 class Regex:
     __slots__ = ()
+    sort = REGLAN  # what `TStrInRe` checks its regex's sort against
 
 
 @dataclass(frozen=True)
@@ -381,11 +263,10 @@ class RConcat(Regex):
 class TStrInRe(Term):
     s: Term
     re: Regex
-    sort = BOOL_S
+    sort: object = _derived_sort()
 
     def __post_init__(self):
-        if not isinstance(self.s.sort, SString):
-            raise InternalSortError("str.in_re over non-String")
+        object.__setattr__(self, "sort", _check(("str.in_re", self.s, self.re)))
 
 
 TRUE_TERM = TBoolLit(True)
@@ -405,13 +286,8 @@ def mk_not(t: Term) -> Term:
     return TNot(t)
 
 
-def _require_same_sort(op: str, a: Term, b: Term) -> None:
-    if a.sort != b.sort:
-        raise InternalSortError(f"{op} on {sort_sexpr(a.sort)} vs {sort_sexpr(b.sort)}")
-
-
 def mk_and2(a: Term, b: Term) -> Term:
-    _require_bool("and", (a, b))
+    _check(("and", a, b))
     if isinstance(a, TBoolLit):
         return b if a.b else FALSE_TERM
     if isinstance(b, TBoolLit):
@@ -420,7 +296,7 @@ def mk_and2(a: Term, b: Term) -> Term:
 
 
 def mk_or2(a: Term, b: Term) -> Term:
-    _require_bool("or", (a, b))
+    _check(("or", a, b))
     if isinstance(a, TBoolLit):
         return TRUE_TERM if a.b else b
     if isinstance(b, TBoolLit):
@@ -430,7 +306,7 @@ def mk_or2(a: Term, b: Term) -> Term:
 
 def mk_or(args) -> Term:
     args = tuple(args)
-    _require_bool("or", args)
+    _check(("or", *args))
     out = []
     for a in args:
         if isinstance(a, TBoolLit):
@@ -446,7 +322,7 @@ def mk_or(args) -> Term:
 
 
 def mk_implies(a: Term, b: Term) -> Term:
-    _require_bool("=>", (a, b))
+    _check(("=>", a, b))
     if isinstance(a, TBoolLit):
         return b if a.b else TRUE_TERM
     if isinstance(b, TBoolLit) and b.b:
@@ -455,7 +331,7 @@ def mk_implies(a: Term, b: Term) -> Term:
 
 
 def mk_eq(a: Term, b: Term) -> Term:
-    _require_same_sort("=", a, b)
+    _check(("=", a, b))
     if a == b:
         return TRUE_TERM
     if isinstance(a, TBoolLit) and isinstance(b, TBoolLit):
@@ -478,23 +354,17 @@ def mk_eq(a: Term, b: Term) -> Term:
 
 
 def _is_ctor_literal(t: Term) -> bool:
-    return isinstance(t, TApp) and t.fn == _data_name(t.sort) and all(
-        isinstance(x, (TStrLit, TBVLit, TBoolLit)) for x in t.args
-    )
-
-
-def _data_name(s: Sort) -> Optional[str]:
-    return s.name if isinstance(s, SData) else None
+    # A constructor is named after its datatype, which is its sort.
+    return isinstance(t, TApp) and t.fn == t.sort and all(isinstance(x, (TStrLit, TBVLit, TBoolLit)) for x in t.args)
 
 
 def mk_ite(cond: Term, then: Term, els: Term) -> Term:
-    _require_bool("ite guard", (cond,))
-    _require_same_sort("ite branches", then, els)
+    _check(("ite", cond, then, els))
     if isinstance(cond, TBoolLit):
         return then if cond.b else els
     if then == els:
         return then
-    if isinstance(then.sort, SBool):
+    if then.sort == BOOL:
         if isinstance(then, TBoolLit) and isinstance(els, TBoolLit):
             return cond if then.b else mk_not(cond)
         if isinstance(then, TBoolLit):
@@ -535,13 +405,11 @@ def mk_val(t: Term) -> Term:
 
 def mk_ifok(guarded: Term, body: Term) -> Term:
     """Propagate the error channel: none when ``guarded`` is none, else body."""
-    s = body.sort
-    if not isinstance(s, SOption):
-        raise InternalSortError(f"expected an Option sort, got {sort_sexpr(s)}")
+    elem = _check(("val", body))
     b = mk_is_some(guarded)
     if isinstance(b, TBoolLit):
-        return body if b.b else TNone(s.elem)
-    return mk_ite(b, body, TNone(s.elem))
+        return body if b.b else TNone(elem)
+    return mk_ite(b, body, TNone(elem))
 
 
 def mk_set_literal(elems) -> Term:
@@ -583,7 +451,7 @@ _SHAPES = {
     TConst: lambda t: t.name,
     TApp: lambda t: (t.fn, *t.args) if t.args else t.fn,
     TSome: lambda t: ("some", t.arg),
-    TNone: lambda t: ("as", "none", ("Option", sort_shape(t.elem))),
+    TNone: lambda t: ("as", "none", t.sort),
     TVal: lambda t: ("val", t.arg),
     TIsSome: lambda t: (("_", "is", "some"), t.arg),
     TIte: lambda t: ("ite", t.cond, t.then, t.els),
@@ -597,7 +465,7 @@ _SHAPES = {
     TSetInter: lambda t: ("set.inter", t.left, t.right),
     TSetUnion: lambda t: ("set.union", t.left, t.right),
     TSetSingleton: lambda t: ("set.singleton", t.elem),
-    TSetEmpty: lambda t: ("as", "set.empty", ("Set", sort_shape(t.elem))),
+    TSetEmpty: lambda t: ("as", "set.empty", t.sort),
     TBVOp: lambda t: (t.op, *t.args),
     TStrInRe: lambda t: ("str.in_re", t.s, _regex_shape(t.re)),
 }

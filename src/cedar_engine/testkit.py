@@ -1098,7 +1098,7 @@ class TermInterpreter:
                 if isinstance(v, tuple) and v[0] == "some":
                     return v[1]
                 # val of none is unconstrained; any fixed value will do
-                return self._default(t.arg.sort.elem)
+                return self._default(t.arg.sort[1])
             if isinstance(t, T.TIsSome):
                 v = go(t.arg)
                 return isinstance(v, tuple) and v[0] == "some"
@@ -1159,27 +1159,25 @@ class TermInterpreter:
         raise TypeError(f"not a regex: {r!r}")
 
     def _default(self, sort) -> object:
-        from . import terms as T
-
-        if isinstance(sort, T.SBool):
+        if sort == "Bool":
             return False
-        if isinstance(sort, T.SBV64):
+        if sort == ("_", "BitVec", 64):
             return 0
-        if isinstance(sort, T.SString):
+        if sort == "String":
             return ""
-        if isinstance(sort, T.SSet):
+        if type(sort) is tuple and sort[0] == "Set":
             return frozenset()
-        if isinstance(sort, T.SOption):
+        if type(sort) is tuple and sort[0] == "Option":
             return _NONE
-        if isinstance(sort, T.SData):
-            if sort.name in self.senv.entity_of_name:
-                return EntityRef(self.senv.entity_of_name[sort.name], "")
-            rec = self.senv.record_of_name.get(sort.name)
+        if type(sort) is str:  # a datatype
+            if sort in self.senv.entity_of_name:
+                return EntityRef(self.senv.entity_of_name[sort], "")
+            rec = self.senv.record_of_name.get(sort)
             fields = []
             for attr in rec.attrs:
                 inner = self.senv.encode_type(attr.type)
                 fields.append(self._default(inner) if attr.required else _NONE)
-            return ("rec", sort.name, tuple(fields))
+            return ("rec", sort, tuple(fields))
         raise TypeError(f"no default for sort {sort!r}")
 
     def decode(self, v) -> Value:

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from cedar_engine.minisolver import CNF, Session, dpll
+from cedar_engine.minisolver import CNF, Session, _Check, dpll
 from cedar_engine.sat import Timeout
 from cedar_engine.sexpr import read_sexprs, write_sexpr
 from cedar_engine.smt_backend import Model, ModelEvaluator
@@ -352,7 +352,7 @@ def _sorted_scripts(monkeypatch) -> list:
     from cedar_engine import smt_backend
     from cedar_engine.smt_backend import SolverConfig
     from cedar_engine.symcc import analyze_equivalence
-    from cedar_engine.terms import Term, TIsSome, sort_shape, term_shape
+    from cedar_engine.terms import Term, TIsSome, term_shape
 
     captured = []
     real = smt_backend.script_commands
@@ -369,11 +369,11 @@ def _sorted_scripts(monkeypatch) -> list:
         if id(tree) in seen:
             return
         seen.add(id(tree))
-        subterms.append((tree, sort_shape(term.sort)))
+        subterms.append((tree, term.sort))
         shape = term_shape(term)
         for i, child in enumerate(shape if type(shape) is tuple else ()):
             if isinstance(child, Term):
-                slots.append((tree, i, "Option" if isinstance(term, TIsSome) else sort_shape(child.sort)))
+                slots.append((tree, i, "Option" if isinstance(term, TIsSome) else child.sort))
                 walk(child, tree[i], seen, slots, subterms)
 
     scripts = []
@@ -404,10 +404,17 @@ def _swapped(commands, parent, index, donor) -> list:
 
 
 def test_sort_mutations_answer_unknown(monkeypatch, gen_seed):
-    """Swapping one argument of a compiled script for a subterm of another
-    sort makes it ill-sorted: the solver answers unknown and raises nothing.
-    A swap for a subterm of the same sort raises nothing either."""
+    """The solver infers for every node of a compiled script the sort of
+    the term it came from.  Swapping one argument for a subterm of another
+    sort makes the script ill-sorted: the solver answers unknown and raises
+    nothing.  A swap for a subterm of the same sort raises nothing either."""
     scripts = _sorted_scripts(monkeypatch)
+    for commands, _, subterms in scripts:
+        session = Session()
+        session.run_commands([c for c in commands if c[0] != "check-sat"], io.StringIO())
+        check = _Check(session)
+        for tree, sort in subterms:
+            assert check.infer(tree) == sort, write_sexpr(tree)
     rng = random.Random(0x50127 + gen_seed)
     answers = {True: set(), False: set()}
     for i in range(600):

@@ -203,6 +203,25 @@ def test_if_then_else_expression():
     assert parse_policies(render_policy(p)) == [p]
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "1 + if true then 1 else 2",
+        "!if true then false else true",
+        "principal == if true then principal else principal",
+    ],
+)
+def test_if_is_an_operand_only_in_parentheses(src):
+    # Cedar's grammar allows `if` only at the Expr level.
+    with pytest.raises(ParseError) as err:
+        parse_expr(src)
+    (diag,) = err.value.diagnostics
+    assert (diag.span.line, diag.span.column) == (1, src.index("if") + 1)
+    parenthesised = src.replace("if", "(if", 1) + ")"
+    e = parse_expr(parenthesised)
+    assert parse_expr(render_expr(e)) == e
+
+
 def test_multiplication_literal_factor():
     assert parse_expr("2 * principal.n") == EMul(2, parse_expr("principal.n"))
     assert parse_expr("principal.n * 3") == EMul(3, parse_expr("principal.n"))

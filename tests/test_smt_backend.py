@@ -27,7 +27,6 @@ from cedar_engine.symcc import compile_expr, encode_types, is_true_term, wf_cons
 from cedar_engine.terms import (
     BOOL_S,
     InternalSortError,
-    SData,
     SSet,
     TAnd,
     TApp,
@@ -150,17 +149,17 @@ def _roundtrip_args():
 
 def test_print_script_rejects_ill_sorted():
     senv, _ = team_setup(with_wf=False)
-    user = TConst("principal", SData("User"))
+    user = TConst("principal", "User")
     with pytest.raises(InternalSortError):
-        TEq(user, TConst("resource", SData("Application")))
+        TEq(user, TConst("resource", "Application"))
     # What needs the declarations is checked when the script is printed.
     with pytest.raises(InternalSortError):
         print_script(senv, [TConst("mystery", BOOL_S)])
     with pytest.raises(InternalSortError):
         print_script(senv, [user])
     # teamInTeam is declared on a Team, not a User.
-    team_a = TApp("Team", (TStrLit("A"),), SData("Team"))
-    bad_app = TSetMember(team_a, TApp("teamInTeam", (user,), SSet(SData("Team"))))
+    team_a = TApp("Team", (TStrLit("A"),), "Team")
+    bad_app = TSetMember(team_a, TApp("teamInTeam", (user,), SSet("Team")))
     with pytest.raises(InternalSortError):
         print_script(senv, [bad_app])
 

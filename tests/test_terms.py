@@ -66,6 +66,8 @@ NUMS, STRS = TSetEmpty(BV64_S), TSetEmpty(STRING_S)
         lambda: TIsSome(P),
         lambda: TBVOp("bvadd", (N, S)),
         lambda: TBVOp("bvslt", (P, N)),
+        lambda: TBVOp("bvneg", (N, TBVLit(2))),
+        lambda: TBVOp("bvudiv", (N, N)),
         lambda: TBVLit(1 << 63),
         lambda: TBVLit(-(1 << 63) - 1),
         lambda: TStrInRe(N, RAll()),
@@ -82,9 +84,9 @@ NUMS, STRS = TSetEmpty(BV64_S), TSetEmpty(STRING_S)
     ],
     ids=[
         "ite-guard", "ite-branches", "eq", "and", "or", "not", "implies", "member", "subset",
-        "subset-non-set", "inter", "union", "val", "is-some", "bvadd", "bvslt", "bv-too-big",
-        "bv-too-small", "in-re", "ifok-body", "ifok-literal-guard", "mk-eq", "mk-and2", "mk-or2",
-        "mk-implies", "mk-ite-branches", "mk-ite-guard", "mk-or",
+        "subset-non-set", "inter", "union", "val", "is-some", "bvadd", "bvslt", "bvneg-arity",
+        "bv-unknown-head", "bv-too-big", "bv-too-small", "in-re", "ifok-body", "ifok-literal-guard",
+        "mk-eq", "mk-and2", "mk-or2", "mk-implies", "mk-ite-branches", "mk-ite-guard", "mk-or",
     ],
 )
 def test_ill_sorted_term_raises_where_it_is_built(build):

@@ -392,43 +392,18 @@ def expr_slots(e: Expr):
     return {s.name for s in subexpressions(e) if isinstance(s, ESlot)}
 
 
-def substitute_action(e: Expr, action: EntityRef) -> Expr:
-    """Replace every occurrence of the `action` variable with a literal ref."""
-    if isinstance(e, EVar):
-        return ELit(VEntity(action)) if e.name == "action" else e
-    if isinstance(e, (ELit, ESlot)):
-        return e
-    if isinstance(e, ESet):
-        return ESet(tuple(substitute_action(x, action) for x in e.elems))
-    if isinstance(e, ERecord):
-        return ERecord(tuple((k, substitute_action(x, action)) for k, x in e.fields))
-    if isinstance(e, EGetAttr):
-        return EGetAttr(substitute_action(e.obj, action), e.attr)
-    if isinstance(e, EHas):
-        return EHas(substitute_action(e.obj, action), e.attr)
-    if isinstance(e, EIs):
-        return EIs(substitute_action(e.obj, action), e.entity_type)
-    if isinstance(e, ELike):
-        return ELike(substitute_action(e.obj, action), e.pattern)
-    if isinstance(e, EAnd):
-        return EAnd(substitute_action(e.left, action), substitute_action(e.right, action))
-    if isinstance(e, EOr):
-        return EOr(substitute_action(e.left, action), substitute_action(e.right, action))
+def as_if(e: Expr) -> Expr:
+    """``!a``, ``a && b`` and ``a || b`` read as the conditionals they mean:
+    ``if a then false else true``, ``if a then (if b then true else false)
+    else false`` and ``if a then true else (if b then true else false)``.
+    The validator and the symbolic compiler type and compile this form."""
     if isinstance(e, ENot):
-        return ENot(substitute_action(e.arg, action))
-    if isinstance(e, ENeg):
-        return ENeg(substitute_action(e.arg, action))
-    if isinstance(e, EMul):
-        return EMul(e.factor, substitute_action(e.arg, action))
-    if isinstance(e, EBinop):
-        return EBinop(e.op, substitute_action(e.left, action), substitute_action(e.right, action))
-    if isinstance(e, EIf):
-        return EIf(
-            substitute_action(e.cond, action),
-            substitute_action(e.then, action),
-            substitute_action(e.els, action),
-        )
-    raise TypeError(f"not an expression: {e!r}")
+        return EIf(e.arg, E_FALSE, E_TRUE)
+    if isinstance(e, EAnd):
+        return EIf(e.left, EIf(e.right, E_TRUE, E_FALSE), E_FALSE)
+    if isinstance(e, EOr):
+        return EIf(e.left, E_TRUE, EIf(e.right, E_TRUE, E_FALSE))
+    raise TypeError(f"not a connective: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +511,13 @@ def closed_target(var: str, target: ScopeTarget) -> EntityRef:
 def _scope_expr(var: str, scope: Scope) -> Expr:
     if isinstance(scope, ScopeAny):
         return E_TRUE
-    if isinstance(scope, ScopeEq):
-        return EBinop("==", EVar(var), ELit(VEntity(closed_target(var, scope.target))))
-    if isinstance(scope, ScopeIn):
-        return EBinop("in", EVar(var), ELit(VEntity(closed_target(var, scope.target))))
+    if isinstance(scope, (ScopeEq, ScopeIn)):
+        target = scope.target
+        rhs = ESlot(target.name) if isinstance(target, SlotRef) else ELit(VEntity(target))
+        return EBinop("==" if isinstance(scope, ScopeEq) else "in", EVar(var), rhs)
     if isinstance(scope, ScopeInSet):
         return EBinop("in", EVar(var), ESet(tuple(ELit(VEntity(r)) for r in scope.targets)))
     raise TypeError(f"not a scope constraint: {scope!r}")
-
-
-def _scope_expr_sloted(var: str, scope: Scope) -> Expr:
-    # Internal variant for typechecking unlinked templates: slots stay as ESlot.
-    if isinstance(scope, (ScopeEq, ScopeIn)) and isinstance(scope.target, SlotRef):
-        op = "==" if isinstance(scope, ScopeEq) else "in"
-        return EBinop(op, EVar(var), ESlot(scope.target.name))
-    return _scope_expr(var, scope)
 
 
 def condition_expr(policy: Policy) -> Optional[Expr]:
@@ -563,15 +530,20 @@ def condition_expr(policy: Policy) -> Optional[Expr]:
     return out
 
 
-def toexp(policy: Policy, allow_slots: bool = False) -> Expr:
+def toexp(policy: Policy) -> Expr:
     """Desugar a policy to one expression.
 
     The conjunction is right-nested with scope conjuncts first:
     ``p && (a && (r && condition_expr(policy)))``.  Unconstrained scope parts
-    contribute literal ``true``.
+    contribute literal ``true``.  A slot in a template's scope becomes an
+    ``ESlot``, which the validator types and evaluation and compilation
+    refuse.
     """
-    mk = _scope_expr_sloted if allow_slots else _scope_expr
-    scopes = [mk("principal", policy.principal), mk("action", policy.action), mk("resource", policy.resource)]
+    scopes = [
+        _scope_expr("principal", policy.principal),
+        _scope_expr("action", policy.action),
+        _scope_expr("resource", policy.resource),
+    ]
     out = condition_expr(policy)
     for c in reversed(scopes):
         out = c if out is None else EAnd(c, out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .ast import (
     CedarError,
@@ -39,7 +39,7 @@ class PolicySet:
 
     Links are materialized into closed policies eagerly at construction, so
     indexing and evaluation only ever see closed policies.  The scope index
-    and the id lookup ``by_id`` are built lazily, once, on first use.
+    is built lazily, once, on first use.
     """
 
     closed_policies: tuple
@@ -69,10 +69,6 @@ class PolicySet:
     @cached_property
     def index(self) -> dict:
         return build_index(self)
-
-    @cached_property
-    def by_id(self) -> Callable[[str], Optional[Policy]]:
-        return {p.id: p for p in self.all_policies()}.get
 
 
 # The index key component for an unconstrained scope.

@@ -3,9 +3,10 @@
 Types become SMT sorts (entities and records are datatypes, longs are 64-bit
 bit-vectors), the request and store become uninterpreted constants and
 functions, and every compiled expression is Option-wrapped so that `none`
-marks a runtime error.  Statically-decided guards (notably comparisons of the
-substituted action literal) partially evaluate away, which mirrors the
-validator's dead-branch pruning.
+marks a runtime error.  The `action` variable compiles to the environment's
+action literal.  Statically-decided guards (notably the action comparisons
+that `validator.action_test` decides) partially evaluate away, which mirrors
+the validator's dead-branch pruning.
 
 Hierarchy well-formedness is grounded over the *footprint*: the entity-typed
 subexpressions actually compiled.  Acyclicity and transitivity instances over
@@ -57,13 +58,13 @@ from .ast import (
     VString,
     Value,
     WILDCARD,
+    as_if,
     render_type,
-    substitute_action,
     toexp,
 )
 from .authorizer import Decision, PolicySet, authorize
 from .entities import EntityStore, Request, build_store, merge_action_hierarchy
-from .validator import RequestEnv, Schema, action_literal, action_set_literal, environments, join
+from .validator import RequestEnv, Schema, action_literal, action_test, environments, join
 from .terms import (
     BOOL_S,
     BV64_S,
@@ -445,6 +446,8 @@ class _Compiler:
         if isinstance(e, ELit):
             return TSome(self._value_term(e.value))
         if isinstance(e, EVar):
+            if e.name == "action":
+                return TSome(self._value_term(VEntity(self.env.action)))
             return TSome(self.senv.var_const(self.env, e.name))
         if isinstance(e, ESlot):
             raise UnsupportedConstruct("template slots cannot be compiled; link the template first")
@@ -491,7 +494,7 @@ class _Compiler:
                 return mk_ifok(obj, TSome(TBoolLit(True)))
             return mk_ifok(obj, TSome(mk_is_some(f_term)))
         if isinstance(e, EIs):
-            a = action_literal(e.obj, self.schema)
+            a = action_literal(e.obj, self.env, self.schema)
             if a is not None:
                 return TSome(TBoolLit(a.entity_type == e.entity_type))
             obj = self.compile(e.obj)
@@ -502,12 +505,8 @@ class _Compiler:
             parts = tuple(RAll() if p is WILDCARD else RLit(p) for p in e.pattern.parts)
             regex = RConcat(parts) if parts else RLit("")
             return mk_ifok(obj, TSome(TStrInRe(mk_val(obj), regex)))
-        if isinstance(e, ENot):
-            return self._go(EIf(e.arg, ELit(VBool(False)), ELit(VBool(True))))
-        if isinstance(e, EAnd):
-            return self._go(EIf(e.left, EIf(e.right, ELit(VBool(True)), ELit(VBool(False))), ELit(VBool(False))))
-        if isinstance(e, EOr):
-            return self._go(EIf(e.left, ELit(VBool(True)), EIf(e.right, ELit(VBool(True)), ELit(VBool(False)))))
+        if isinstance(e, (ENot, EAnd, EOr)):
+            return self._go(as_if(e))
         if isinstance(e, ENeg):
             arg = self.compile(e.arg)
             v = mk_val(arg)
@@ -615,10 +614,9 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(body)))
 
     def _eq(self, e: EBinop) -> Term:
-        a1 = action_literal(e.left, self.schema)
-        a2 = action_literal(e.right, self.schema)
-        if a1 is not None and a2 is not None:
-            return TSome(TBoolLit(a1 == a2))
+        decided = action_test("==", e.left, e.right, self.env, self.schema)
+        if decided is not None:
+            return TSome(TBoolLit(decided))
         left = self.compile(e.left)
         right = self.compile(e.right)
         unified = self._unify([left, right])
@@ -630,15 +628,9 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(mk_eq(mk_val(left), mk_val(right)))))
 
     def _in(self, e: EBinop) -> Term:
-        lhs_action = action_literal(e.left, self.schema)
-        if lhs_action is not None:
-            rhs_one = action_literal(e.right, self.schema)
-            rhs_set = action_set_literal(e.right, self.schema)
-            if rhs_one is not None:
-                rhs_set = [rhs_one]
-            if rhs_set is not None:
-                hit = any(self.schema.action_in(lhs_action, r) for r in rhs_set)
-                return TSome(TBoolLit(hit))
+        decided = action_test("in", e.left, e.right, self.env, self.schema)
+        if decided is not None:
+            return TSome(TBoolLit(decided))
         left = self.compile(e.left)
         right = self.compile(e.right)
         v1, v2 = mk_val(left), mk_val(right)
@@ -668,12 +660,11 @@ def compile_expr(
 ) -> Term:
     """Compile a well-typed expression to an Option-sorted term.
 
-    The `action` variable is replaced by the environment's action first, so
-    no compile rule sees it.  When ``footprint`` is a list, every compiled entity-typed subexpression is
-    appended to it as a (term, entity type) pair, first occurrence order,
-    deduplicated.
+    The `action` variable compiles as the literal of the environment's
+    action.  When ``footprint`` is a list, every compiled entity-typed
+    subexpression is appended to it as a (term, entity type) pair, first
+    occurrence order, deduplicated.
     """
-    expr = substitute_action(expr, env.action)
     return _Compiler(env, schema, senv, footprint).compile(expr)
 
 

@@ -1,7 +1,8 @@
 """Schema-based policy validation.
 
 A policy is checked once per request environment (one environment per
-action and allowed principal/resource type pair).  The checker tracks
+action and allowed principal/resource type pair), where the `action`
+variable denotes the environment's action.  The checker tracks
 boolean singleton types (True/False) to prune dead branches and a
 capability set recording which optional attributes a `has` test has
 proven present on the current control path.
@@ -33,8 +34,6 @@ from .ast import (
     ESet,
     ESlot,
     EVar,
-    E_FALSE,
-    E_TRUE,
     EntityRef,
     Expr,
     FALSE_T,
@@ -61,8 +60,8 @@ from .ast import (
     VLong,
     VString,
     Value,
+    as_if,
     render_type,
-    substitute_action,
     toexp,
 )
 
@@ -304,9 +303,12 @@ def value_type(v: Value) -> CedarType:
     return TEntity(v.ref.entity_type)
 
 
-def action_literal(e: Expr, schema: Schema) -> Optional[EntityRef]:
-    """The action an expression names literally, or None.  The validator and
-    the symbolic compiler both fold comparisons of such literals statically."""
+def action_literal(e: Expr, env: RequestEnv, schema: Schema) -> Optional[EntityRef]:
+    """The action an expression names in ``env``, or None.  The `action`
+    variable names ``env.action``; an entity literal names an action when its
+    type is an action type or the schema declares it."""
+    if isinstance(e, EVar) and e.name == "action":
+        return env.action
     if isinstance(e, ELit) and isinstance(e.value, VEntity):
         ref = e.value.ref
         if ref.is_action() or ref in schema.actions:
@@ -314,17 +316,28 @@ def action_literal(e: Expr, schema: Schema) -> Optional[EntityRef]:
     return None
 
 
-def action_set_literal(e: Expr, schema: Schema) -> Optional[list]:
-    """The actions a set literal of action literals names, or None."""
-    if not isinstance(e, ESet):
+def action_test(op: str, left: Expr, right: Expr, env: RequestEnv, schema: Schema) -> Optional[bool]:
+    """``left == right`` or ``left in right`` decided in ``env`` when both
+    sides name actions (the right of `in` may be a set literal of actions),
+    or None.  The validator types the answer as a singleton and the symbolic
+    compiler folds it to a literal."""
+    lhs = action_literal(left, env, schema)
+    if lhs is None:
         return None
-    refs = []
-    for elem in e.elems:
-        ref = action_literal(elem, schema)
-        if ref is None:
-            return None
-        refs.append(ref)
-    return refs
+    if op == "in" and isinstance(right, ESet):
+        rhs = [action_literal(x, env, schema) for x in right.elems]
+    else:
+        rhs = [action_literal(right, env, schema)]
+    if any(r is None for r in rhs):
+        return None
+    if op == "==":
+        return lhs == rhs[0]
+    return any(schema.action_in(lhs, r) for r in rhs)
+
+
+def _singleton(b: bool):
+    """The type and capability of an expression statically known to be ``b``."""
+    return (TRUE_T, CAPS_NONE) if b else (FALSE_T, CAPS_TOP)
 
 
 class _Checker:
@@ -374,7 +387,6 @@ class _Checker:
                 return (TEntity(self.env.resource_type), CAPS_NONE)
             if e.name == "context":
                 return (self.env.context_type, CAPS_NONE)
-            # action should have been substituted; type it like the literal.
             return (TEntity(self.env.action.entity_type), CAPS_NONE)
         if isinstance(e, ESlot):
             # Unlinked templates: the slot stands for an entity of the
@@ -425,10 +437,10 @@ class _Checker:
             t_obj, _ = self.check(e.obj, caps)
             found = self._attribute(t_obj, e.attr, e)
             if found is None:
-                return (FALSE_T, CAPS_TOP)
+                return _singleton(False)
             required, _ = found
             if required:
-                return (TRUE_T, CAPS_NONE)
+                return _singleton(True)
             return (BOOL, Caps(False, frozenset({(e.obj, e.attr)})))
         if isinstance(e, EIs):
             t_obj, _ = self.check(e.obj, caps)
@@ -436,9 +448,7 @@ class _Checker:
                 raise PolicyTypeError(
                     TypeErrorKind.NOT_COMPARABLE, f"is test on {render_type(t_obj)}", e
                 )
-            if t_obj.name == e.entity_type:
-                return (TRUE_T, CAPS_NONE)
-            return (FALSE_T, CAPS_TOP)
+            return _singleton(t_obj.name == e.entity_type)
         if isinstance(e, ELike):
             t_obj, _ = self.check(e.obj, caps)
             if not isinstance(t_obj, TString):
@@ -446,12 +456,8 @@ class _Checker:
                     TypeErrorKind.NOT_COMPARABLE, f"like on {render_type(t_obj)}", e
                 )
             return (BOOL, CAPS_NONE)
-        if isinstance(e, ENot):
-            return self.check(EIf(e.arg, E_FALSE, E_TRUE), caps)
-        if isinstance(e, EAnd):
-            return self.check(EIf(e.left, EIf(e.right, E_TRUE, E_FALSE), E_FALSE), caps)
-        if isinstance(e, EOr):
-            return self.check(EIf(e.left, E_TRUE, EIf(e.right, E_TRUE, E_FALSE)), caps)
+        if isinstance(e, (ENot, EAnd, EOr)):
+            return self.check(as_if(e), caps)
         if isinstance(e, ENeg):
             t, _ = self.check(e.arg, caps)
             if not isinstance(t, TLong):
@@ -533,19 +539,17 @@ class _Checker:
         t2, _ = self.check(e.right, caps)
         if e.left == e.right:
             # Syntactically identical expressions evaluate to equal values.
-            return (TRUE_T, CAPS_NONE)
-        a1 = action_literal(e.left, self.schema)
-        a2 = action_literal(e.right, self.schema)
-        if a1 is not None and a2 is not None:
-            return (TRUE_T, CAPS_NONE) if a1 == a2 else (FALSE_T, CAPS_TOP)
+            return _singleton(True)
+        decided = action_test("==", e.left, e.right, self.env, self.schema)
+        if decided is not None:
+            return _singleton(decided)
         if isinstance(t1, TEntity) and isinstance(t2, TEntity):
             if t1.name != t2.name:
-                return (FALSE_T, CAPS_TOP)
+                return _singleton(False)
             lit1 = isinstance(e.left, ELit) and isinstance(e.left.value, VEntity)
             lit2 = isinstance(e.right, ELit) and isinstance(e.right.value, VEntity)
             if lit1 and lit2:
-                same = e.left.value.ref == e.right.value.ref
-                return (TRUE_T, CAPS_NONE) if same else (FALSE_T, CAPS_TOP)
+                return _singleton(e.left.value.ref == e.right.value.ref)
             return (BOOL, CAPS_NONE)
         if join(t1, t2) is None:
             raise PolicyTypeError(
@@ -561,19 +565,14 @@ class _Checker:
             raise PolicyTypeError(
                 TypeErrorKind.NOT_COMPARABLE, f"in with left operand {render_type(t1)}", e
             )
-        lhs_action = action_literal(e.left, self.schema)
-        if lhs_action is not None:
-            rhs_one = action_literal(e.right, self.schema)
-            rhs_many = action_set_literal(e.right, self.schema)
-            if rhs_one is not None:
-                rhs_many = [rhs_one]
-            if rhs_many is not None:
-                hit = any(self.schema.action_in(lhs_action, r) for r in rhs_many)
-                return (TRUE_T, CAPS_NONE) if hit else (FALSE_T, CAPS_TOP)
+        decided = action_test("in", e.left, e.right, self.env, self.schema)
+        if decided is not None:
+            return _singleton(decided)
+        if action_literal(e.left, self.env, self.schema) is not None:
             # Actions only ever have action ancestors.
             t2, _ = self.check(e.right, caps)
             if isinstance(t2, TEntity) or (isinstance(t2, TSet) and isinstance(t2.elem, TEntity)):
-                return (FALSE_T, CAPS_TOP)
+                return _singleton(False)
             raise PolicyTypeError(
                 TypeErrorKind.NOT_COMPARABLE, f"in with right operand {render_type(t2)}", e
             )
@@ -592,18 +591,19 @@ class _Checker:
                 TypeErrorKind.UNKNOWN_ENTITY_TYPE, f"entity type {t1.name} is not declared", e
             )
         if rhs_type != t1.name and rhs_type not in decl.parents:
-            return (FALSE_T, CAPS_TOP)
+            return _singleton(False)
         return (BOOL, CAPS_NONE)
 
 
-def typecheck(expr: Expr, env: RequestEnv, schema: Schema, incap: Caps = CAPS_NONE):
-    """Type an expression in one environment.
+def typecheck(expr: Expr, env: RequestEnv, schema: Schema):
+    """Type an expression in one environment, with no capability proven yet.
 
-    The `action` variable is replaced by the environment's action first, so
-    `action == Action::"view"` types the same as its substituted form.
-    Returns (type, capability) or raises PolicyTypeError.
+    The `action` variable denotes the environment's action: where that is
+    `Action::"view"`, `action == Action::"view"` types as
+    `Action::"view" == Action::"view"` does.  Returns (type, capability) or
+    raises PolicyTypeError.
     """
-    return _Checker(env, schema).check(substitute_action(expr, env.action), incap)
+    return _Checker(env, schema).check(expr, CAPS_NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +660,7 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
     for env in environments(schema):
         envs_of.setdefault(env.action, []).append(env)
     for policy in policies:
-        expr = toexp(policy, allow_slots=True)
+        expr = toexp(policy)
         actions = matching_actions(schema, policy.action)
         envs = [env for action in actions for env in envs_of.get(action, ())]
         if not envs:
@@ -669,7 +669,7 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
         types = []
         for env in envs:
             try:
-                t, _ = typecheck(expr, env, schema, CAPS_NONE)
+                t, _ = typecheck(expr, env, schema)
                 if not is_subtype(t, BOOL):
                     raise PolicyTypeError(
                         TypeErrorKind.NON_BOOLEAN_GUARD,

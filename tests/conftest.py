@@ -66,3 +66,41 @@ def fig_schema():
     from cedar_engine.parser import parse_schema
 
     return parse_schema(FIG_SCHEMA)
+
+
+# Action groups two levels deep: `view` and `edit` are in `Read`, `edit` is
+# also in `Write`, and `Read` and `Write` are in `All`.
+ACTION_GROUP_SCHEMA = """
+entity User;
+entity Team;
+entity Doc;
+action All;
+action Read, Write in [All];
+action view in [Read] appliesTo { principal: [User], resource: [Doc] };
+action edit in [Read, Write] appliesTo { principal: [User, Team], resource: [Doc] };
+action share in [Write] appliesTo { principal: [User], resource: [Doc, Team] };
+"""
+
+
+def action_forms(schema, env):
+    """(source, expected truth) for every static action form in ``env``."""
+    a = env.action
+    refs = list(schema.actions)
+    out = [("action is Action", True), ("action is User", False)]
+    for b in refs:
+        out += [
+            (f"action == {b}", a == b),
+            (f"{b} == action", b == a),
+            (f"action in {b}", schema.action_in(a, b)),
+            (f"{b} in action", schema.action_in(b, a)),
+        ]
+        for c in refs:
+            out.append((f"action in [{b}, {c}]", schema.action_in(a, b) or schema.action_in(a, c)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def action_group_schema():
+    from cedar_engine.parser import parse_schema
+
+    return parse_schema(ACTION_GROUP_SCHEMA)

@@ -31,7 +31,6 @@ from cedar_engine.ast import (
     VEntity,
     VLong,
     VString,
-    substitute_action,
     vrecord,
 )
 from cedar_engine.authorizer import PolicySet, Verdict, authorize
@@ -57,7 +56,6 @@ from cedar_engine.testkit import (
 )
 from cedar_engine.validator import (
     ActionDecl,
-    CAPS_NONE,
     EntityTypeDecl,
     PolicyTypeError,
     Schema,
@@ -119,7 +117,7 @@ def test_criterion_1_semantics_properties(gen_seed):
             try:
                 outcomes = {p.id: evaluate_policy(p, store, request) for p in ps.closed_policies}
                 sat = {pid for pid, o in outcomes.items() if o.status is PolicyEvalStatus.SATISFIED}
-                sat_permits = {pid for pid in sat if ps.by_id(pid).effect is Effect.PERMIT}
+                sat_permits = {p.id for p in ps.closed_policies if p.id in sat and p.effect is Effect.PERMIT}
                 sat_forbids = sat - sat_permits
                 decision = authorize(ps, store, request)
                 if sat_forbids:
@@ -306,13 +304,13 @@ action view, edit
 """
 
 
-def test_criterion_5_symbolic_fidelity():
+def test_criterion_5_symbolic_fidelity(gen_seed):
     start = time.time()
     schema = parse_schema(_FIDELITY_SCHEMA)
     senv_cache = {}
     checked = 0
     attempts = 0
-    seed = 0
+    seed = gen_seed * 1_000_000
     while checked < 10_000:
         seed += 1
         attempts += 1
@@ -327,12 +325,11 @@ def test_criterion_5_symbolic_fidelity():
             and e.resource_type == request.resource.entity_type
         )
         rng = random.Random(seed ^ 0xF1DE)
-        raw = gen_typed_bool_expr(rng, env, schema, store, depth=rng.randint(1, 3))
-        if raw is None:
+        expr = gen_typed_bool_expr(rng, env, schema, store, depth=rng.randint(1, 3))
+        if expr is None:
             continue
-        expr = substitute_action(raw, env.action)
         try:
-            typecheck(expr, env, schema, CAPS_NONE)
+            typecheck(expr, env, schema)
         except PolicyTypeError:
             continue
         if env not in senv_cache:

@@ -3,9 +3,11 @@
 import pytest
 
 from cedar_engine.ast import (
+    EBinop,
+    ESlot,
+    EVar,
     EntityRef,
     LikePattern,
-    NotClosed,
     Policy,
     ScopeEq,
     ScopeIn,
@@ -19,6 +21,8 @@ from cedar_engine.ast import (
     VLong,
 )
 from cedar_engine.authorizer import pof, rof
+from cedar_engine.entities import Request, build_store
+from cedar_engine.evaluator import EvalError, evaluate
 from cedar_engine.parser import parse_policies, render_expr
 from cedar_engine.testkit import GenConfig, gen_policies
 
@@ -59,10 +63,15 @@ def test_desugar_negates_unless():
     )
 
 
-def test_desugar_rejects_slots():
+def test_desugared_slots_are_refused_where_evaluated():
     (template,) = parse_policies('permit(principal in ?principal, action, resource);')
-    with pytest.raises(NotClosed):
-        toexp(template)
+    expr = toexp(template)
+    # The slot survives desugaring; only evaluating it fails.
+    assert expr.left == EBinop("in", EVar("principal"), ESlot("?principal"))
+    user = EntityRef("User", "alice")
+    request = Request(user, EntityRef("Action", "view"), EntityRef("Doc", "d"))
+    with pytest.raises(EvalError, match=r"unfilled template slot \?principal"):
+        evaluate(expr, build_store([(user, vrecord({}), set())]), request)
 
 
 def test_desugar_is_pure():

@@ -101,22 +101,6 @@ def test_slice_returns_each_closed_policy_at_most_once():
             assert all(id(p) in closed for p in selected)  # the set's own objects
 
 
-def test_sliced_authorize_never_looks_policies_up_by_id(monkeypatch, tinytodo_policies, tinytodo_store):
-    def fail(self):
-        raise AssertionError("authorize looked a policy up by id")
-
-    monkeypatch.setattr(PolicySet, "by_id", property(fail))
-    ps = PolicySet.from_policies(tinytodo_policies)
-    request = Request(
-        EntityRef("User", "aaron"),
-        EntityRef("Action", "GetList"),
-        EntityRef("List", "0"),
-        vrecord({}),
-    )
-    decision = authorize(ps, tinytodo_store, request, use_slicing=True)
-    assert decision.verdict is Verdict.ALLOW
-
-
 def test_deny_overrides_and_reports_forbid(tinytodo_policies, tinytodo_store):
     ps = PolicySet.from_policies(tinytodo_policies)
     request = Request(
@@ -171,15 +155,16 @@ def test_errored_policies_reported_not_fatal(tinytodo_store):
 
 def _combined_properties(ps, store, request):
     outcomes = {p.id: evaluate_policy(p, store, request) for p in ps.closed_policies}
+    effect = {p.id: p.effect for p in ps.closed_policies}
     sat_permits = {
         pid
         for pid, out in outcomes.items()
-        if out.status is PolicyEvalStatus.SATISFIED and ps.by_id(pid).effect is Effect.PERMIT
+        if out.status is PolicyEvalStatus.SATISFIED and effect[pid] is Effect.PERMIT
     }
     sat_forbids = {
         pid
         for pid, out in outcomes.items()
-        if out.status is PolicyEvalStatus.SATISFIED and ps.by_id(pid).effect is Effect.FORBID
+        if out.status is PolicyEvalStatus.SATISFIED and effect[pid] is Effect.FORBID
     }
     decision = authorize(ps, store, request)
     if sat_forbids:
@@ -357,11 +342,11 @@ def test_linked_and_errored_policies_report_the_same(tinytodo_store):
                 assert decision.determining == frozenset(determining)
                 assert [pid for pid, _ in decision.errors] == errored
                 assert {e.kind.value for _, e in decision.errors} == {"AttrNotFound"}
-    assert ps.by_id("g0").id == "g0"
-    assert ps.by_id("grant").is_template()
-    assert ps.by_id("nope") is None
+    assert {p.id for p in ps.closed_policies} == {"missing", "g0", "g1", "b0"}
+    templates = {p.id: p for p in ps.templates}
+    assert set(templates) == {"grant", "bar"}
     # A template is never closed: evaluating one directly still reports the error.
-    outcome = evaluate_policy(ps.by_id("grant"), tinytodo_store, aaron)
+    outcome = evaluate_policy(templates["grant"], tinytodo_store, aaron)
     assert outcome.status is PolicyEvalStatus.ERRORED
     assert outcome.error.kind is EvalErrorKind.TYPE_MISMATCH
     assert outcome.error.detail == "slot ?principal in principal constraint"

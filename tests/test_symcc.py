@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cedar_engine.ast import EntityRef, substitute_action, toexp
+from cedar_engine.ast import EntityRef, toexp
 from cedar_engine.authorizer import PolicySet
 from cedar_engine.parser import parse_expr, parse_policies, parse_schema
 from cedar_engine.smt_backend import print_script
@@ -25,7 +25,7 @@ from cedar_engine.terms import (
 )
 from cedar_engine.validator import environments
 
-from conftest import read_fixture
+from conftest import action_forms, read_fixture
 
 
 def get_env(schema, action_id):
@@ -43,8 +43,7 @@ action GetList appliesTo { principal: [User], resource: [Application] };
 def compile_src(src, schema, action_id, footprint=None):
     env = get_env(schema, action_id)
     senv = encode_types(schema, [env])
-    expr = substitute_action(parse_expr(src), env.action)
-    return compile_expr(expr, env, schema, senv, footprint=footprint), senv, env
+    return compile_expr(parse_expr(src), env, schema, senv, footprint=footprint), senv, env
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +145,7 @@ def test_compiled_terms_sort_check(fig_schema, tinytodo_policies):
     for env in environments(schema):
         senv = encode_types(schema, [env])
         for p in tinytodo_policies:
-            expr = substitute_action(toexp(p), env.action)
-            t = compile_expr(expr, env, schema, senv)
+            t = compile_expr(toexp(p), env, schema, senv)
             assert t.sort == SOption(BOOL_S)
             print_script(senv, [is_true_term(t)])  # checks applications against their signatures
 
@@ -157,9 +155,17 @@ def test_dead_branches_never_compiled(fig_schema, tinytodo_policies):
     # Application; the action guard folds false first.
     env = get_env(fig_schema, "CreateList")
     senv = encode_types(fig_schema, [env])
-    expr = substitute_action(toexp(tinytodo_policies[3]), env.action)
-    t = compile_expr(expr, env, fig_schema, senv)
+    t = compile_expr(toexp(tinytodo_policies[3]), env, fig_schema, senv)
     assert t == TSome(TBoolLit(False))
+
+
+def test_action_forms_fold_to_literals_that_agree_with_action_in(action_group_schema):
+    schema = action_group_schema
+    for env in environments(schema):
+        senv = encode_types(schema, [env])
+        for src, want in action_forms(schema, env):
+            got = compile_expr(parse_expr(src), env, schema, senv)
+            assert got == TSome(TBoolLit(want)), (env.describe(), src)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,7 @@ action view appliesTo { principal: [User], resource: [Doc],
 def _structured_exprs(schema, env, store, seed, count):
     """`count` well-typed structured expressions from one generator seed, or None."""
     from cedar_engine.testkit import gen_typed_bool_expr
-    from cedar_engine.validator import CAPS_NONE, PolicyTypeError, typecheck
+    from cedar_engine.validator import PolicyTypeError, typecheck
 
     rng = random.Random(seed ^ 0x5E7)
     out = []
@@ -391,7 +397,7 @@ def _structured_exprs(schema, env, store, seed, count):
         if expr is None:
             return None
         try:
-            typecheck(expr, env, schema, CAPS_NONE)
+            typecheck(expr, env, schema)
         except PolicyTypeError:
             return None
         out.append(expr)
@@ -522,17 +528,21 @@ action view appliesTo { principal: [User], resource: [Doc], context: {
         "principal == resource",
         "context has zz || context.r has zz",
         "action is Action",
+        # `action` where no static action rule decides the comparison.
+        '[action].contains(Action::"view")',
+        "action in principal",
+        "action == principal",
     ],
 )
 def test_coercions_and_static_rules_agree_with_evaluation(src):
     from cedar_engine.evaluator import EvalError, evaluate
     from cedar_engine.testkit import GenConfig, TermInterpreter, gen_conforming
-    from cedar_engine.validator import CAPS_NONE, typecheck
+    from cedar_engine.validator import typecheck
 
     schema = parse_schema(COERCION_SCHEMA)
     (env,) = environments(schema)
-    expr = substitute_action(parse_expr(src), env.action)
-    typecheck(expr, env, schema, CAPS_NONE)
+    expr = parse_expr(src)
+    typecheck(expr, env, schema)
     senv = encode_types(schema, [env])
     term = compile_expr(expr, env, schema, senv)
     for seed in range(200):
@@ -548,9 +558,13 @@ def test_coercions_and_static_rules_agree_with_evaluation(src):
 
 
 def test_template_slots_are_not_compiled(fig_schema):
+    from cedar_engine.ast import ESlot, subexpressions
     from cedar_engine.symcc import UnsupportedConstruct
 
     (template,) = parse_policies("permit(principal == ?principal, action, resource);")
+    expr = toexp(template)
+    # The slot survives desugaring; the compiler is where it is refused.
+    assert ESlot("?principal") in set(subexpressions(expr))
     env = get_env(fig_schema, "GetList")
     with pytest.raises(UnsupportedConstruct, match="link the template first"):
-        compile_expr(toexp(template, allow_slots=True), env, fig_schema, encode_types(fig_schema, [env]))
+        compile_expr(expr, env, fig_schema, encode_types(fig_schema, [env]))

@@ -4,6 +4,7 @@ import pytest
 
 from cedar_engine.ast import (
     EMPTY_RECORD,
+    EntityRef,
     BOOL,
     FALSE_T,
     LONG,
@@ -16,7 +17,6 @@ from cedar_engine.ast import (
     toexp,
     trecord,
     STRING,
-    substitute_action,
 )
 from cedar_engine.parser import parse_expr, parse_policies, parse_schema
 from cedar_engine.validator import (
@@ -24,6 +24,7 @@ from cedar_engine.validator import (
     Caps,
     PolicyTypeError,
     TypeErrorKind,
+    _Checker,
     environments,
     is_subtype,
     join,
@@ -32,7 +33,7 @@ from cedar_engine.validator import (
     validate,
 )
 
-from conftest import read_fixture
+from conftest import action_forms, read_fixture
 
 
 def env_for(schema, action_id, ptype=None, rtype=None):
@@ -47,9 +48,8 @@ def env_for(schema, action_id, ptype=None, rtype=None):
     raise AssertionError(f"no environment for {action_id}")
 
 
-def check(src, env, schema, caps=CAPS_NONE):
-    expr = substitute_action(parse_expr(src), env.action)
-    return typecheck(expr, env, schema, caps)
+def check(src, env, schema):
+    return typecheck(parse_expr(src), env, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_github_environment_count():
 def test_dead_branch_pruned_under_mismatched_action(fig_schema, tinytodo_policies):
     policy3 = tinytodo_policies[3]
     env = env_for(fig_schema, "CreateList")
-    expr = substitute_action(toexp(policy3), env.action)
+    expr = toexp(policy3)
     # resource.readers would not typecheck for Application, but the False
     # action guard prunes it.
     t, _ = typecheck(expr, env, fig_schema)
@@ -93,17 +93,30 @@ def test_dead_branch_pruned_under_mismatched_action(fig_schema, tinytodo_policie
 
 
 def test_action_variable_types_as_its_substituted_form(fig_schema):
-    # typecheck substitutes the environment's action itself, so a raw
-    # `action` comparison folds exactly as the substituted one does.
+    # `action` denotes the environment's action: each form types as the same
+    # text with that action's literal written in its place.
     env = env_for(fig_schema, "GetList")
-    for src, want in (
-        ('action == Action::"GetList"', TTrue),
-        ('action == Action::"CreateList"', TFalse),
-        ('action in [Action::"CreateList", Action::"GetList"]', TTrue),
+    for src, literal, want in (
+        ('action == Action::"GetList"', 'Action::"GetList" == Action::"GetList"', TTrue),
+        ('action == Action::"CreateList"', 'Action::"GetList" == Action::"CreateList"', TFalse),
+        (
+            'action in [Action::"CreateList", Action::"GetList"]',
+            'Action::"GetList" in [Action::"CreateList", Action::"GetList"]',
+            TTrue,
+        ),
     ):
-        raw = parse_expr(src)
-        assert typecheck(raw, env, fig_schema) == typecheck(substitute_action(raw, env.action), env, fig_schema)
-        assert isinstance(typecheck(raw, env, fig_schema)[0], want)
+        got = check(src, env, fig_schema)
+        assert got == check(literal, env, fig_schema)
+        assert isinstance(got[0], want)
+
+
+def test_action_forms_type_as_singletons_that_agree_with_action_in(action_group_schema):
+    schema = action_group_schema
+    assert schema.action_in(EntityRef("Action", "view"), EntityRef("Action", "All"))  # through Read
+    for env in environments(schema):
+        for src, want in action_forms(schema, env):
+            t, _ = check(src, env, schema)
+            assert isinstance(t, TTrue if want else TFalse), (env.describe(), src)
 
 
 def test_true_conjunction_is_true_singleton(fig_schema):
@@ -187,8 +200,8 @@ def test_capability_monotonicity(fig_schema):
     ]
     bigger = Caps(False, frozenset({(parse_expr("principal"), "score"), (parse_expr("principal"), "nick")}))
     for src in exprs:
-        t1, _ = check(src, env, schema, CAPS_NONE)
-        t2, _ = check(src, env, schema, bigger)
+        t1, _ = check(src, env, schema)
+        t2, _ = _Checker(env, schema).check(parse_expr(src), bigger)
         assert t1 == t2  # enlarging the capability never breaks a check
 
 
@@ -411,7 +424,7 @@ def test_singleton_soundness_on_small_enumeration(fig_schema):
             continue
         count += 1
         for src, expected in samples:
-            expr = substitute_action(parse_expr(src), env.action)
+            expr = parse_expr(src)
             t, _ = typecheck(expr, env, fig_schema)
             assert isinstance(t, (TTrue if expected else TFalse))
             assert evaluate(expr, store, request) == VBool(expected)

@@ -614,7 +614,8 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(body)))
 
     def _eq(self, e: EBinop) -> Term:
-        decided = action_test("==", e.left, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.env, self.schema)
+        decided = action_test("==", lhs, e.right, self.env, self.schema)
         if decided is not None:
             return TSome(TBoolLit(decided))
         left = self.compile(e.left)
@@ -628,7 +629,8 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(mk_eq(mk_val(left), mk_val(right)))))
 
     def _in(self, e: EBinop) -> Term:
-        decided = action_test("in", e.left, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.env, self.schema)
+        decided = action_test("in", lhs, e.right, self.env, self.schema)
         if decided is not None:
             return TSome(TBoolLit(decided))
         left = self.compile(e.left)

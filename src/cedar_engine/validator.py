@@ -10,7 +10,7 @@ proven present on the current control path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -316,12 +316,14 @@ def action_literal(e: Expr, env: RequestEnv, schema: Schema) -> Optional[EntityR
     return None
 
 
-def action_test(op: str, left: Expr, right: Expr, env: RequestEnv, schema: Schema) -> Optional[bool]:
+def action_test(
+    op: str, lhs: Optional[EntityRef], right: Expr, env: RequestEnv, schema: Schema
+) -> Optional[bool]:
     """``left == right`` or ``left in right`` decided in ``env`` when both
     sides name actions (the right of `in` may be a set literal of actions),
-    or None.  The validator types the answer as a singleton and the symbolic
-    compiler folds it to a literal."""
-    lhs = action_literal(left, env, schema)
+    or None.  ``lhs`` is the left operand's `action_literal`.  The validator
+    types the answer as a singleton and the symbolic compiler folds it to a
+    literal."""
     if lhs is None:
         return None
     if op == "in" and isinstance(right, ESet):
@@ -344,6 +346,20 @@ class _Checker:
     def __init__(self, env: RequestEnv, schema: Schema):
         self.env = env
         self.schema = schema
+        self.action = ELit(VEntity(env.action))
+
+    def _ground(self, x):
+        """An expression (or a tuple of them, or a field) with `action`
+        written as the environment's action literal.  The identity rule of
+        `==` and capability keys compare expressions in this form: `action`
+        and that literal evaluate alike."""
+        if isinstance(x, EVar) and x.name == "action":
+            return self.action
+        if isinstance(x, tuple):
+            return tuple(map(self._ground, x))
+        if isinstance(x, Expr) and not isinstance(x, (ELit, EVar, ESlot)):
+            return replace(x, **{f.name: self._ground(getattr(x, f.name)) for f in fields(x)})
+        return x
 
     # -- helpers ----------------------------------------------------------
 
@@ -426,7 +442,7 @@ class _Checker:
                     e,
                 )
             required, t_attr = found
-            if not required and not caps.has(e.obj, e.attr):
+            if not required and not caps.has(self._ground(e.obj), e.attr):
                 raise PolicyTypeError(
                     TypeErrorKind.CAPABILITY_REQUIRED,
                     f"optional attribute {e.attr} accessed without a preceding has check",
@@ -441,7 +457,7 @@ class _Checker:
             required, _ = found
             if required:
                 return _singleton(True)
-            return (BOOL, Caps(False, frozenset({(e.obj, e.attr)})))
+            return (BOOL, Caps(False, frozenset({(self._ground(e.obj), e.attr)})))
         if isinstance(e, EIs):
             t_obj, _ = self.check(e.obj, caps)
             if not isinstance(t_obj, TEntity):
@@ -537,10 +553,11 @@ class _Checker:
     def _eq(self, e: EBinop, caps: Caps):
         t1, _ = self.check(e.left, caps)
         t2, _ = self.check(e.right, caps)
-        if e.left == e.right:
+        if self._ground(e.left) == self._ground(e.right):
             # Syntactically identical expressions evaluate to equal values.
             return _singleton(True)
-        decided = action_test("==", e.left, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.env, self.schema)
+        decided = action_test("==", lhs, e.right, self.env, self.schema)
         if decided is not None:
             return _singleton(decided)
         if isinstance(t1, TEntity) and isinstance(t2, TEntity):
@@ -565,10 +582,11 @@ class _Checker:
             raise PolicyTypeError(
                 TypeErrorKind.NOT_COMPARABLE, f"in with left operand {render_type(t1)}", e
             )
-        decided = action_test("in", e.left, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.env, self.schema)
+        decided = action_test("in", lhs, e.right, self.env, self.schema)
         if decided is not None:
             return _singleton(decided)
-        if action_literal(e.left, self.env, self.schema) is not None:
+        if lhs is not None:
             # Actions only ever have action ancestors.
             t2, _ = self.check(e.right, caps)
             if isinstance(t2, TEntity) or (isinstance(t2, TSet) and isinstance(t2.elem, TEntity)):

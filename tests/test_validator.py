@@ -108,6 +108,34 @@ def test_action_variable_types_as_its_substituted_form(fig_schema):
         got = check(src, env, fig_schema)
         assert got == check(literal, env, fig_schema)
         assert isinstance(got[0], want)
+    # Inside compared operands and capability keys too: `action` and its
+    # literal are the same expression to the identity rule of `==` and to
+    # `has` guards.
+    schema = parse_schema(ACTION_ATTRS_SCHEMA)
+    env = env_for(schema, "view")
+    for src, literal, want in (
+        ('[action] == [Action::"view"]', '[Action::"view"] == [Action::"view"]', TTrue),
+        ('{a: action} == {a: Action::"view"}', '{a: Action::"view"} == {a: Action::"view"}', TTrue),
+        ('action.n == Action::"view".n', 'Action::"view".n == Action::"view".n', TTrue),
+        ('Action::"view" has s && action.s == ""', 'Action::"view" has s && Action::"view".s == ""', TBool),
+        ('action has s && Action::"view".s == ""', 'Action::"view" has s && Action::"view".s == ""', TBool),
+        (
+            'if [action] == [Action::"view"] then true else 1 + "a"',
+            'if [Action::"view"] == [Action::"view"] then true else 1 + "a"',
+            TTrue,
+        ),
+    ):
+        got = check(src, env, schema)
+        assert got == check(literal, env, schema), src
+        assert isinstance(got[0], want), src
+
+
+ACTION_ATTRS_SCHEMA = """
+entity User;
+entity Doc;
+entity Action { n: Long, s?: String };
+action view appliesTo { principal: [User], resource: [Doc] };
+"""
 
 
 def test_action_forms_type_as_singletons_that_agree_with_action_in(action_group_schema):

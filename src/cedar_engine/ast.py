@@ -388,10 +388,6 @@ def expr_depth(e: Expr) -> int:
     return depth
 
 
-def expr_slots(e: Expr):
-    return {s.name for s in subexpressions(e) if isinstance(s, ESlot)}
-
-
 def as_if(e: Expr) -> Expr:
     """``!a``, ``a && b`` and ``a || b`` read as the conditionals they mean:
     ``if a then false else true``, ``if a then (if b then true else false)
@@ -474,18 +470,17 @@ class Policy:
         return None
 
     def slots(self) -> frozenset:
-        """The slot names in the scope and conditions, found once per policy."""
+        """The slot names in the scope, found once per policy; the parser
+        admits no slot in a condition."""
         return self._slots
 
     @cached_property
     def _slots(self) -> frozenset:
-        found = set()
-        for scope in (self.principal, self.resource):
-            if isinstance(scope, (ScopeEq, ScopeIn)) and isinstance(scope.target, SlotRef):
-                found.add(scope.target.name)
-        for _, e in self.conditions:
-            found |= expr_slots(e)
-        return frozenset(found)
+        return frozenset(
+            scope.target.name
+            for scope in (self.principal, self.resource)
+            if isinstance(scope, (ScopeEq, ScopeIn)) and isinstance(scope.target, SlotRef)
+        )
 
     def is_template(self) -> bool:
         return bool(self.slots())

@@ -332,6 +332,10 @@ class _Parser:
 
 
 class _PolicyParser(_Parser):
+    # The kind of the condition being parsed, if any: a slot may stand in a
+    # policy's scope or in a lone expression, never in a condition.
+    clause: Optional[CondKind] = None
+
     def parse(self) -> list:
         policies = []
         while not self.at("eof"):
@@ -367,7 +371,9 @@ class _PolicyParser(_Parser):
             # more `&&` if another condition follows (assumed: not known yet),
             # and the `!` of an `unless`.
             outer = 4 + len(conditions) + (kind is CondKind.UNLESS)
+            self.clause = kind
             conditions.append((kind, self._bounded_expr(outer)))
+            self.clause = None
             self.expect("}")
         self.expect(";", "';' after policy")
         ann_map = dict(annotations)
@@ -576,6 +582,8 @@ class _PolicyParser(_Parser):
             self.next()
             return ELit(VString(tok.value))
         if tok.kind == "slot":
+            if self.clause is not None:
+                self.error(f"slot {tok.text} in a {self.clause.value} condition: slots may appear only in the scope", tok)
             self.next()
             if tok.text not in ("?principal", "?resource"):
                 self.error(f"unknown slot {tok.text}", tok)

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .ast import CedarError
 from .sexpr import SexprError, Sharer, is_string_literal, read_sexprs, write_sexpr
-from .terms import BOOL_S, InternalSortError, TApp, TConst, Term, term_shape
+from .terms import BOOL_S, InternalSortError, Term, term_shape
 
 
 class SolverUnavailable(CedarError):
@@ -55,37 +55,39 @@ _OPTION_DECL = "(declare-datatypes ((Option 1)) ((par (X) ((none) (some (val X))
 _INLINE_CHARS = 40
 
 
-def _terms_in(shape) -> list:
-    return [x for x in shape if isinstance(x, Term)] if type(shape) is tuple else []
+# Leaf heads that are built in, not declared constants.
+_BUILT_IN_LEAVES = frozenset({"true", "false", "re.all"})
 
 
-def _visit(node: Term, uses: dict, order: list, shapes: dict, consts: set, signatures: dict) -> None:
+def _visit(node: Term, uses: dict, order: list, consts: set, signatures: dict) -> None:
     key = id(node)
     if key in uses:
         uses[key] += 1
         return
     uses[key] = 1
-    if isinstance(node, TConst):
-        consts.add((node.name, node.sort))
-    elif isinstance(node, TApp) and node.fn in signatures:
-        want_args, want_res = signatures[node.fn]
-        got = tuple(a.sort for a in node.args)
-        if tuple(want_args) != got or want_res != node.sort:
-            raise InternalSortError(f"application {node.fn}: got {[write_sexpr(s) for s in got]}")
-    shapes[key] = term_shape(node)
-    for child in _terms_in(shapes[key]):
-        _visit(child, uses, order, shapes, consts, signatures)
+    head = node.head
+    if type(head) is str:
+        if head in signatures:
+            want_args, want_res = signatures[head]
+            got = tuple(a.sort for a in node.args)
+            if tuple(want_args) != got or want_res != node.sort:
+                raise InternalSortError(f"application {head}: got {[write_sexpr(s) for s in got]}")
+        elif not node.args and head not in _BUILT_IN_LEAVES:
+            consts.add((head, node.sort))
+    for child in node.args:
+        _visit(child, uses, order, consts, signatures)
     order.append(node)
 
 
 def _checked_walks(senv, assertions) -> list:
-    """For each assertion, (uses, order, shapes): how often each distinct
-    subterm occurs as an argument (the root: once), the distinct subterms
-    each after its children, and each one's `term_shape`, keyed by id.
+    """For each assertion, (uses, order): how often each distinct subterm
+    occurs as an argument (the root: once), keyed by id, and the distinct
+    subterms, each after its arguments.
 
     The terms' own sorts were checked when they were built; here each
-    assertion must be Bool, and every application and constant must agree
-    with its declaration in `senv`."""
+    assertion must be Bool, every application of a declared function,
+    constructor or selector must agree with its signature, and every
+    constant with its declaration in `senv`."""
     for a in assertions:
         if a.sort != BOOL_S:
             raise InternalSortError(f"assertion of sort {write_sexpr(a.sort)}")
@@ -93,7 +95,7 @@ def _checked_walks(senv, assertions) -> list:
     consts: set = set()
     walks = []
     for a in assertions:
-        walks.append(({}, [], {}))
+        walks.append(({}, []))
         _visit(a, *walks[-1], consts, signatures)
     for name, sort in consts:
         if senv.const_sigs.get(name) != sort:
@@ -114,11 +116,11 @@ def _declarations(senv) -> list:
     return out
 
 
-def _let_sexpr(t: Term, uses: dict, order: list, shapes: dict) -> str:
+def _let_sexpr(t: Term, uses: dict, order: list) -> str:
     """term_sexpr(t), except that a subterm occurring more than once, and
     longer than _INLINE_CHARS, is bound once by a `let` and named where it
     occurs, so the text grows with the distinct subterms, not with the
-    unfolded tree.  `uses`, `order` and `shapes` are t's walk.
+    unfolded tree.  `uses` and `order` are t's walk.
 
     A binding's term names only bindings of earlier lets, so the lets nest
     as deep as the chain of shared subterms, not one per binding.
@@ -130,8 +132,8 @@ def _let_sexpr(t: Term, uses: dict, order: list, shapes: dict) -> str:
     leaf = lambda x: text[id(x)] if isinstance(x, Term) else str(x)  # noqa: E731
     for node in order:
         key = id(node)
-        need = max((depth[id(c)] for c in _terms_in(shapes[key])), default=0)
-        body = write_sexpr(shapes[key], leaf)
+        need = max((depth[id(c)] for c in node.args), default=0)
+        body = write_sexpr(term_shape(node), leaf)
         if uses[key] > 1 and len(body) > _INLINE_CHARS:
             if need == len(lets):
                 lets.append([])
@@ -159,15 +161,15 @@ def print_script(senv, assertions) -> str:
 
 def script_commands(senv, assertions) -> list:
     """The commands of print_script(senv, assertions) as `read_sexprs`
-    reads them, built from the shapes of the checking walk, without the
+    reads them, built in the order of the checking walk, without the
     set-logic, set-option and Option declarations, which the bundled solver
     skips.  Raises InternalSortError as print_script does."""
     sharer, trees = Sharer(), {}  # id(term) -> its tree
     sub = lambda child: trees[id(child)]  # noqa: E731
-    for _, order, shapes in _checked_walks(senv, assertions):
+    for _, order in _checked_walks(senv, assertions):
         for node in order:
             if id(node) not in trees:
-                trees[id(node)] = sharer.share(shapes[id(node)], sub)
+                trees[id(node)] = sharer.share(term_shape(node), sub)
     commands = [sharer.share(d) for d in _declarations(senv)]
     commands.extend(sharer.node((sharer.share("assert"), trees[id(a)])) for a in assertions)
     commands.append(sharer.share(("check-sat",)))

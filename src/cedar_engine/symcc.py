@@ -68,9 +68,6 @@ from .validator import RequestEnv, Schema, action_literal, action_test, environm
 from .terms import (
     BOOL_S,
     BV64_S,
-    RAll,
-    RConcat,
-    RLit,
     SOption,
     SSet,
     STRING_S,
@@ -80,6 +77,8 @@ from .terms import (
     TBoolLit,
     TConst,
     TNone,
+    TReAll,
+    TReConcat,
     TSetEmpty,
     TSetInter,
     TSetMember,
@@ -87,6 +86,7 @@ from .terms import (
     TSome,
     TStrInRe,
     TStrLit,
+    TStrToRe,
     Term,
     TRUE_TERM,
     mk_and2,
@@ -291,7 +291,7 @@ class SymbolicEnv:
         self.const_order.append(name)
         self.var_consts[(env, var)] = (name, sort)
 
-    def var_const(self, env: RequestEnv, var: str) -> TConst:
+    def var_const(self, env: RequestEnv, var: str) -> Term:
         name, sort = self.var_consts[(env, var)]
         return TConst(name, sort)
 
@@ -502,8 +502,8 @@ class _Compiler:
             return mk_ifok(obj, TSome(TBoolLit(entity_type == e.entity_type)))
         if isinstance(e, ELike):
             obj = self.compile(e.obj)
-            parts = tuple(RAll() if p is WILDCARD else RLit(p) for p in e.pattern.parts)
-            regex = RConcat(parts) if parts else RLit("")
+            parts = [TReAll() if p is WILDCARD else TStrToRe(p) for p in e.pattern.parts]
+            regex = TReConcat(parts) if parts else TStrToRe("")
             return mk_ifok(obj, TSome(TStrInRe(mk_val(obj), regex)))
         if isinstance(e, (ENot, EAnd, EOr)):
             return self._go(as_if(e))

@@ -1,14 +1,17 @@
 """Typed SMT term trees.
 
-Every term has exactly one sort, its `sort` attribute, a tree as SMT-LIB
-writes it (see `sexpr`): fixed by its class, or derived from its children's
-sorts when it is built.  A term written ``(head, *children)`` gets its sort
-from its head's rank in `sexpr.RANKS`, the table the bundled solver checks
-its input against, so building an ill-sorted term raises
-`InternalSortError`.  Only the checks that need the declarations (each
-application against its function's signature, each constant against its
-declaration) are left to `smt_backend`, which makes them once for a
-script, whether it is printed or built as trees.
+A term is its SMT-LIB application: one `Term` holds its head, its argument
+terms and its sort, a tree as SMT-LIB writes it (see `sexpr`).  The head is
+data: an operator (`"and"`, `"set.member"`, `("_", "is", "some")`), a
+declared function's, constructor's, selector's or constant's name, or a
+leaf's text (`"true"`, `("_", "bv5", 64)`, `("string", s)`,
+`("as", "none", sort)`).  A term of a built-in head gets its sort from that
+head's rank in `sexpr.RANKS`, the table the bundled solver checks its input
+against, so building an ill-sorted term raises `InternalSortError`.  Only
+the checks that need the declarations (each application against its
+function's signature, each constant against its declaration) are left to
+`smt_backend`, which makes them once for a script, whether it is printed or
+built as trees.
 
 The smart constructors check their operands' sorts first, then partially
 evaluate (literal guards collapse conditionals, `and`/`or`/`implies` drop
@@ -16,14 +19,14 @@ literal operands, membership in a set literal listing the element is true)
 so that statically-decided subexpressions vanish from the output.  Terms
 are spelled (`term_shape`) in the finite-set theory's names (`set.member`,
 `set.subset`, `set.inter`, `set.singleton`, `as set.empty`), as text
-(`term_sexpr`) or as a shared tree (`term_tree`).
+(`term_sexpr`) or as a shared tree (`term_tree`).  A regex is a term of sort
+RegLan.
 
 Option-wrapped sorts carry the error channel: `none` is a runtime error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ast import CedarError, I64_MAX, I64_MIN
@@ -51,15 +54,14 @@ def SOption(elem):
     return ("Option", elem)
 
 
-def _check(shape: tuple):
-    """The sort of the term written `shape`, `(head, *children)`, by its
-    head's rank; raises InternalSortError when the children's sorts do not
-    fit it."""
-    # Most terms built have one child (`TSome` above all): no loop for them.
-    sorts = (shape[1].sort,) if len(shape) == 2 else tuple([a.sort for a in shape[1:]])
-    sort = _result_sort(shape[0], sorts)
+def _check(head, args: tuple):
+    """The sort of `head` applied to `args`, by the head's rank; raises
+    InternalSortError when the arguments' sorts do not fit it."""
+    # Most terms built have one argument (`TSome` above all): no loop for them.
+    sorts = (args[0].sort,) if len(args) == 1 else tuple([a.sort for a in args])
+    sort = _result_sort(head, sorts)
     if sort is None:
-        raise InternalSortError(f"{write_sexpr(shape[0])} applied to arguments of sorts {write_sexpr(sorts)}")
+        raise InternalSortError(f"{write_sexpr(head)} applied to arguments of sorts {write_sexpr(sorts)}")
     return sort
 
 
@@ -76,197 +78,161 @@ def _result_sort(head, sorts: tuple):
 
 
 class Term:
-    """An SMT term.  Each has a `sort`: given (constants, applications),
-    fixed by its class, or derived from its children's sorts when it is
-    built.  A derived sort takes no part in equality or hashing."""
+    """An SMT term: `head` applied to the terms `args` (none for a leaf),
+    of sort `sort`.  Given no sort, the term takes the one its head's rank
+    gives its arguments.  Immutable; equal to a Term of equal head,
+    arguments and sort, and to nothing else."""
 
-    __slots__ = ()
+    __slots__ = ("head", "args", "sort", "_hash")
 
+    def __init__(self, head, args: tuple = (), sort=None):
+        init = object.__setattr__
+        init(self, "head", head)
+        init(self, "args", args)
+        init(self, "sort", _check(head, args) if sort is None else sort)
 
-def _derived_sort():
-    return field(init=False, compare=False, repr=False)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Term is immutable: cannot set {name}")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"a Term is immutable: cannot delete {name}")
 
-@dataclass(frozen=True)
-class _Ranked(Term):
-    """A term written `(head, *children)` (its `term_shape`), whose sort is
-    its head's rank applied to its children's sorts."""
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Term:
+            return NotImplemented
+        return self.head == other.head and self.args == other.args and self.sort == other.sort
 
-    sort: object = _derived_sort()
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.head, self.args, self.sort))
+            object.__setattr__(self, "_hash", h)
+            return h
 
-    def __post_init__(self):
-        object.__setattr__(self, "sort", _check(_SHAPES[type(self)](self)))
-
-
-@dataclass(frozen=True)
-class TBoolLit(Term):
-    b: bool
-    sort = BOOL
-
-
-@dataclass(frozen=True)
-class TBVLit(Term):
-    i: int  # signed, within 64-bit range
-    sort = BV
-
-    def __post_init__(self):
-        if not (I64_MIN <= self.i <= I64_MAX):
-            raise InternalSortError("bitvector literal out of range")
-
-
-@dataclass(frozen=True)
-class TStrLit(Term):
-    s: str
-    sort = STRING
+    def __repr__(self):
+        return f"Term({term_sexpr(self)})"
 
 
-@dataclass(frozen=True)
-class TConst(Term):
-    name: str
-    sort: object
+IS_SOME = ("_", "is", "some")
+
+# Constructors, one for each kind of term the compiler builds.
 
 
-@dataclass(frozen=True)
-class TApp(Term):
+def TBoolLit(b: bool) -> Term:
+    return Term("true" if b else "false", (), BOOL)
+
+
+def TBVLit(i: int) -> Term:
+    """The bit-vector literal of `i`, signed, within 64-bit range."""
+    if not (I64_MIN <= i <= I64_MAX):
+        raise InternalSortError("bitvector literal out of range")
+    return Term(("_", f"bv{i % (1 << 64)}", 64), (), BV)
+
+
+def TStrLit(s: str) -> Term:
+    return Term(("string", s), (), STRING)
+
+
+def TConst(name: str, sort) -> Term:
+    return Term(name, (), sort)
+
+
+def TApp(fn: str, args: tuple, sort) -> Term:
     """Uninterpreted function, datatype constructor, or selector application.
     Its arguments are checked against the declared signature when the
     script is printed."""
-
-    fn: str
-    args: tuple
-    sort: object
+    return Term(fn, args, sort)
 
 
-@dataclass(frozen=True)
-class TSome(_Ranked):
-    arg: Term
+def TNone(elem) -> Term:
+    return Term(("as", "none", SOption(elem)), (), SOption(elem))
 
 
-@dataclass(frozen=True)
-class TNone(Term):
-    elem: object
-    sort: object = _derived_sort()
-
-    def __post_init__(self):
-        object.__setattr__(self, "sort", SOption(self.elem))
+def TSetEmpty(elem) -> Term:
+    return Term(("as", "set.empty", SSet(elem)), (), SSet(elem))
 
 
-@dataclass(frozen=True)
-class TVal(_Ranked):
-    arg: Term  # Option-sorted
+def TSome(arg: Term) -> Term:
+    return Term("some", (arg,))
 
 
-@dataclass(frozen=True)
-class TIsSome(_Ranked):
-    arg: Term
+def TVal(arg: Term) -> Term:
+    return Term("val", (arg,))
 
 
-@dataclass(frozen=True)
-class TIte(_Ranked):
-    cond: Term
-    then: Term
-    els: Term
+def TIsSome(arg: Term) -> Term:
+    return Term(IS_SOME, (arg,))
 
 
-@dataclass(frozen=True)
-class TEq(_Ranked):
-    left: Term
-    right: Term
+def TIte(cond: Term, then: Term, els: Term) -> Term:
+    return Term("ite", (cond, then, els))
 
 
-@dataclass(frozen=True)
-class TNot(_Ranked):
-    arg: Term
+def TEq(left: Term, right: Term) -> Term:
+    return Term("=", (left, right))
 
 
-@dataclass(frozen=True)
-class TAnd(_Ranked):
-    args: tuple  # len >= 2
+def TNot(arg: Term) -> Term:
+    return Term("not", (arg,))
 
 
-@dataclass(frozen=True)
-class TOr(_Ranked):
-    args: tuple  # len >= 2
+def TAnd(args: tuple) -> Term:
+    return Term("and", tuple(args))
 
 
-@dataclass(frozen=True)
-class TImplies(_Ranked):
-    left: Term
-    right: Term
+def TOr(args: tuple) -> Term:
+    return Term("or", tuple(args))
 
 
-@dataclass(frozen=True)
-class TSetMember(_Ranked):
-    elem: Term
-    set: Term
+def TImplies(left: Term, right: Term) -> Term:
+    return Term("=>", (left, right))
 
 
-@dataclass(frozen=True)
-class TSetSubset(_Ranked):
-    left: Term
-    right: Term
+def TSetMember(elem: Term, s: Term) -> Term:
+    return Term("set.member", (elem, s))
 
 
-@dataclass(frozen=True)
-class TSetInter(_Ranked):
-    left: Term
-    right: Term
+def TSetSubset(left: Term, right: Term) -> Term:
+    return Term("set.subset", (left, right))
 
 
-@dataclass(frozen=True)
-class TSetUnion(_Ranked):
-    left: Term
-    right: Term
+def TSetInter(left: Term, right: Term) -> Term:
+    return Term("set.inter", (left, right))
 
 
-@dataclass(frozen=True)
-class TSetSingleton(_Ranked):
-    elem: Term
+def TSetUnion(left: Term, right: Term) -> Term:
+    return Term("set.union", (left, right))
 
 
-@dataclass(frozen=True)
-class TSetEmpty(Term):
-    elem: object
-    sort: object = _derived_sort()
-
-    def __post_init__(self):
-        object.__setattr__(self, "sort", SSet(self.elem))
+def TSetSingleton(elem: Term) -> Term:
+    return Term("set.singleton", (elem,))
 
 
-@dataclass(frozen=True)
-class TBVOp(_Ranked):
-    op: str
-    args: tuple
+def TBVOp(op: str, args: tuple) -> Term:
+    return Term(op, tuple(args))
 
 
-class Regex:
-    __slots__ = ()
-    sort = REGLAN  # what `TStrInRe` checks its regex's sort against
+def TStrInRe(s: Term, regex: Term) -> Term:
+    return Term("str.in_re", (s, regex))
 
 
-@dataclass(frozen=True)
-class RLit(Regex):
-    s: str
+def TStrToRe(s: str) -> Term:
+    """The regex matching exactly `s`."""
+    return Term("str.to_re", (TStrLit(s),))
 
 
-@dataclass(frozen=True)
-class RAll(Regex):
-    pass
+def TReAll() -> Term:
+    """The regex matching every string."""
+    return Term("re.all", (), REGLAN)
 
 
-@dataclass(frozen=True)
-class RConcat(Regex):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class TStrInRe(Term):
-    s: Term
-    re: Regex
-    sort: object = _derived_sort()
-
-    def __post_init__(self):
-        object.__setattr__(self, "sort", _check(("str.in_re", self.s, self.re)))
+def TReConcat(parts: list) -> Term:
+    """The regex matching the concatenations of strings matching `parts`,
+    a non-empty list of regexes."""
+    return parts[0] if len(parts) == 1 else Term("re.++", tuple(parts))
 
 
 TRUE_TERM = TBoolLit(True)
@@ -277,138 +243,165 @@ FALSE_TERM = TBoolLit(False)
 # Smart constructors
 # ---------------------------------------------------------------------------
 
+_TRUTH = {"true": True, "false": False}
+
+
+def _truth(t: Term):
+    """The value of a Bool literal; None for any other term."""
+    return None if t.args else _TRUTH.get(t.head)
+
+
+def _is_literal(t: Term) -> bool:
+    """Whether `t` is a Bool, bit-vector or string literal."""
+    head = t.head
+    return not t.args and (head in _TRUTH if type(head) is str else head[0] == "_" or head[0] == "string")
+
+
+def _is_none(t: Term) -> bool:
+    return type(t.head) is tuple and t.head[:2] == ("as", "none")
+
 
 def mk_not(t: Term) -> Term:
-    if isinstance(t, TBoolLit):
-        return TBoolLit(not t.b)
-    if isinstance(t, TNot):
-        return t.arg
+    truth = _truth(t)
+    if truth is not None:
+        return TBoolLit(not truth)
+    if t.head == "not":
+        return t.args[0]
     return TNot(t)
 
 
 def mk_and2(a: Term, b: Term) -> Term:
-    _check(("and", a, b))
-    if isinstance(a, TBoolLit):
-        return b if a.b else FALSE_TERM
-    if isinstance(b, TBoolLit):
-        return a if b.b else FALSE_TERM
-    return TAnd((a, b))
+    sort = _check("and", (a, b))
+    truth = _truth(a)
+    if truth is not None:
+        return b if truth else FALSE_TERM
+    truth = _truth(b)
+    if truth is not None:
+        return a if truth else FALSE_TERM
+    return Term("and", (a, b), sort)
 
 
 def mk_or2(a: Term, b: Term) -> Term:
-    _check(("or", a, b))
-    if isinstance(a, TBoolLit):
-        return TRUE_TERM if a.b else b
-    if isinstance(b, TBoolLit):
-        return TRUE_TERM if b.b else a
-    return TOr((a, b))
+    sort = _check("or", (a, b))
+    truth = _truth(a)
+    if truth is not None:
+        return TRUE_TERM if truth else b
+    truth = _truth(b)
+    if truth is not None:
+        return TRUE_TERM if truth else a
+    return Term("or", (a, b), sort)
 
 
 def mk_or(args) -> Term:
     args = tuple(args)
-    _check(("or", *args))
+    sort = _check("or", args)
     out = []
     for a in args:
-        if isinstance(a, TBoolLit):
-            if a.b:
-                return TRUE_TERM
-            continue
-        out.append(a)
+        truth = _truth(a)
+        if truth:
+            return TRUE_TERM
+        if truth is None:
+            out.append(a)
     if not out:
         return FALSE_TERM
     if len(out) == 1:
         return out[0]
-    return TOr(tuple(out))
+    return Term("or", tuple(out), sort)
 
 
 def mk_implies(a: Term, b: Term) -> Term:
-    _check(("=>", a, b))
-    if isinstance(a, TBoolLit):
-        return b if a.b else TRUE_TERM
-    if isinstance(b, TBoolLit) and b.b:
+    sort = _check("=>", (a, b))
+    truth = _truth(a)
+    if truth is not None:
+        return b if truth else TRUE_TERM
+    if _truth(b):
         return TRUE_TERM
-    return TImplies(a, b)
+    return Term("=>", (a, b), sort)
 
 
 def mk_eq(a: Term, b: Term) -> Term:
-    _check(("=", a, b))
+    sort = _check("=", (a, b))
     if a == b:
         return TRUE_TERM
-    if isinstance(a, TBoolLit) and isinstance(b, TBoolLit):
-        return TBoolLit(a.b == b.b)
-    if isinstance(a, TBoolLit):
-        return b if a.b else mk_not(b)
-    if isinstance(b, TBoolLit):
-        return a if b.b else mk_not(a)
-    if isinstance(a, (TBVLit, TStrLit)) and isinstance(b, (TBVLit, TStrLit)):
+    ta, tb = _truth(a), _truth(b)
+    if ta is not None and tb is not None:
+        return TBoolLit(ta == tb)
+    if ta is not None:
+        return b if ta else mk_not(b)
+    if tb is not None:
+        return a if tb else mk_not(a)
+    if _is_literal(a) and _is_literal(b):
         return FALSE_TERM  # equal literals already matched above
-    if isinstance(a, TSome) and isinstance(b, TNone):
+    if a.head == "some" and _is_none(b):
         return FALSE_TERM
-    if isinstance(a, TNone) and isinstance(b, TSome):
+    if _is_none(a) and b.head == "some":
         return FALSE_TERM
-    if isinstance(a, TSome) and isinstance(b, TSome):
-        return mk_eq(a.arg, b.arg)
+    if a.head == "some" and b.head == "some":
+        return mk_eq(a.args[0], b.args[0])
     if _is_ctor_literal(a) and _is_ctor_literal(b):
         return TBoolLit(a == b)
-    return TEq(a, b)
+    return Term("=", (a, b), sort)
 
 
 def _is_ctor_literal(t: Term) -> bool:
     # A constructor is named after its datatype, which is its sort.
-    return isinstance(t, TApp) and t.fn == t.sort and all(isinstance(x, (TStrLit, TBVLit, TBoolLit)) for x in t.args)
+    return t.head == t.sort and all(map(_is_literal, t.args))
 
 
 def mk_ite(cond: Term, then: Term, els: Term) -> Term:
-    _check(("ite", cond, then, els))
-    if isinstance(cond, TBoolLit):
-        return then if cond.b else els
+    sort = _check("ite", (cond, then, els))
+    truth = _truth(cond)
+    if truth is not None:
+        return then if truth else els
     if then == els:
         return then
-    if then.sort == BOOL:
-        if isinstance(then, TBoolLit) and isinstance(els, TBoolLit):
-            return cond if then.b else mk_not(cond)
-        if isinstance(then, TBoolLit):
-            return mk_or2(cond, els) if then.b else mk_and2(mk_not(cond), els)
-        if isinstance(els, TBoolLit):
-            return mk_and2(cond, then) if not els.b else mk_or2(mk_not(cond), then)
-    if isinstance(then, TSome) and isinstance(els, TSome):
-        return TSome(mk_ite(cond, then.arg, els.arg))
-    return TIte(cond, then, els)
+    if sort == BOOL:
+        tt, te = _truth(then), _truth(els)
+        if tt is not None and te is not None:
+            return cond if tt else mk_not(cond)
+        if tt is not None:
+            return mk_or2(cond, els) if tt else mk_and2(mk_not(cond), els)
+        if te is not None:
+            return mk_and2(cond, then) if not te else mk_or2(mk_not(cond), then)
+    if then.head == "some" and els.head == "some":
+        return TSome(mk_ite(cond, then.args[0], els.args[0]))
+    return Term("ite", (cond, then, els), sort)
 
 
 def mk_member(elem: Term, s: Term) -> Term:
     """set.member, true when `elem` is itself an element of the set literal
     `s` (as `mk_set_literal` builds it)."""
     member = TSetMember(elem, s)
-    while isinstance(s, TSetUnion):
-        if isinstance(s.right, TSetSingleton) and s.right.elem == elem:
+    while s.head == "set.union":
+        s, right = s.args
+        if right.head == "set.singleton" and right.args[0] == elem:
             return TRUE_TERM
-        s = s.left
-    if isinstance(s, TSetSingleton) and s.elem == elem:
+    if s.head == "set.singleton" and s.args[0] == elem:
         return TRUE_TERM
     return member
 
 
 def mk_is_some(t: Term) -> Term:
-    if isinstance(t, TSome):
+    if t.head == "some":
         return TRUE_TERM
-    if isinstance(t, TNone):
+    if _is_none(t):
         return FALSE_TERM
     return TIsSome(t)
 
 
 def mk_val(t: Term) -> Term:
-    if isinstance(t, TSome):
-        return t.arg
+    if t.head == "some":
+        return t.args[0]
     return TVal(t)
 
 
 def mk_ifok(guarded: Term, body: Term) -> Term:
     """Propagate the error channel: none when ``guarded`` is none, else body."""
-    elem = _check(("val", body))
+    elem = _check("val", (body,))
     b = mk_is_some(guarded)
-    if isinstance(b, TBoolLit):
-        return body if b.b else TNone(elem)
+    truth = _truth(b)
+    if truth is not None:
+        return body if truth else TNone(elem)
     return mk_ite(b, body, TNone(elem))
 
 
@@ -424,58 +417,13 @@ def mk_set_literal(elems) -> Term:
 # Printing
 # ---------------------------------------------------------------------------
 #
-# A term's shape is one level of its s-expression tree (see `sexpr`): atoms,
-# string literals ("string", text), nested tuples for sorts and regexes, and
-# the term's children as Term objects.  Text and shared trees are both made
-# from it, so the two cannot disagree.
-
-
-def _regex_shape(r: Regex):
-    if isinstance(r, RLit):
-        return ("str.to_re", ("string", r.s))
-    if isinstance(r, RAll):
-        return "re.all"
-    if isinstance(r, RConcat):
-        if not r.parts:
-            return ("str.to_re", ("string", ""))
-        if len(r.parts) == 1:
-            return _regex_shape(r.parts[0])
-        return ("re.++", *map(_regex_shape, r.parts))
-    raise TypeError(f"not a regex: {r!r}")
-
-
-_SHAPES = {
-    TBoolLit: lambda t: "true" if t.b else "false",
-    TBVLit: lambda t: ("_", f"bv{t.i % (1 << 64)}", 64),
-    TStrLit: lambda t: ("string", t.s),
-    TConst: lambda t: t.name,
-    TApp: lambda t: (t.fn, *t.args) if t.args else t.fn,
-    TSome: lambda t: ("some", t.arg),
-    TNone: lambda t: ("as", "none", t.sort),
-    TVal: lambda t: ("val", t.arg),
-    TIsSome: lambda t: (("_", "is", "some"), t.arg),
-    TIte: lambda t: ("ite", t.cond, t.then, t.els),
-    TEq: lambda t: ("=", t.left, t.right),
-    TNot: lambda t: ("not", t.arg),
-    TAnd: lambda t: ("and", *t.args),
-    TOr: lambda t: ("or", *t.args),
-    TImplies: lambda t: ("=>", t.left, t.right),
-    TSetMember: lambda t: ("set.member", t.elem, t.set),
-    TSetSubset: lambda t: ("set.subset", t.left, t.right),
-    TSetInter: lambda t: ("set.inter", t.left, t.right),
-    TSetUnion: lambda t: ("set.union", t.left, t.right),
-    TSetSingleton: lambda t: ("set.singleton", t.elem),
-    TSetEmpty: lambda t: ("as", "set.empty", t.sort),
-    TBVOp: lambda t: (t.op, *t.args),
-    TStrInRe: lambda t: ("str.in_re", t.s, _regex_shape(t.re)),
-}
+# A term's shape is one level of its s-expression tree (see `sexpr`): its
+# head, then its arguments as Term objects.  Text and shared trees are both
+# made from it, so the two cannot disagree.
 
 
 def term_shape(t: Term):
-    shape = _SHAPES.get(type(t))
-    if shape is None:
-        raise TypeError(f"not a term: {t!r}")
-    return shape(t)
+    return (t.head, *t.args) if t.args else t.head
 
 
 def term_sexpr(t: Term, show=None) -> str:

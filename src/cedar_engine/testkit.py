@@ -1046,116 +1046,110 @@ class TermInterpreter:
     # -- interpretation --------------------------------------------------------
 
     def run(self, term) -> object:
-        from . import terms as T
-
         wrap = lambda x: ((x + (1 << 63)) % (1 << 64)) - (1 << 63)  # noqa: E731
 
         def go(t):
-            if isinstance(t, T.TBoolLit):
-                return t.b
-            if isinstance(t, T.TBVLit):
-                return t.i
-            if isinstance(t, T.TStrLit):
-                return t.s
-            if isinstance(t, T.TConst):
-                name = t.name
+            head, args = t.head, t.args
+            if type(head) is tuple:
+                if head[0] == "string":
+                    return head[1]
+                if head[0] == "_" and not args:  # (_ bvN 64)
+                    return wrap(int(head[1][2:]))
+                if head == ("_", "is", "some"):
+                    v = go(args[0])
+                    return isinstance(v, tuple) and v[0] == "some"
+                if head[:2] == ("as", "none"):
+                    return _NONE
+                if head[:2] == ("as", "set.empty"):
+                    return frozenset()
+                raise TypeError(f"not a term: {t!r}")
+            if head == "true":
+                return True
+            if head == "false":
+                return False
+            if head == "some":
+                return ("some", go(args[0]))
+            if head == "val":
+                v = go(args[0])
+                if isinstance(v, tuple) and v[0] == "some":
+                    return v[1]
+                # val of none is unconstrained; any fixed value will do
+                return self._default(args[0].sort[1])
+            if head == "ite":
+                return go(args[1]) if go(args[0]) else go(args[2])
+            if head == "=":
+                return go(args[0]) == go(args[1])
+            if head == "not":
+                return not go(args[0])
+            if head == "and":
+                return all(go(a) for a in args)
+            if head == "or":
+                return any(go(a) for a in args)
+            if head == "=>":
+                return (not go(args[0])) or go(args[1])
+            if head == "set.member":
+                return go(args[0]) in go(args[1])
+            if head == "set.subset":
+                return go(args[0]) <= go(args[1])
+            if head == "set.inter":
+                return go(args[0]) & go(args[1])
+            if head == "set.union":
+                return go(args[0]) | go(args[1])
+            if head == "set.singleton":
+                return frozenset({go(args[0])})
+            if head == "str.in_re":
+                return _re.fullmatch(self._regex(args[1]), go(args[0]), _re.DOTALL) is not None
+            if head == "bvadd":
+                return wrap(go(args[0]) + go(args[1]))
+            if head == "bvsub":
+                return wrap(go(args[0]) - go(args[1]))
+            if head == "bvneg":
+                return wrap(-go(args[0]))
+            if head == "bvmul":
+                return wrap(go(args[0]) * go(args[1]))
+            if head == "bvslt":
+                return go(args[0]) < go(args[1])
+            if head == "bvsle":
+                return go(args[0]) <= go(args[1])
+            # A declared constant, function, constructor or selector.
+            if not args:
                 for (env, var), (cname, _) in self.senv.var_consts.items():
-                    if cname == name:
+                    if cname == head:
                         if var == "principal":
                             return self.request.principal
                         if var == "resource":
                             return self.request.resource
                         return self.encode_value(self.request.context, env.context_type)
-                raise CedarError(f"unbound constant {name}")
-            if isinstance(t, T.TApp):
-                args = [go(a) for a in t.args]
-                fn = t.fn
-                # attribute / ancestor functions
-                for entity_type, name in self.senv.attr_fn.items():
-                    if name == fn:
-                        return self.attr_record(args[0])
-                for (entity_type, anc_type), name in self.senv.anc_fn.items():
-                    if name == fn:
-                        return self.ancestors(args[0], anc_type)
-                if fn in self.selectors:
-                    dt, idx = self.selectors[fn]
-                    v = args[0]
-                    if isinstance(v, tuple) and v[0] == "rec":
-                        return v[2][idx]
-                    raise CedarError(f"selector {fn} on {v!r}")
-                # constructor application
-                if fn in self.senv.entity_of_name:
-                    return EntityRef(self.senv.entity_of_name[fn], args[0])
-                if fn in self.senv.record_of_name:
-                    return ("rec", fn, tuple(args))
-                raise CedarError(f"uninterpreted application {fn}")
-            if isinstance(t, T.TSome):
-                return ("some", go(t.arg))
-            if isinstance(t, T.TNone):
-                return _NONE
-            if isinstance(t, T.TVal):
-                v = go(t.arg)
-                if isinstance(v, tuple) and v[0] == "some":
-                    return v[1]
-                # val of none is unconstrained; any fixed value will do
-                return self._default(t.arg.sort[1])
-            if isinstance(t, T.TIsSome):
-                v = go(t.arg)
-                return isinstance(v, tuple) and v[0] == "some"
-            if isinstance(t, T.TIte):
-                return go(t.then) if go(t.cond) else go(t.els)
-            if isinstance(t, T.TEq):
-                return go(t.left) == go(t.right)
-            if isinstance(t, T.TNot):
-                return not go(t.arg)
-            if isinstance(t, T.TAnd):
-                return all(go(a) for a in t.args)
-            if isinstance(t, T.TOr):
-                return any(go(a) for a in t.args)
-            if isinstance(t, T.TImplies):
-                return (not go(t.left)) or go(t.right)
-            if isinstance(t, T.TSetMember):
-                return go(t.elem) in go(t.set)
-            if isinstance(t, T.TSetSubset):
-                return go(t.left) <= go(t.right)
-            if isinstance(t, T.TSetInter):
-                return go(t.left) & go(t.right)
-            if isinstance(t, T.TSetUnion):
-                return go(t.left) | go(t.right)
-            if isinstance(t, T.TSetSingleton):
-                return frozenset({go(t.elem)})
-            if isinstance(t, T.TSetEmpty):
-                return frozenset()
-            if isinstance(t, T.TBVOp):
-                args = [go(a) for a in t.args]
-                if t.op == "bvadd":
-                    return wrap(args[0] + args[1])
-                if t.op == "bvsub":
-                    return wrap(args[0] - args[1])
-                if t.op == "bvneg":
-                    return wrap(-args[0])
-                if t.op == "bvmul":
-                    return wrap(args[0] * args[1])
-                if t.op == "bvslt":
-                    return args[0] < args[1]
-                if t.op == "bvsle":
-                    return args[0] <= args[1]
-            if isinstance(t, T.TStrInRe):
-                s = go(t.s)
-                return _re.fullmatch(self._regex(t.re), s, _re.DOTALL) is not None
-            raise TypeError(f"not a term: {t!r}")
+            vals = [go(a) for a in args]
+            # attribute / ancestor functions
+            for entity_type, name in self.senv.attr_fn.items():
+                if name == head:
+                    return self.attr_record(vals[0])
+            for (entity_type, anc_type), name in self.senv.anc_fn.items():
+                if name == head:
+                    return self.ancestors(vals[0], anc_type)
+            if head in self.selectors:
+                dt, idx = self.selectors[head]
+                v = vals[0]
+                if isinstance(v, tuple) and v[0] == "rec":
+                    return v[2][idx]
+                raise CedarError(f"selector {head} on {v!r}")
+            # constructor application
+            if head in self.senv.entity_of_name:
+                return EntityRef(self.senv.entity_of_name[head], vals[0])
+            if head in self.senv.record_of_name:
+                return ("rec", head, tuple(vals))
+            raise CedarError(f"uninterpreted {'application' if args else 'constant'} {head}")
 
         return go(term)
 
     def _regex(self, r) -> str:
-        from . import terms as T
-
-        if isinstance(r, T.RLit):
-            return _re.escape(r.s)
-        if isinstance(r, T.RAll):
+        if r.head == "str.to_re":
+            return _re.escape(r.args[0].head[1])
+        if r.head == "re.all":
             return ".*"
-        if isinstance(r, T.RConcat):
-            return "".join(self._regex(p) for p in r.parts)
+        if r.head == "re.++":
+            return "".join(self._regex(p) for p in r.args)
         raise TypeError(f"not a regex: {r!r}")
 
     def _default(self, sort) -> object:

@@ -117,6 +117,14 @@ def test_validate_reports_env_tagged_error(tmp_path, capsys):
     assert doc["errors"][0]["principal_type"] == "User"
 
 
+def test_validate_rejects_a_slot_in_a_condition(tmp_path, capsys):
+    bad = tmp_path / "slot.cedar"
+    bad.write_text("permit(principal == ?principal, action, resource) when { ?principal == principal };")
+    code, _, err = run(capsys, "validate", "--policies", str(bad), "--schema", F("tinytodo", "tinytodo.cedarschema"))
+    assert code == 2
+    assert "slot.cedar:1:58: error: slot ?principal in a when condition" in err
+
+
 def test_evaluate_expressions(capsys):
     code, out, _ = run(
         capsys,

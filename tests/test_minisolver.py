@@ -352,7 +352,7 @@ def _sorted_scripts(monkeypatch) -> list:
     from cedar_engine import smt_backend
     from cedar_engine.smt_backend import SolverConfig
     from cedar_engine.symcc import analyze_equivalence
-    from cedar_engine.terms import Term, TIsSome, term_shape
+    from cedar_engine.terms import IS_SOME, Term, term_shape
 
     captured = []
     real = smt_backend.script_commands
@@ -373,7 +373,7 @@ def _sorted_scripts(monkeypatch) -> list:
         shape = term_shape(term)
         for i, child in enumerate(shape if type(shape) is tuple else ()):
             if isinstance(child, Term):
-                slots.append((tree, i, "Option" if isinstance(term, TIsSome) else child.sort))
+                slots.append((tree, i, "Option" if term.head == IS_SOME else child.sort))
                 walk(child, tree[i], seen, slots, subterms)
 
     scripts = []

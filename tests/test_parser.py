@@ -282,10 +282,15 @@ def test_diagnostic_format():
 
 
 def test_slots_only_in_scope():
-    with pytest.raises(ParseError):
-        parse_policies("permit(principal, action == ?principal, resource);")
-    with pytest.raises(ParseError):
-        parse_policies("permit(principal in ?resource, action, resource);")
+    for src, column in (
+        ("permit(principal, action == ?principal, resource);", 29),
+        ("permit(principal in ?resource, action, resource);", 21),
+        ("permit(principal == ?principal, action, resource) when { ?principal == principal };", 58),
+        ("permit(principal, action, resource) unless { [resource] == [?resource] };", 61),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_policies(src)
+        assert err.value.render().startswith(f"<input>:1:{column}: error:"), src
 
 
 def test_appendix_schema_texts_parse():

@@ -232,6 +232,46 @@ def test_model_parsing_shapes():
     assert ev.apply("userInTeam", [("dt", "User", (("string", "bob"),))]) == ("set", frozenset())
     assert ev.eval(read_sexprs("opt")[0], {}) == ("none",)
 
+    # Heads that cvc5 writes in models and the bundled solver never does.
+    cvc5 = Model.parse(
+        """(
+        (define-fun d () Bool (distinct (_ bv1 64) (_ bv2 64)))
+        (define-fun b () Bool (not (and true (or false d))))
+        (define-fun i () Bool (=> b false))
+        (define-fun v () String (val (some "x")))
+        (define-fun s () (Set Team) (set.insert (Team "a") (Team "b") (set.singleton (Team "c"))))
+        (define-fun sub () Bool (set.subset (set.singleton (Team "a")) s))
+        (define-fun o () (Option Bool) ((as some (Option Bool)) true))
+        (define-fun isSome () Bool ((_ is some) o))
+        (define-fun isUser () Bool ((_ is User) (Team "a")))
+        (define-fun n () Int 5)
+        (define-fun f ((x Int)) Int x)
+        )"""
+    )
+    ev = ModelEvaluator(cvc5)
+    team = lambda name: ("dt", "Team", (("string", name),))  # noqa: E731
+    expected = {
+        "d": True,
+        "b": False,
+        "i": True,
+        "v": ("string", "x"),
+        "s": ("set", frozenset({team("a"), team("b"), team("c")})),
+        "sub": True,
+        "o": ("some", True),
+        "isSome": True,
+        "isUser": False,
+        "n": ("int", 5),
+        "(f 7)": ("int", 7),
+        "(g 7)": ("dt", "g", (("int", 7),)),  # an undefined function reads as a constructor
+    }
+    for text, value in expected.items():
+        assert ev.eval(read_sexprs(text)[0], {}) == value, text
+    for text in ("(val (as none (Option Bool)))", "f", "(_ bv1)"):
+        with pytest.raises(ModelParseError):
+            ev.eval(read_sexprs(text)[0], {})
+    with pytest.raises(ModelParseError):
+        ev.apply("g", [])
+
 
 def test_malformed_solver_output_is_a_model_parse_error():
     for text in ("((define-fun x () Bool true)", '((define-fun x () String "a))', "())", "((define-fun |x () Bool true))"):

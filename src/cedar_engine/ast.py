@@ -8,10 +8,12 @@ extensional: order and duplicates in a set literal never matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from _weakref import _remove_dead_weakref
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Union
+from weakref import KeyedRef
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -53,20 +55,52 @@ class UnknownSlot(CedarError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# (type, id) -> a weak reference to the one live EntityRef with those fields.
+_INTERNED: dict = {}
+
+
+def _forget(wr, table=_INTERNED, remove=_remove_dead_weakref) -> None:
+    # Runs when an interned ref dies.  The C-level removal deletes the entry
+    # only while it still holds a dead reference, so a ref interned for the
+    # same uid in the meantime stays; the defaults outlive module teardown.
+    remove(table, wr.key)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EntityRef:
     """A typed entity identifier.  Identity is nominal: both fields compare.
+
+    Refs are interned process-wide: `EntityRef(t, i)` returns the one live
+    object for `(t, i)`, so dict and set probes with refs from the parser,
+    the loader, a link or a request hit by identity.  The table holds them
+    weakly, and a ref nothing else holds is freed.  Equality still compares
+    the fields, so it never depends on interning (two threads that make the
+    same new uid at once may each get their own object).
 
     The hash is computed once, at construction, and equals
     ``hash((entity_type, entity_id))``, so sets of refs iterate in the same
     order as they would with the plain dataclass hash."""
 
+    # By hand rather than `slots=True`, which cannot add `__weakref__` before
+    # Python 3.11.
+    __slots__ = ("entity_type", "entity_id", "_hash", "__weakref__")
+
     entity_type: str
     entity_id: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.entity_type, self.entity_id)))
+    def __new__(cls, entity_type: str, entity_id: str) -> EntityRef:
+        key = (entity_type, entity_id)
+        wr = _INTERNED.get(key)
+        if wr is not None:
+            self = wr()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "entity_type", entity_type)
+        object.__setattr__(self, "entity_id", entity_id)
+        object.__setattr__(self, "_hash", hash(key))
+        _INTERNED[key] = KeyedRef(self, _forget, key)
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -79,7 +113,8 @@ class EntityRef:
         return self.entity_id == other.entity_id and self.entity_type == other.entity_type
 
     def __reduce__(self):
-        # Pickle the fields only: string hashes differ between processes.
+        # Pickle the fields only: string hashes differ between processes, and
+        # unpickling interns the ref there.
         return EntityRef, (self.entity_type, self.entity_id)
 
     def __str__(self) -> str:
@@ -118,6 +153,14 @@ class VString(Value):
 @dataclass(frozen=True)
 class VEntity(Value):
     ref: EntityRef
+
+    def __eq__(self, other) -> bool:
+        # The fields inline, not `EntityRef.__eq__`: interned refs of one uid
+        # are one object, and a mismatch then costs no Python-level call.
+        if other.__class__ is not VEntity:
+            return NotImplemented
+        a, b = self.ref, other.ref
+        return a is b or (a.entity_id == b.entity_id and a.entity_type == b.entity_type)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Entity hierarchy storage and the JSON ingestion formats.
 
 The store keeps, per entity, its attribute record and its declared parent
-edges; no closure is materialised, so loading (one shared `EntityRef` per uid,
-cycles rejected) is linear in time and memory.  `ancestors_of` closes a ref's
-edges on first use and memoises the set per store.  Stores are immutable after
-load; a memo write is idempotent, so concurrent reads are safe.
+edges; no closure is materialised, so loading (cycles rejected) is linear in
+time and memory.  `ancestors_of` closes a ref's edges on first use and
+memoises the set per store.  Stores are immutable after load; a memo write is
+idempotent, so concurrent reads are safe.
+
+Entity refs are interned process-wide (see `ast.EntityRef`): a uid's mentions
+in an entities file, a request and the policies are one object, so store,
+memo and index probes hit by identity.
 """
 
 from __future__ import annotations
@@ -169,18 +173,14 @@ def merge_action_hierarchy(store: EntityStore, schema) -> EntityStore:
 # ---------------------------------------------------------------------------
 
 
-def _ref_from_json(obj, where: str, refs: dict) -> EntityRef:
-    """Decode an entity uid.  ``refs`` maps (type, id) to the EntityRef made
-    for a uid the first time it was seen, which every later mention shares."""
+def _ref_from_json(obj, where: str) -> EntityRef:
+    """Decode an entity uid."""
     if not isinstance(obj, dict) or len(obj) != 2 or "type" not in obj or "id" not in obj:
         raise BadEntityRef(f"{where}: an entity uid must be {{\"type\": ..., \"id\": ...}}")
     t, i = obj["type"], obj["id"]
     if not isinstance(t, str) or not t or not isinstance(i, str):
         raise BadEntityRef(f"{where}: malformed entity uid")
-    ref = refs.get((t, i))
-    if ref is None:
-        ref = refs[t, i] = EntityRef(t, i)
-    return ref
+    return EntityRef(t, i)
 
 
 def value_from_json(obj, where: str = "value", depth: int = 1) -> Value:
@@ -205,7 +205,7 @@ def value_from_json(obj, where: str = "value", depth: int = 1) -> Value:
         return VSet(frozenset(value_from_json(x, where, depth + 1) for x in obj))
     if isinstance(obj, dict):
         if len(obj) == 1 and "__entity" in obj:
-            return VEntity(_ref_from_json(obj["__entity"], where, {}))
+            return VEntity(_ref_from_json(obj["__entity"], where))
         return vrecord({k: value_from_json(v, f"{where}.{k}", depth + 1) for k, v in obj.items()})
     raise BadEntityRef(f"{where}: unsupported JSON value {obj!r}")
 
@@ -240,14 +240,13 @@ def load_entities(json_text: str) -> EntityStore:
     data = _decode_json(json_text, "entities file")
     if not isinstance(data, list):
         raise BadEntityRef("entities file must be a JSON array")
-    refs: dict = {}
     triples = []
     for i, item in enumerate(data):
         # Messages are relative to the entry; its "entity #i" is added on error.
         try:
             if not isinstance(item, dict) or "uid" not in item:
                 raise BadEntityRef(': each entry needs a "uid"')
-            ref = _ref_from_json(item["uid"], "", refs)
+            ref = _ref_from_json(item["uid"], "")
             attrs_obj = item.get("attrs", {})
             if not isinstance(attrs_obj, dict):
                 raise BadEntityRef(': "attrs" must be an object')
@@ -258,7 +257,7 @@ def load_entities(json_text: str) -> EntityStore:
             parents_obj = item.get("parents", [])
             if not isinstance(parents_obj, list):
                 raise BadEntityRef(': "parents" must be an array')
-            triples.append((ref, attrs, [_ref_from_json(p, ".parents", refs) for p in parents_obj]))
+            triples.append((ref, attrs, [_ref_from_json(p, ".parents") for p in parents_obj]))
         except BadEntityRef as err:
             raise BadEntityRef(f"entity #{i}{err}") from None
     return build_store(triples)
@@ -271,8 +270,7 @@ def load_request(json_text: str) -> Request:
     for key in ("principal", "action", "resource"):
         if key not in data:
             raise BadEntityRef(f"request is missing \"{key}\"")
-    refs: dict = {}
-    action = _ref_from_json(data["action"], "action", refs)
+    action = _ref_from_json(data["action"], "action")
     if action.type_tail != "Action":
         raise BadEntityRef(f"action entity type must end in Action, got {action.entity_type}")
     context_obj = data.get("context", {})
@@ -282,9 +280,9 @@ def load_request(json_text: str) -> Request:
     if not isinstance(context, VRecord):
         raise BadEntityRef("request context must decode to a record")
     return Request(
-        principal=_ref_from_json(data["principal"], "principal", refs),
+        principal=_ref_from_json(data["principal"], "principal"),
         action=action,
-        resource=_ref_from_json(data["resource"], "resource", refs),
+        resource=_ref_from_json(data["resource"], "resource"),
         context=context,
     )
 

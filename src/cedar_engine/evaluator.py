@@ -196,7 +196,14 @@ def _scope_test(var: str, scope: Scope) -> Optional[Callable[[EntityStore, Reque
     get = attrgetter(var)
     if scope.__class__ is ScopeEq:
         target = closed_target(var, scope.target)
-        return lambda store, request: get(request) == target
+        target_id, target_type = target.entity_id, target.entity_type
+
+        def test_eq(store, request):
+            # `==` inline: refs are interned, so the usual hit is `is`.
+            ref = get(request)
+            return ref is target or (ref.entity_id == target_id and ref.entity_type == target_type)
+
+        return test_eq
     targets = frozenset(scope.targets if scope.__class__ is ScopeInSet else [closed_target(var, scope.target)])
 
     def test_in(store, request):
@@ -277,14 +284,14 @@ def _in(v1: Value, v2: Value, store: EntityStore, e: EBinop) -> Value:
     if not isinstance(v1, VEntity):
         _fail(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v1)} left operand", e)
     # Reflexive even for absent entities; otherwise closed-set membership.
-    lhs, ancestors = v1.ref, store.ancestors_of(v1.ref)
     if isinstance(v2, VEntity):
-        return TRUE if lhs == v2.ref or v2.ref in ancestors else FALSE
+        return TRUE if v1 == v2 or v2.ref in store.ancestors_of(v1.ref) else FALSE
     if isinstance(v2, VSet):
         for elem in v2.elems:
             if not isinstance(elem, VEntity):
                 _fail(EvalErrorKind.TYPE_MISMATCH, f"in with a set containing {_type_name(elem)}", e)
-        return TRUE if any(lhs == x.ref or x.ref in ancestors for x in v2.elems) else FALSE
+        ancestors = store.ancestors_of(v1.ref)
+        return TRUE if any(v1 == x or x.ref in ancestors for x in v2.elems) else FALSE
     _fail(EvalErrorKind.TYPE_MISMATCH, f"in with {_type_name(v2)} right operand", e)
 
 

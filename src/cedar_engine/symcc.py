@@ -64,6 +64,7 @@ from .ast import (
 )
 from .authorizer import Decision, PolicySet, authorize
 from .entities import EntityStore, Request, build_store, merge_action_hierarchy
+from .sexpr import RANKS
 from .validator import RequestEnv, Schema, action_literal, action_test, environments, join
 from .terms import (
     BOOL_S,
@@ -117,9 +118,12 @@ class UnsupportedConstruct(AnalysisError):
     re-encoding)."""
 
 
-# Names the compiler never gives a declaration.  `string` is among them
+# Names the compiler never gives a declaration: SMT-LIB words and every
+# built-in head the bundled solver ranks (an entity type `bvadd` must not
+# declare a constructor the solver reads as `bvadd`).  `string` is among them
 # because `(string x)` would read back as the string literal "x".
 _SMT_RESERVED = {
+    *(head for head in RANKS if isinstance(head, str)),
     "string",
     "Bool",
     "Int",

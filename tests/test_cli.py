@@ -234,6 +234,43 @@ def test_analyze_derived_relations(capsys, tmp_path, old, new, verdict):
         assert cex["decisions"] == {"old": "DENY", "new": "ALLOW"}
 
 
+@pytest.mark.parametrize("entity_type", ["Foo", "bvadd", "distinct"])
+def test_analyze_entity_type_named_like_a_solver_head(capsys, tmp_path, entity_type):
+    # The type's datatype must not be declared under the name of a built-in
+    # head, or the bundled solver reads its constructor as that head.
+    (tmp_path / "s.cedarschema").write_text(
+        f"entity {entity_type}; action a appliesTo {{ principal: [{entity_type}], resource: [{entity_type}] }};"
+    )
+    (tmp_path / "old.cedar").write_text(f'permit(principal == {entity_type}::"x", action, resource);')
+    (tmp_path / "new.cedar").write_text("permit(principal, action, resource);")
+    code, out, _ = run(
+        capsys,
+        "analyze", "equivalence",
+        "--old", str(tmp_path / "old.cedar"),
+        "--new", str(tmp_path / "new.cedar"),
+        "--schema", str(tmp_path / "s.cedarschema"),
+        "--json",
+    )
+    doc = json.loads(out)
+    assert (code, doc["verdict"]) == (1, "differs")
+    cex = doc["environments"][0]["counterexample"]
+    assert cex["decisions"] == {"old": "DENY", "new": "ALLOW"}
+    assert cex["request"]["principal"]["type"] == entity_type
+    # Re-verify the counterexample through `authorize`.
+    (tmp_path / "request.json").write_text(json.dumps(cex["request"]))
+    (tmp_path / "entities.json").write_text(json.dumps(cex["entities"]))
+    for side, decision in cex["decisions"].items():
+        code, out, _ = run(
+            capsys,
+            "authorize",
+            "--policies", str(tmp_path / f"{side}.cedar"),
+            "--entities", str(tmp_path / "entities.json"),
+            "--request", str(tmp_path / "request.json"),
+            "--schema", str(tmp_path / "s.cedarschema"),
+        )
+        assert out.splitlines()[0] == decision
+
+
 def test_analyze_identical_files_equivalent(capsys):
     code, out, _ = run(
         capsys,

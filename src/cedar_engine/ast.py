@@ -55,15 +55,35 @@ class UnknownSlot(CedarError):
 # ---------------------------------------------------------------------------
 
 
+class InternTable(dict):
+    """key -> a weak reference to the one live object interned for the key.
+    A dying object's entry is removed by the C-level `_remove_dead_weakref`,
+    which deletes only a dead reference, so an object interned for the same
+    key in the meantime stays."""
+
+    def __init__(self):
+        super().__init__()
+        # The defaults outlive module teardown.
+        self._forget = lambda wr, table=self, remove=_remove_dead_weakref: remove(table, wr.key)
+
+    def live(self, key):
+        """The live object interned for `key`, or None."""
+        wr = self.get(key)
+        return None if wr is None else wr()
+
+    def add(self, key, obj):
+        """The object interned for `key`, which `live` found none for: `obj`,
+        unless another thread interned one first.  Keys hash and compare in
+        C, so `setdefault` is atomic."""
+        ref = KeyedRef(obj, self._forget, key)
+        live = self.setdefault(key, ref)()
+        if live is None:  # the entry's object died, and its callback failed
+            self[key], live = ref, obj
+        return live
+
+
 # (type, id) -> a weak reference to the one live EntityRef with those fields.
-_INTERNED: dict = {}
-
-
-def _forget(wr, table=_INTERNED, remove=_remove_dead_weakref) -> None:
-    # Runs when an interned ref dies.  The C-level removal deletes the entry
-    # only while it still holds a dead reference, so a ref interned for the
-    # same uid in the meantime stays; the defaults outlive module teardown.
-    remove(table, wr.key)
+_INTERNED = InternTable()
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -74,8 +94,7 @@ class EntityRef:
     object for `(t, i)`, so dict and set probes with refs from the parser,
     the loader, a link or a request hit by identity.  The table holds them
     weakly, and a ref nothing else holds is freed.  Equality still compares
-    the fields, so it never depends on interning (two threads that make the
-    same new uid at once may each get their own object).
+    the fields, so it never depends on interning.
 
     The hash is computed once, at construction, and equals
     ``hash((entity_type, entity_id))``, so sets of refs iterate in the same
@@ -90,16 +109,13 @@ class EntityRef:
 
     def __new__(cls, entity_type: str, entity_id: str) -> EntityRef:
         key = (entity_type, entity_id)
-        wr = _INTERNED.get(key)
-        if wr is not None:
-            self = wr()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        object.__setattr__(self, "entity_type", entity_type)
-        object.__setattr__(self, "entity_id", entity_id)
-        object.__setattr__(self, "_hash", hash(key))
-        _INTERNED[key] = KeyedRef(self, _forget, key)
+        self = _INTERNED.live(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "entity_type", entity_type)
+            object.__setattr__(self, "entity_id", entity_id)
+            object.__setattr__(self, "_hash", hash(key))
+            self = _INTERNED.add(key, self)
         return self
 
     def __hash__(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -163,6 +164,11 @@ def cmd_analyze(args) -> int:
         config = SolverConfig.for_executable(args.solver, args.timeout_ms)
     else:
         config = SolverConfig.default(args.timeout_ms)
+    if args.emit_smt is not None:
+        try:
+            os.makedirs(args.emit_smt, exist_ok=True)
+        except OSError as err:
+            raise _InputError(f"cannot create --emit-smt directory {args.emit_smt}: {err}") from None
     verdicts = analyze_equivalence(old, new, schema, config=config, emit_dir=args.emit_smt)
     verdicts.sort(key=lambda v: (str(v.env.action), v.env.principal_type, v.env.resource_type))
     rows = []

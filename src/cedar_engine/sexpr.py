@@ -3,8 +3,8 @@
 Trees: a compound is a tuple, a string literal is ``("string", text)`` with
 ``""`` unescaped, a ``|quoted|`` symbol is the plain string between the bars,
 and an atom whose first character is a digit is an int when ``int()``
-accepts it.  Every other atom is a plain string.  Trees are built through a
-`Sharer`, so equal nodes are one object; `write_sexpr` writes one as text.
+accepts it.  Every other atom is a plain string.  In the trees `read_sexprs`
+reads, equal nodes are one object; `write_sexpr` writes a tree as text.
 
 A sort is a tree too, and `RANKS` states each built-in term head's SMT-LIB
 rank over such trees, once for the term builder and the bundled solver.
@@ -42,7 +42,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Sharer:
+class _Sharer:
     """Hash-consing for one set of trees: equal atoms, and compounds of the
     same items, are one object, so `is` decides equality."""
 
@@ -61,27 +61,23 @@ class Sharer:
             node = self.compounds[key] = tuple(items)
         return node
 
-    def share(self, tree, leaf=None):
-        """`tree`, made of tuples and atoms, rebuilt from shared nodes; any
-        other item is replaced by `leaf(item)`, which must be shared
-        already."""
+    def share(self, tree):
+        """`tree`, made of tuples and atoms, rebuilt from shared nodes."""
         if type(tree) is tuple:
             atoms = self.atoms
-            return self.node([atoms.setdefault(x, x) if type(x) is str else self.share(x, leaf) for x in tree])
-        if type(tree) is str or type(tree) is int:
-            return self.atoms.setdefault(tree, tree)
-        return leaf(tree)
+            return self.node([atoms.setdefault(x, x) if type(x) is str else self.share(x) for x in tree])
+        return self.atoms.setdefault(tree, tree)
 
 
 def read_sexprs(text: str) -> list:
     """The top-level s-expressions of `text`, in order; raises SexprError.
 
-    The trees are built through one `Sharer`, so a tree takes the memory of
+    The trees are built through one `_Sharer`, so a tree takes the memory of
     its distinct subterms only.  A `(let ((name term) ...) body)` reads as
     its body with each name replaced by its term, so a script that binds its
     shared subterms reads as the same tree as one that writes them out.
     """
-    sharer = Sharer()
+    sharer = _Sharer()
     stack: list = [[]]
     lets = False
     for m in _TOKEN_RE.finditer(text):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ast import CedarError
-from .sexpr import SexprError, Sharer, is_string_literal, read_sexprs, write_sexpr
-from .terms import BOOL_S, InternalSortError, Term, term_shape
+from .sexpr import SexprError, is_string_literal, read_sexprs, write_sexpr
+from .terms import BOOL_S, InternalSortError, Term, term_shape, term_tree
 
 
 class SolverUnavailable(CedarError):
@@ -60,11 +60,10 @@ _BUILT_IN_LEAVES = frozenset({"true", "false", "re.all"})
 
 
 def _visit(node: Term, uses: dict, order: list, consts: set, signatures: dict) -> None:
-    key = id(node)
-    if key in uses:
-        uses[key] += 1
+    if node in uses:
+        uses[node] += 1
         return
-    uses[key] = 1
+    uses[node] = 1
     head = node.head
     if type(head) is str:
         if head in signatures:
@@ -81,7 +80,7 @@ def _visit(node: Term, uses: dict, order: list, consts: set, signatures: dict) -
 
 def _checked_walks(senv, assertions) -> list:
     """For each assertion, (uses, order): how often each distinct subterm
-    occurs as an argument (the root: once), keyed by id, and the distinct
+    occurs as an argument (the root: once), and the distinct
     subterms, each after its arguments.
 
     The terms' own sorts were checked when they were built; here each
@@ -125,25 +124,24 @@ def _let_sexpr(t: Term, uses: dict, order: list) -> str:
     A binding's term names only bindings of earlier lets, so the lets nest
     as deep as the chain of shared subterms, not one per binding.
     """
-    text: dict = {}  # id(node) -> what stands for the node
-    depth: dict = {}  # id(node) -> lets its text must be inside
+    text: dict = {}  # node -> what stands for the node
+    depth: dict = {}  # node -> lets its text must be inside
     lets: list = []  # bindings of each let, outermost first
     bound = 0
-    leaf = lambda x: text[id(x)] if isinstance(x, Term) else str(x)  # noqa: E731
+    leaf = lambda x: text[x] if isinstance(x, Term) else str(x)  # noqa: E731
     for node in order:
-        key = id(node)
-        need = max((depth[id(c)] for c in node.args), default=0)
+        need = max((depth[c] for c in node.args), default=0)
         body = write_sexpr(term_shape(node), leaf)
-        if uses[key] > 1 and len(body) > _INLINE_CHARS:
+        if uses[node] > 1 and len(body) > _INLINE_CHARS:
             if need == len(lets):
                 lets.append([])
             name = f"_let!{bound}"
             bound += 1
             lets[need].append(f"({name} {body})")
-            text[key], depth[key] = name, need + 1
+            text[node], depth[node] = name, need + 1
         else:
-            text[key], depth[key] = body, need
-    return "".join(f"(let ({' '.join(b)}) " for b in lets) + text[id(t)] + ")" * len(lets)
+            text[node], depth[node] = body, need
+    return "".join(f"(let ({' '.join(b)}) " for b in lets) + text[t] + ")" * len(lets)
 
 
 def print_script(senv, assertions) -> str:
@@ -161,19 +159,13 @@ def print_script(senv, assertions) -> str:
 
 def script_commands(senv, assertions) -> list:
     """The commands of print_script(senv, assertions) as `read_sexprs`
-    reads them, built in the order of the checking walk, without the
-    set-logic, set-option and Option declarations, which the bundled solver
-    skips.  Raises InternalSortError as print_script does."""
-    sharer, trees = Sharer(), {}  # id(term) -> its tree
-    sub = lambda child: trees[id(child)]  # noqa: E731
-    for _, order in _checked_walks(senv, assertions):
-        for node in order:
-            if id(node) not in trees:
-                trees[id(node)] = sharer.share(term_shape(node), sub)
-    commands = [sharer.share(d) for d in _declarations(senv)]
-    commands.extend(sharer.node((sharer.share("assert"), trees[id(a)])) for a in assertions)
-    commands.append(sharer.share(("check-sat",)))
-    return commands
+    reads them, without the set-logic, set-option and Option declarations,
+    which the bundled solver skips.  Equal subterms of the assertions are
+    one tree (see term_tree).  Raises InternalSortError as print_script
+    does."""
+    _checked_walks(senv, assertions)
+    trees: dict = {}
+    return [*_declarations(senv), *[("assert", term_tree(a, trees)) for a in assertions], ("check-sat",)]
 
 
 def _read(text: str) -> list:

@@ -16,6 +16,7 @@ quantifier-free.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -137,16 +138,9 @@ _SMT_RESERVED = {
     "true",
     "false",
     "none",
-    "some",
-    "val",
-    "and",
-    "or",
-    "not",
-    "ite",
     "assert",
-    "let",
-    "forall",
-    "exists",
+    # SMT-LIB 2.6's reserved words
+    *"_ ! as BINARY DECIMAL HEXADECIMAL NUMERAL STRING exists forall let match par".split(),
 }
 
 
@@ -520,9 +514,9 @@ class _Compiler:
             return self._mul(e)
         if isinstance(e, EIf):
             cond = self.compile(e.cond)
-            if cond == TSome(TBoolLit(True)):
+            if cond is TSome(TBoolLit(True)):
                 return self.compile(e.then)
-            if cond == TSome(TBoolLit(False)):
+            if cond is TSome(TBoolLit(False)):
                 return self.compile(e.els)
             # Validation rejects branches whose types have no join.
             then, els = self._unify([self.compile(e.then), self.compile(e.els)])
@@ -721,7 +715,7 @@ def wf_from_footprint(footprint: list, schema: Schema, senv: SymbolicEnv) -> lis
                 continue
             for e3 in sorted(p1 & p2):
                 out.append(_wft(senv, t1, t2, e1, e2, e3))
-    return [c for c in out if c != TRUE_TERM]
+    return [c for c in out if c is not TRUE_TERM]
 
 
 def wf_constraints(expr: Expr, env: RequestEnv, schema: Schema, senv: SymbolicEnv) -> list:
@@ -813,7 +807,6 @@ def reconstruct_counterexample(
 ) -> tuple:
     """Concrete (request, store) from a model: read entity ids at footprint
     points, apply attribute/ancestor functions there, close transitively."""
-    from .sexpr import Sharer
     from .smt_backend import ModelEvaluator, selector_table
 
     ev = ModelEvaluator(model, selector_table(senv))
@@ -828,9 +821,9 @@ def reconstruct_counterexample(
         return decoded.ref
 
     refs: dict = {}
-    sharer, trees = Sharer(), {}
+    trees: dict = {}
     for t, _ in footprint:
-        v = ev.eval(term_tree(t, sharer, trees), {})
+        v = ev.eval(term_tree(t, trees), {})
         if isinstance(v, tuple) and v[0] == "none":
             continue
         if isinstance(v, tuple) and v[0] == "some":
@@ -876,30 +869,28 @@ def analyze_equivalence(
     sets' allow conditions: unsat means the sets agree everywhere in that
     environment.  Sat models are reconstructed into a request and store and
     re-verified against the concrete authorizer before being reported.
+    Given `emit_dir`, an existing directory, each script is written there,
+    named after its environment and unique within the analysis.
     """
     from .smt_backend import SolverConfig, print_script, run_solver, script_commands
 
     if config is None:
         config = SolverConfig.default()
     verdicts = []
+    script_names = _Names()
     for env in environments(schema):
         senv = encode_types(schema, [env])
         footprint: list = []
         allow_a = allowed_term(set_a, env, schema, senv, footprint)
         allow_b = allowed_term(set_b, env, schema, senv, footprint)
         phi = mk_eq(allow_a, allow_b)
-        if phi == TRUE_TERM:
+        if phi is TRUE_TERM:
             verdicts.append(EnvVerdict(env, "equivalent", detail="statically identical"))
             continue
         assertions = wf_from_footprint(footprint, schema, senv) + [mk_not(phi)]
         text = print_script(senv, assertions) if emit_dir is not None or not config.in_process else None
         if emit_dir is not None:
-            import os
-
-            os.makedirs(emit_dir, exist_ok=True)
-            fname = _sanitize(
-                f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}"
-            ) + ".smt2"
+            fname = script_names.fresh(f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}") + ".smt2"
             with open(os.path.join(emit_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(text)
         # The bundled solver takes the script as trees; text is for the others.

@@ -1,7 +1,9 @@
 """Typed SMT term trees.
 
 A term is its SMT-LIB application: one `Term` holds its head, its argument
-terms and its sort, a tree as SMT-LIB writes it (see `sexpr`).  The head is
+terms and its sort, a tree as SMT-LIB writes it (see `sexpr`).  Terms are
+hash-consed (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing"): equal
+terms are one object, which the intern table holds weakly.  The head is
 data: an operator (`"and"`, `"set.member"`, `("_", "is", "some")`), a
 declared function's, constructor's, selector's or constant's name, or a
 leaf's text (`"true"`, `("_", "bv5", 64)`, `("string", s)`,
@@ -19,8 +21,8 @@ literal operands, membership in a set literal listing the element is true)
 so that statically-decided subexpressions vanish from the output.  Terms
 are spelled (`term_shape`) in the finite-set theory's names (`set.member`,
 `set.subset`, `set.inter`, `set.singleton`, `as set.empty`), as text
-(`term_sexpr`) or as a shared tree (`term_tree`).  A regex is a term of sort
-RegLan.
+(`term_sexpr`) or as a tree (`term_tree`), where equal subterms are one
+tree.  A regex is a term of sort RegLan.
 
 Option-wrapped sorts carry the error channel: `none` is a runtime error.
 """
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ast import CedarError, I64_MAX, I64_MIN
-from .sexpr import BOOL, BV, RANKS, REGLAN, STRING, Sharer, rank_arguments, ranked_sort, write_sexpr
+from .ast import CedarError, I64_MAX, I64_MIN, InternTable
+from .sexpr import BOOL, BV, RANKS, REGLAN, STRING, rank_arguments, ranked_sort, write_sexpr
 
 
 class InternalSortError(CedarError):
@@ -57,8 +59,7 @@ def SOption(elem):
 def _check(head, args: tuple):
     """The sort of `head` applied to `args`, by the head's rank; raises
     InternalSortError when the arguments' sorts do not fit it."""
-    # Most terms built have one argument (`TSome` above all): no loop for them.
-    sorts = (args[0].sort,) if len(args) == 1 else tuple([a.sort for a in args])
+    sorts = tuple([a.sort for a in args])
     sort = _result_sort(head, sorts)
     if sort is None:
         raise InternalSortError(f"{write_sexpr(head)} applied to arguments of sorts {write_sexpr(sorts)}")
@@ -77,40 +78,37 @@ def _result_sort(head, sorts: tuple):
 # ---------------------------------------------------------------------------
 
 
+# (head, args), or (head, args, sort) for a head outside RANKS, -> the one live
+# Term.  A ranked head's sort follows from its arguments: a hit checks none.
+_TERMS = InternTable()
+
+
 class Term:
     """An SMT term: `head` applied to the terms `args` (none for a leaf),
     of sort `sort`.  Given no sort, the term takes the one its head's rank
-    gives its arguments.  Immutable; equal to a Term of equal head,
-    arguments and sort, and to nothing else."""
+    gives its arguments.  Immutable and hash-consed: `Term(head, args,
+    sort)` returns the one live term with those fields, so equal terms are
+    one object, and equality and hash are identity."""
 
-    __slots__ = ("head", "args", "sort", "_hash")
+    __slots__ = ("head", "args", "sort", "__weakref__")
 
-    def __init__(self, head, args: tuple = (), sort=None):
-        init = object.__setattr__
-        init(self, "head", head)
-        init(self, "args", args)
-        init(self, "sort", _check(head, args) if sort is None else sort)
+    def __new__(cls, head, args: tuple = (), sort=None):
+        key = (head, args) if head in RANKS else (head, args, sort)
+        self = _TERMS.live(key)
+        if self is None:
+            self = object.__new__(cls)
+            init = object.__setattr__
+            init(self, "head", head)
+            init(self, "args", args)
+            init(self, "sort", _check(head, args) if sort is None else sort)
+            self = _TERMS.add(key, self)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Term is immutable: cannot set {name}")
 
     def __delattr__(self, name):
         raise AttributeError(f"a Term is immutable: cannot delete {name}")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Term:
-            return NotImplemented
-        return self.head == other.head and self.args == other.args and self.sort == other.sort
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.head, self.args, self.sort))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def __repr__(self):
         return f"Term({term_sexpr(self)})"
@@ -321,7 +319,7 @@ def mk_implies(a: Term, b: Term) -> Term:
 
 def mk_eq(a: Term, b: Term) -> Term:
     sort = _check("=", (a, b))
-    if a == b:
+    if a is b:
         return TRUE_TERM
     ta, tb = _truth(a), _truth(b)
     if ta is not None and tb is not None:
@@ -339,7 +337,7 @@ def mk_eq(a: Term, b: Term) -> Term:
     if a.head == "some" and b.head == "some":
         return mk_eq(a.args[0], b.args[0])
     if _is_ctor_literal(a) and _is_ctor_literal(b):
-        return TBoolLit(a == b)
+        return FALSE_TERM  # equal ones are one term, matched above
     return Term("=", (a, b), sort)
 
 
@@ -353,7 +351,7 @@ def mk_ite(cond: Term, then: Term, els: Term) -> Term:
     truth = _truth(cond)
     if truth is not None:
         return then if truth else els
-    if then == els:
+    if then is els:
         return then
     if sort == BOOL:
         tt, te = _truth(then), _truth(els)
@@ -374,9 +372,9 @@ def mk_member(elem: Term, s: Term) -> Term:
     member = TSetMember(elem, s)
     while s.head == "set.union":
         s, right = s.args
-        if right.head == "set.singleton" and right.args[0] == elem:
+        if right.head == "set.singleton" and right.args[0] is elem:
             return TRUE_TERM
-    if s.head == "set.singleton" and s.args[0] == elem:
+    if s.head == "set.singleton" and s.args[0] is elem:
         return TRUE_TERM
     return member
 
@@ -418,27 +416,25 @@ def mk_set_literal(elems) -> Term:
 # ---------------------------------------------------------------------------
 #
 # A term's shape is one level of its s-expression tree (see `sexpr`): its
-# head, then its arguments as Term objects.  Text and shared trees are both
-# made from it, so the two cannot disagree.
+# head, then its arguments as Term objects.  Its text writes the shape, and
+# its tree is the shape with each argument replaced by the argument's tree.
 
 
 def term_shape(t: Term):
     return (t.head, *t.args) if t.args else t.head
 
 
-def term_sexpr(t: Term, show=None) -> str:
-    """SMT-LIB text of `t`; `show(child)` gives each child's text, by
-    default term_sexpr itself."""
-    if show is None:
-        show = term_sexpr
-    return write_sexpr(term_shape(t), lambda leaf: show(leaf) if isinstance(leaf, Term) else str(leaf))
+def term_sexpr(t: Term) -> str:
+    """SMT-LIB text of `t`."""
+    return write_sexpr(term_shape(t), lambda item: term_sexpr(item) if isinstance(item, Term) else str(item))
 
 
-def term_tree(t: Term, sharer: Sharer, trees: dict) -> tuple:
-    """The tree `read_sexprs` reads from term_sexpr(t), built through
-    `sharer`.  `trees` maps id(term) to the tree of each term built so far,
-    and gets `t` and its subterms."""
-    got = trees.get(id(t))
+def term_tree(t: Term, trees: dict):
+    """The tree `read_sexprs` reads from term_sexpr(t).  `trees` maps each
+    term built so far to its tree, and gets `t` and its subterms: a term's
+    tree is built once, from its arguments' trees, so equal subterms have
+    one tree."""
+    got = trees.get(t)
     if got is None:
-        got = trees[id(t)] = sharer.share(term_shape(t), lambda child: term_tree(child, sharer, trees))
+        got = trees[t] = (t.head, *[term_tree(a, trees) for a in t.args]) if t.args else t.head
     return got

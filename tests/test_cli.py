@@ -196,6 +196,21 @@ def test_analyze_differs_with_counterexample(capsys, tmp_path):
     assert dumped and all(p.suffix == ".smt2" for p in dumped)
 
 
+def test_analyze_emit_smt_at_a_file_is_an_input_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run(
+        capsys,
+        "analyze", "equivalence",
+        "--old", F("tinytodo", "policies_guardrail_old.cedar"),
+        "--new", F("tinytodo", "policies_guardrail_new.cedar"),
+        "--schema", F("tinytodo", "tinytodo.cedarschema"),
+        "--emit-smt", str(taken),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot create --emit-smt directory") and "internal error" not in err
+
+
 _RELATIONS_SCHEMA = """
 entity User { age: Long };
 entity Doc { owner: User };
@@ -234,14 +249,18 @@ def test_analyze_derived_relations(capsys, tmp_path, old, new, verdict):
         assert cex["decisions"] == {"old": "DENY", "new": "ALLOW"}
 
 
-@pytest.mark.parametrize("entity_type", ["Foo", "bvadd", "distinct"])
+@pytest.mark.parametrize("entity_type", ["Foo", "bvadd", "distinct", "as", "_"])
 def test_analyze_entity_type_named_like_a_solver_head(capsys, tmp_path, entity_type):
-    # The type's datatype must not be declared under the name of a built-in
-    # head, or the bundled solver reads its constructor as that head.
+    # The type's datatype, and the selector of its attribute `as`, must not be
+    # declared under the name of a built-in head or an SMT-LIB reserved word,
+    # or the bundled solver reads them as that head or word.
     (tmp_path / "s.cedarschema").write_text(
-        f"entity {entity_type}; action a appliesTo {{ principal: [{entity_type}], resource: [{entity_type}] }};"
+        f"entity {entity_type} {{ as: String }};"
+        f" action a appliesTo {{ principal: [{entity_type}], resource: [{entity_type}] }};"
     )
-    (tmp_path / "old.cedar").write_text(f'permit(principal == {entity_type}::"x", action, resource);')
+    (tmp_path / "old.cedar").write_text(
+        f'permit(principal == {entity_type}::"x", action, resource) when {{ principal.as == "y" }};'
+    )
     (tmp_path / "new.cedar").write_text("permit(principal, action, resource);")
     code, out, _ = run(
         capsys,

@@ -1,4 +1,5 @@
-"""Entity refs are interned: one object per uid, whichever way it was made."""
+"""Entity refs are interned: one object per uid, whichever way it was made.
+SMT terms are interned too, and die with the analysis that built them."""
 
 import copy
 import dataclasses
@@ -10,14 +11,17 @@ import threading
 import weakref
 
 from cedar_engine import ast as ast_module
+from cedar_engine import smt_backend, terms
 from cedar_engine.ast import EntityRef, VEntity, link, vrecord, vset
 from cedar_engine.authorizer import PolicySet, Verdict, authorize
 from cedar_engine.entities import Request, build_store, load_entities, load_request, merge_action_hierarchy
 from cedar_engine.parser import parse_policies, parse_schema
+from cedar_engine.smt_backend import SolverConfig
 from cedar_engine.symcc import analyze_equivalence
 
 from conftest import read_fixture
 from test_acceptance import _fifty_entity_store, load_fixture_set
+from test_script_trees import _fixture_pairs
 
 
 def test_every_construction_path_gives_the_one_object():
@@ -90,6 +94,26 @@ def test_the_intern_table_drops_an_unreferenced_ref():
         assert key not in ast_module._INTERNED
     finally:
         gc.enable()
+
+
+def test_terms_die_with_their_analysis(monkeypatch):
+    pairs = list(_fixture_pairs())
+    live = []  # the table's size at each solver call
+    solve = smt_backend.run_solver
+    monkeypatch.setattr(smt_backend, "run_solver", lambda *args: live.append(len(terms._TERMS)) or solve(*args))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # the terms must go by reference counting alone
+    try:
+        before = len(terms._TERMS)
+        verdicts = [analyze_equivalence(a, b, schema, config=SolverConfig.bundled()) for _, a, b, schema in pairs]
+        assert {v.status for vs in verdicts for v in vs} == {"equivalent", "differs"}
+        assert live and min(live) > before
+        del verdicts
+        assert len(terms._TERMS) == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_refs_built_from_many_threads_agree():

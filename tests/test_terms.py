@@ -118,7 +118,7 @@ def test_sorts_are_derived_and_not_compared():
 def test_terms_are_immutable_values():
     a, b = TSome(TEq(P, TConst("q", BOOL_S))), TSome(TEq(P, TConst("q", BOOL_S)))
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a is not b  # no interning: lets share subterms by identity
+    assert a is b  # hash-consed: equal terms are one object
     assert TConst("x", BOOL_S) != TConst("x", STRING_S)
     for t in (a, P, N, S, NUMS, TReAll()):
         assert t != term_shape(t) and term_shape(t) != t

@@ -282,23 +282,34 @@ class LikePattern:
         return "".join(out)
 
     def matches(self, s: str) -> bool:
-        """Glob match with `*` spanning any substring (including empty)."""
-        parts = self.parts
-        n = len(parts)
+        """Glob match with `*` spanning any substring (including empty).
 
-        def go(pi: int, si: int) -> bool:
-            if pi == n:
-                return si == len(s)
-            p = parts[pi]
+        The literal chunks between wildcards are matched without
+        backtracking: the first is a prefix, the last a suffix, and each
+        middle chunk is taken at its leftmost occurrence in what is left,
+        which is enough because only `*` separates them.  Each chunk is
+        searched for once, so the time does not grow exponentially with the
+        number of wildcards.
+        """
+        chunks = [""]
+        for p in self.parts:
             if p is WILDCARD:
-                if pi == n - 1:
-                    return True
-                return any(go(pi + 1, k) for k in range(si, len(s) + 1))
-            if s.startswith(p, si):
-                return go(pi + 1, si + len(p))
+                chunks.append("")
+            else:
+                chunks[-1] += p
+        if len(chunks) == 1:
+            return s == chunks[0]
+        first, last = chunks[0], chunks[-1]
+        end = len(s) - len(last)
+        if end < len(first) or not s.startswith(first) or not s.endswith(last):
             return False
-
-        return go(0, 0)
+        pos = len(first)
+        for chunk in chunks[1:-1]:
+            pos = s.find(chunk, pos, end)
+            if pos < 0:
+                return False
+            pos += len(chunk)
+        return True
 
 
 # ---------------------------------------------------------------------------

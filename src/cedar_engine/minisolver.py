@@ -57,12 +57,13 @@ class Unsupported(Exception):
 # Sorts
 # ---------------------------------------------------------------------------
 
-def check_sort(sort):
-    """`sort`, if the solver supports it."""
+def check_sort(sort, datatypes: dict):
+    """`sort`, if the solver supports it: Bool, String, 64-bit vectors, one
+    of the `datatypes` declared so far, or a Set or Option of those."""
     if type(sort) is tuple and len(sort) == 2 and sort[0] in ("Set", "Option"):
-        check_sort(sort[1])
-    elif type(sort) is not str and sort != BV:
-        raise Unsupported(f"sort {sort!r}")
+        check_sort(sort[1], datatypes)
+    elif sort not in (BOOL, STRING, BV) and not (type(sort) is str and sort in datatypes):
+        raise Unsupported(f"sort {write_sexpr(sort)}")
     return sort
 
 
@@ -229,9 +230,10 @@ class Session:
                     name, args, ret = cmd[1], cmd[2], cmd[3]
                     if type(args) is not tuple:
                         raise Unsupported(f"argument sorts {write_sexpr(args)}")
-                    self.funs[name] = (tuple(map(check_sort, args)), check_sort(ret))
+                    sorts = tuple(check_sort(sort, self.datatypes) for sort in args)
+                    self.funs[name] = (sorts, check_sort(ret, self.datatypes))
                 elif head == "declare-const":
-                    self.consts[cmd[1]] = check_sort(cmd[2])
+                    self.consts[cmd[1]] = check_sort(cmd[2], self.datatypes)
                 elif head == "assert":
                     self.asserts.append(cmd[1])
                 elif head == "check-sat":
@@ -262,7 +264,9 @@ class Session:
         ctor = ctors[0]
         if type(ctor) is not tuple or ctor[:1] != (name,):
             raise Unsupported("constructor name differing from datatype name")
-        fields = tuple((sel, check_sort(sort)) for sel, sort in (check_arity(field, 1) for field in ctor[1:]))
+        fields = tuple(
+            (sel, check_sort(sort, self.datatypes)) for sel, sort in (check_arity(field, 1) for field in ctor[1:])
+        )
         for idx, (sel, sort) in enumerate(fields):
             self.selectors[sel] = (name, idx, sort)
         self.datatypes[name] = fields
@@ -355,12 +359,12 @@ class _Check:
         if head == "_":
             if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdigit() and node[2] == 64:
                 return BV
-            raise Unsupported(f"indexed {node!r}")
+            raise Unsupported(f"indexed {write_sexpr(node)}")
         if head == "as":
-            sort = check_sort(node[2])
+            sort = check_sort(node[2], self.datatypes)
             if type(sort) is tuple and (node[1], sort[0]) in (("none", "Option"), ("set.empty", "Set")):
                 return sort
-            raise Unsupported(f"as-expression {node!r}")
+            raise Unsupported(f"as-expression {write_sexpr(node)}")
         # The head's rank: built in, or declared, looked up in the order
         # `_trans` dispatches on it.
         rank = RANKS.get(head)
@@ -472,11 +476,8 @@ class _Check:
             bits = [cnf.new_var() for _ in pool.elems]
             cnf.exactly_one(bits)
             return EnumV(bits, pool, sort)
-        if type(sort) is str:
-            fields = self.datatypes.get(sort)
-            if fields is None:
-                raise Unsupported(f"unknown datatype {sort}")
-            return RecV([Lazy(_Check.fresh, fs) for _, fs in fields], sort)
+        if type(sort) is str:  # a datatype: `check_sort` admits no other name here
+            return RecV([Lazy(_Check.fresh, fs) for _, fs in self.datatypes[sort]], sort)
         if sort[0] == "Set":
             pool = self._pool_for(sort[1])
             bits = [cnf.new_var() for _ in pool.elems]

@@ -107,11 +107,10 @@ def _declarations(senv) -> list:
     out = []
     for name, fields in senv.datatypes:
         out.append(("declare-datatype", name, ((name, *fields),)))
-    for fn in senv.fn_order:
-        args, ret = senv.fn_sigs[fn]
+    for fn, (args, ret) in senv.fn_sigs.items():
         out.append(("declare-fun", fn, args, ret))
-    for name in senv.const_order:
-        out.append(("declare-const", name, senv.const_sigs[name]))
+    for name, sort in senv.const_sigs.items():
+        out.append(("declare-const", name, sort))
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .ast import (
     CedarError,
@@ -175,7 +175,7 @@ class SymbolicEnv:
     """Declarations and the injective name map for one (schema, env) pair."""
 
     schema: Schema
-    envs: tuple
+    env: RequestEnv
 
     def __post_init__(self):
         self._names = _Names()
@@ -185,13 +185,11 @@ class SymbolicEnv:
         self.record_of_name: dict = {}
         self.datatypes: list = []  # (name, ((selector, sort), ...))
         self.selector_names: dict = {}  # (dt_name, attr) -> selector
-        self.fn_sigs: dict = {}
-        self.fn_order: list = []
+        self.fn_sigs: dict = {}  # in declaration order
         self.attr_fn: dict = {}
         self.anc_fn: dict = {}
-        self.const_sigs: dict = {}
-        self.const_order: list = []
-        self.var_consts: dict = {}  # (env, var) -> (name, sort)
+        self.const_sigs: dict = {}  # in declaration order
+        self.var_consts: dict = {}  # var -> (name, sort)
 
     # -- datatypes ----------------------------------------------------------
 
@@ -255,11 +253,6 @@ class SymbolicEnv:
 
     # -- functions and constants --------------------------------------------
 
-    def _declare_fn(self, name: str, args: tuple, ret) -> str:
-        self.fn_sigs[name] = (args, ret)
-        self.fn_order.append(name)
-        return name
-
     def ensure_attr_fn(self, entity_type: str) -> str:
         name = self.attr_fn.get(entity_type)
         if name is None:
@@ -268,7 +261,7 @@ class SymbolicEnv:
             rs = self.ensure_record(decl.attrs, preferred=f"{es}Record")
             name = self._names.fresh(_lower_first(es) + "Attrs")
             self.attr_fn[entity_type] = name
-            self._declare_fn(name, (es,), rs)
+            self.fn_sigs[name] = ((es,), rs)
         return name
 
     def ensure_anc_fn(self, entity_type: str, ancestor_type: str) -> str:
@@ -279,19 +272,24 @@ class SymbolicEnv:
             as_ = self.ensure_entity(ancestor_type)
             name = self._names.fresh(f"{_lower_first(es)}In{as_}")
             self.anc_fn[key] = name
-            self._declare_fn(name, (es,), SSet(as_))
+            self.fn_sigs[name] = ((es,), SSet(as_))
         return name
 
-    def declare_var(self, env: RequestEnv, var: str, cedar_type: CedarType, suffix: str) -> None:
+    def declare_var(self, var: str, cedar_type: CedarType) -> None:
         sort = self.encode_type(cedar_type)
-        name = self._names.fresh(var + suffix)
+        name = self._names.fresh(var)
         self.const_sigs[name] = sort
-        self.const_order.append(name)
-        self.var_consts[(env, var)] = (name, sort)
+        self.var_consts[var] = (name, sort)
 
-    def var_const(self, env: RequestEnv, var: str) -> Term:
-        name, sort = self.var_consts[(env, var)]
+    def var_const(self, var: str) -> Term:
+        name, sort = self.var_consts[var]
         return TConst(name, sort)
+
+    def parents(self, entity_type: str) -> frozenset:
+        """The entity type's allowed parent types; none for a type the
+        schema does not declare."""
+        decl = self.schema.entity(entity_type)
+        return decl.parents if decl is not None else frozenset()
 
     def selector(self, dt_name: str, attr: str) -> str:
         return self.selector_names[(dt_name, attr)]
@@ -305,21 +303,18 @@ class SymbolicEnv:
         return sigs
 
 
-def encode_types(schema: Schema, envs: Iterable[RequestEnv]) -> SymbolicEnv:
+def encode_types(schema: Schema, env: RequestEnv) -> SymbolicEnv:
     """Declare datatypes, attribute/ancestor functions, and request constants."""
-    envs = tuple(envs)
-    senv = SymbolicEnv(schema, envs)
+    senv = SymbolicEnv(schema, env)
     for entity_type in schema.entity_types:
         senv.ensure_entity(entity_type)
     for entity_type, decl in schema.entity_types.items():
         senv.ensure_attr_fn(entity_type)
         for ancestor in sorted(decl.parents):
             senv.ensure_anc_fn(entity_type, ancestor)
-    for i, env in enumerate(envs):
-        suffix = "" if len(envs) == 1 else f"_{i}"
-        senv.declare_var(env, "principal", TEntity(env.principal_type), suffix)
-        senv.declare_var(env, "resource", TEntity(env.resource_type), suffix)
-        senv.declare_var(env, "context", env.context_type, suffix)
+    senv.declare_var("principal", TEntity(env.principal_type))
+    senv.declare_var("resource", TEntity(env.resource_type))
+    senv.declare_var("context", env.context_type)
     return senv
 
 
@@ -333,12 +328,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Compiler:
-    def __init__(self, env: RequestEnv, schema: Schema, senv: SymbolicEnv, footprint: Optional[list]):
-        self.env = env
-        self.schema = schema
+    def __init__(self, senv: SymbolicEnv, footprint: Optional[dict]):
         self.senv = senv
         self.footprint = footprint
-        self._fp_seen = set()
 
     # -- entry --------------------------------------------------------------
 
@@ -349,18 +341,11 @@ class _Compiler:
             assert option == "Option"
             if type(inner) is str:
                 entity_type = self.senv.entity_of_name.get(inner)
-                if entity_type is not None and entity_type in self.schema.entity_types:
-                    key = (out, entity_type)
-                    if key not in self._fp_seen:
-                        self._fp_seen.add(key)
-                        self.footprint.append(key)
+                if entity_type is not None and entity_type in self.senv.schema.entity_types:
+                    self.footprint[out, entity_type] = None
         return out
 
     # -- helpers -------------------------------------------------------------
-
-    def _parents(self, entity_type: str) -> frozenset:
-        decl = self.schema.entity(entity_type)
-        return decl.parents if decl is not None else frozenset()
 
     def _value_term(self, v: Value) -> Term:
         """The term of an `ELit`'s value: a Bool, Long, String or entity."""
@@ -445,8 +430,8 @@ class _Compiler:
             return TSome(self._value_term(e.value))
         if isinstance(e, EVar):
             if e.name == "action":
-                return TSome(self._value_term(VEntity(self.env.action)))
-            return TSome(self.senv.var_const(self.env, e.name))
+                return TSome(self._value_term(VEntity(self.senv.env.action)))
+            return TSome(self.senv.var_const(e.name))
         if isinstance(e, ESlot):
             raise UnsupportedConstruct("template slots cannot be compiled; link the template first")
         if isinstance(e, ESet):
@@ -492,7 +477,7 @@ class _Compiler:
                 return mk_ifok(obj, TSome(TBoolLit(True)))
             return mk_ifok(obj, TSome(mk_is_some(f_term)))
         if isinstance(e, EIs):
-            a = action_literal(e.obj, self.env, self.schema)
+            a = action_literal(e.obj, self.senv.env, self.senv.schema)
             if a is not None:
                 return TSome(TBoolLit(a.entity_type == e.entity_type))
             obj = self.compile(e.obj)
@@ -612,8 +597,8 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(body)))
 
     def _eq(self, e: EBinop) -> Term:
-        lhs = action_literal(e.left, self.env, self.schema)
-        decided = action_test("==", lhs, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.senv.env, self.senv.schema)
+        decided = action_test("==", lhs, e.right, self.senv.env, self.senv.schema)
         if decided is not None:
             return TSome(TBoolLit(decided))
         left = self.compile(e.left)
@@ -627,8 +612,8 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(mk_eq(mk_val(left), mk_val(right)))))
 
     def _in(self, e: EBinop) -> Term:
-        lhs = action_literal(e.left, self.env, self.schema)
-        decided = action_test("in", lhs, e.right, self.env, self.schema)
+        lhs = action_literal(e.left, self.senv.env, self.senv.schema)
+        decided = action_test("in", lhs, e.right, self.senv.env, self.senv.schema)
         if decided is not None:
             return TSome(TBoolLit(decided))
         left = self.compile(e.left)
@@ -643,7 +628,7 @@ class _Compiler:
             b1: Term = TBoolLit(False)
         else:
             b1 = mk_eq(v1, v2) if one else TSetMember(v1, v2)
-        if e2 in self._parents(e1):
+        if e2 in self.senv.parents(e1):
             anc = TApp(self.senv.ensure_anc_fn(e1, e2), (v1,), SSet(rhs_sort))
             b2 = TSetMember(v2, anc) if one else mk_not(mk_eq(TSetInter(v2, anc), TSetEmpty(rhs_sort)))
         else:
@@ -651,21 +636,15 @@ class _Compiler:
         return mk_ifok(left, mk_ifok(right, TSome(mk_or2(b1, b2))))
 
 
-def compile_expr(
-    expr: Expr,
-    env: RequestEnv,
-    schema: Schema,
-    senv: SymbolicEnv,
-    footprint: Optional[list] = None,
-) -> Term:
+def compile_expr(expr: Expr, senv: SymbolicEnv, footprint: Optional[dict] = None) -> Term:
     """Compile a well-typed expression to an Option-sorted term.
 
     The `action` variable compiles as the literal of the environment's
-    action.  When ``footprint`` is a list, every compiled entity-typed
-    subexpression is appended to it as a (term, entity type) pair, first
-    occurrence order, deduplicated.
+    action.  When ``footprint`` is a dict, every compiled entity-typed
+    subexpression is added to it as a (term, entity type) key, in first
+    occurrence order.
     """
-    return _Compiler(env, schema, senv, footprint).compile(expr)
+    return _Compiler(senv, footprint).compile(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +673,9 @@ def _wft(senv: SymbolicEnv, t1: Term, t2: Term, e1: str, e2: str, e3: str) -> Te
     return mk_implies(mk_and2(both, member), subset)
 
 
-def wf_from_footprint(footprint: list, schema: Schema, senv: SymbolicEnv) -> list:
+def wf_from_footprint(footprint: dict, senv: SymbolicEnv) -> list:
     """Acyclicity and transitivity instances grounded over the footprint."""
-    entries = []
-    seen = set()
-    for term, entity_type in footprint:
-        if (term, entity_type) in seen:
-            continue  # footprints collected across several policies may repeat
-        seen.add((term, entity_type))
-        decl = schema.entity(entity_type)
-        parents = decl.parents if decl is not None else frozenset()
-        entries.append((term, entity_type, parents))
+    entries = [(term, entity_type, senv.parents(entity_type)) for term, entity_type in footprint]
     out = []
     for t1, e1, p1 in entries:
         if e1 in p1:
@@ -718,11 +689,11 @@ def wf_from_footprint(footprint: list, schema: Schema, senv: SymbolicEnv) -> lis
     return [c for c in out if c is not TRUE_TERM]
 
 
-def wf_constraints(expr: Expr, env: RequestEnv, schema: Schema, senv: SymbolicEnv) -> list:
+def wf_constraints(expr: Expr, senv: SymbolicEnv) -> list:
     """Footprint-grounded well-formedness constraints for one expression."""
-    fp: list = []
-    compile_expr(expr, env, schema, senv, footprint=fp)
-    return wf_from_footprint(fp, schema, senv)
+    fp: dict = {}
+    compile_expr(expr, senv, footprint=fp)
+    return wf_from_footprint(fp, senv)
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +706,13 @@ def is_true_term(t: Term) -> Term:
     return mk_eq(TSome(TRUE_TERM), t)
 
 
-def allowed_term(policies: PolicySet, env: RequestEnv, schema: Schema, senv: SymbolicEnv, footprint: list) -> Term:
+def allowed_term(policies: PolicySet, senv: SymbolicEnv, footprint: dict) -> Term:
     """No satisfied forbid and at least one satisfied permit, symbolically."""
     permits = []
     forbids = []
     for p in policies.closed_policies:
         # Validation makes each policy Bool-typed: `is_true_term` checks it.
-        flag = is_true_term(compile_expr(toexp(p), env, schema, senv, footprint=footprint))
+        flag = is_true_term(compile_expr(toexp(p), senv, footprint=footprint))
         if p.effect is Effect.PERMIT:
             permits.append(flag)
         else:
@@ -798,13 +769,7 @@ def _decode_value(senv: SymbolicEnv, v) -> Value:
     raise AnalysisError(f"cannot decode model value {v!r}")
 
 
-def reconstruct_counterexample(
-    model,
-    senv: SymbolicEnv,
-    env: RequestEnv,
-    schema: Schema,
-    footprint: list,
-) -> tuple:
+def reconstruct_counterexample(model, senv: SymbolicEnv, footprint: dict) -> tuple:
     """Concrete (request, store) from a model: read entity ids at footprint
     points, apply attribute/ancestor functions there, close transitively."""
     from .smt_backend import ModelEvaluator, selector_table
@@ -812,7 +777,7 @@ def reconstruct_counterexample(
     ev = ModelEvaluator(model, selector_table(senv))
 
     def var_value(var: str):
-        return ev.eval(senv.var_consts[(env, var)][0], {})
+        return ev.eval(senv.var_consts[var][0], {})
 
     def as_ref(v) -> EntityRef:
         decoded = _decode_value(senv, v)
@@ -840,10 +805,9 @@ def reconstruct_counterexample(
     # The footprint holds only schema entity types, each of which has an
     # attribute function and an ancestor function per allowed parent type.
     for ref, value in refs.items():
-        decl = schema.entity_types[ref.entity_type]
         rec = _decode_value(senv, ev.apply(senv.attr_fn[ref.entity_type], [value]))
         direct = set()
-        for ancestor_type in sorted(decl.parents):
+        for ancestor_type in sorted(senv.parents(ref.entity_type)):
             fn = senv.anc_fn[(ref.entity_type, ancestor_type)]
             got = _decode_value(senv, ev.apply(fn, [value]))
             assert isinstance(got, VSet)
@@ -852,7 +816,7 @@ def reconstruct_counterexample(
                     direct.add(elem.ref)
         triples.append((ref, rec, direct))
     store = build_store(triples)
-    request = Request(principal=principal, action=env.action, resource=resource, context=context)
+    request = Request(principal=principal, action=senv.env.action, resource=resource, context=context)
     return request, store
 
 
@@ -879,15 +843,15 @@ def analyze_equivalence(
     verdicts = []
     script_names = _Names()
     for env in environments(schema):
-        senv = encode_types(schema, [env])
-        footprint: list = []
-        allow_a = allowed_term(set_a, env, schema, senv, footprint)
-        allow_b = allowed_term(set_b, env, schema, senv, footprint)
+        senv = encode_types(schema, env)
+        footprint: dict = {}
+        allow_a = allowed_term(set_a, senv, footprint)
+        allow_b = allowed_term(set_b, senv, footprint)
         phi = mk_eq(allow_a, allow_b)
         if phi is TRUE_TERM:
             verdicts.append(EnvVerdict(env, "equivalent", detail="statically identical"))
             continue
-        assertions = wf_from_footprint(footprint, schema, senv) + [mk_not(phi)]
+        assertions = wf_from_footprint(footprint, senv) + [mk_not(phi)]
         text = print_script(senv, assertions) if emit_dir is not None or not config.in_process else None
         if emit_dir is not None:
             fname = script_names.fresh(f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}") + ".smt2"
@@ -898,9 +862,7 @@ def analyze_equivalence(
         if outcome.kind == "unsat":
             verdicts.append(EnvVerdict(env, "equivalent"))
         elif outcome.kind == "sat":
-            request, store = reconstruct_counterexample(
-                outcome.model, senv, env, schema, footprint
-            )
+            request, store = reconstruct_counterexample(outcome.model, senv, footprint)
             full_store = merge_action_hierarchy(store, schema)
             decision_a = authorize(set_a, full_store, request, use_slicing=False)
             decision_b = authorize(set_b, full_store, request, use_slicing=False)

@@ -397,7 +397,7 @@ def reference_evaluate(expr: Expr, store: EntityStore, request: Request):
             if not isinstance(r[1], VString):
                 return (_ERR, "TypeMismatch")
             # Translate the pattern to a regular expression; the engine's own
-            # matcher is a recursive glob, so this is an independent route.
+            # matcher searches for literal chunks, so this is an independent route.
             rx = "".join(".*" if p is WILDCARD else _re.escape(p) for p in e.pattern.parts)
             return (_OK, VBool(_re.fullmatch(rx, r[1].s, _re.DOTALL) is not None))
         if isinstance(e, ENeg):
@@ -1113,13 +1113,13 @@ class TermInterpreter:
                 return go(args[0]) <= go(args[1])
             # A declared constant, function, constructor or selector.
             if not args:
-                for (env, var), (cname, _) in self.senv.var_consts.items():
+                for var, (cname, _) in self.senv.var_consts.items():
                     if cname == head:
                         if var == "principal":
                             return self.request.principal
                         if var == "resource":
                             return self.request.resource
-                        return self.encode_value(self.request.context, env.context_type)
+                        return self.encode_value(self.request.context, self.env.context_type)
             vals = [go(a) for a in args]
             # attribute / ancestor functions
             for entity_type, name in self.senv.attr_fn.items():

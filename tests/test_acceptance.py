@@ -333,9 +333,9 @@ def test_criterion_5_symbolic_fidelity(gen_seed):
         except PolicyTypeError:
             continue
         if env not in senv_cache:
-            senv_cache[env] = encode_types(schema, [env])
+            senv_cache[env] = encode_types(schema, env)
         senv = senv_cache[env]
-        term = compile_expr(expr, env, schema, senv)
+        term = compile_expr(expr, senv)
         interp = TermInterpreter(senv, env, schema, store, request)
         symbolic = interp.run(term)
         try:
@@ -550,16 +550,16 @@ def test_criterion_7_grounding_necessity():
     expr = parse_expr('Team::"A" in Team::"B" && Team::"B" in Team::"A"')
     config = SolverConfig.default()
 
-    senv = encode_types(schema, [env])
-    fp = []
-    compiled = compile_expr(expr, env, schema, senv, footprint=fp)
+    senv = encode_types(schema, env)
+    fp = {}
+    compiled = compile_expr(expr, senv, footprint=fp)
     from cedar_engine.symcc import wf_from_footprint
 
-    with_wf = print_script(senv, wf_from_footprint(fp, schema, senv) + [is_true_term(compiled)])
+    with_wf = print_script(senv, wf_from_footprint(fp, senv) + [is_true_term(compiled)])
     assert run_solver(config, with_wf).kind == "unsat"
 
-    senv2 = encode_types(schema, [env])
-    compiled2 = compile_expr(expr, env, schema, senv2)
+    senv2 = encode_types(schema, env)
+    compiled2 = compile_expr(expr, senv2)
     without_wf = print_script(senv2, [is_true_term(compiled2)])
     outcome = run_solver(config, without_wf)
     assert outcome.kind == "sat"

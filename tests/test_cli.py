@@ -581,6 +581,18 @@ def test_solver_model_that_contradicts_the_analysis_exits_3(tmp_path, capsys, wr
     assert err.startswith("error: ") and message in err
 
 
+def test_solver_without_an_answer_exits_3(tmp_path, capsys):
+    argv = _analyze_files(
+        tmp_path,
+        'permit(principal == User::"a", action, resource);',
+        "permit(principal, action, resource) when { false };",
+        _ONE_TYPE_SCHEMA,
+    )
+    code, out, err = run(capsys, *argv, "--solver", _fake_solver(tmp_path, ""))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: solver produced no answer")
+
+
 def test_solver_past_its_deadline_is_a_timeout(tmp_path, capsys):
     solver = tmp_path / "solver.sh"
     solver.write_text("#!/bin/sh\nexec sleep 5\n")

@@ -1,20 +1,24 @@
 """Expression and policy evaluation semantics."""
 
 import random
+import time
 
 import pytest
 
 from cedar_engine.ast import (
     EAnd,
     EBinop,
+    ELike,
     ELit,
     EntityRef,
     EOr,
     I64_MAX,
     I64_MIN,
+    LikePattern,
     VBool,
     VEntity,
     VLong,
+    VString,
     toexp,
     vrecord,
 )
@@ -27,7 +31,7 @@ from cedar_engine.evaluator import (
     evaluate_policy,
 )
 from cedar_engine.parser import parse_expr, parse_policies
-from cedar_engine.testkit import GenConfig, gen_expr, gen_request, gen_store
+from cedar_engine.testkit import GenConfig, gen_expr, gen_request, gen_store, reference_evaluate
 
 
 def dummy_request():
@@ -201,6 +205,30 @@ def test_set_and_string_operators():
     assert ev('"starXhere" like "star\\*here"') == VBool(False)
     with pytest.raises(EvalError):
         ev('1 like "x"')
+
+
+def test_like_with_many_wildcards_does_not_backtrack():
+    # A backtracking matcher tries every split of the string between the
+    # wildcards: this pair would not finish.
+    pattern = LikePattern.from_source("*a" * 30 + "*b")
+    start = time.perf_counter()
+    for s, want in [("a" * 10_000, False), ("a" * 10_000 + "b", True)]:
+        assert evaluate(ELike(ELit(VString(s)), pattern), EMPTY_STORE, dummy_request()) == VBool(want)
+    assert time.perf_counter() - start < 1
+
+
+def test_like_agrees_with_the_reference_regex_route():
+    # Short inputs only: the reference's `re` backtracks too.
+    rng = random.Random(0x11CE)
+    request = dummy_request()
+    for _ in range(3000):
+        pattern = LikePattern.from_source("".join(rng.choice(["a", "b", "*", "\\*"]) for _ in range(rng.randint(0, 7))))
+        s = "".join(rng.choice("ab*") for _ in range(rng.randint(0, 8)))
+        expr = ELike(ELit(VString(s)), pattern)
+        assert reference_evaluate(expr, EMPTY_STORE, request) == ("ok", evaluate(expr, EMPTY_STORE, request)), (
+            pattern.to_source(),
+            s,
+        )
 
 
 def test_derived_relations():

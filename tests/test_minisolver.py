@@ -212,6 +212,24 @@ MALFORMED = (
     ("(declare-datatype D (()))(check-sat)", "constructor name differing from datatype name"),
     ("(declare-datatype D ((D (f String))))(assert (= (D) (D)))(check-sat)", "D takes arguments of sorts (String)"),
     ("(declare-fun f (String) Bool)(assert (f true))(check-sat)", "f takes arguments of sorts (String)"),
+    ("(declare-fun f Bool Bool)(check-sat)", "argument sorts Bool"),
+    ("(declare-datatype D ((D) (E)))(check-sat)", "multi-constructor datatypes"),
+    ("(declare-const s String)(assert s)(check-sat)", "assertion is not Bool"),
+    ("(assert y)(check-sat)", "unknown symbol y"),
+    ("(assert (= 1 1))(check-sat)", "bare numeral"),
+    ("(assert (= (_ bv1 32) (_ bv1 32)))(check-sat)", "indexed (_ bv1 32)"),
+    ("(assert (as none Bool))(check-sat)", "as-expression (as none Bool)"),
+    ("(declare-const n (_ BitVec 64))(assert (= n (_ bv5 64)))(check-sat)", "equality over symbolic bit-vectors"),
+    ("(declare-fun f (Bool Bool) Bool)(declare-const x Bool)(assert (f x x))(check-sat)",
+     "multi-argument uninterpreted functions"),
+    ("(declare-fun f (Bool) Bool)(declare-const x Bool)(assert (f x))(check-sat)",
+     "function argument without a finite domain"),
+    # Only declared sorts: an undeclared name anywhere a sort is read.
+    ("(declare-const x Foo)(check-sat)", "sort Foo"),
+    ("(declare-fun f (Foo) Bool)(check-sat)", "sort Foo"),
+    ("(declare-const x (Set Foo))(check-sat)", "sort Foo"),
+    ("(declare-datatype D ((D (f Foo))))(check-sat)", "sort Foo"),
+    ("(declare-const x (_ BitVec 32))(check-sat)", "sort (_ BitVec 32)"),
     # The first fault is noted, not the last.
     ("(declare-const x)(assert)(check-sat)", "declare-const applied to 1 arguments, expected 2"),
     # Built-in heads over arguments of the wrong sorts.
@@ -231,6 +249,9 @@ HOSTILE_IDS = ["first-fault", "ite-branches", "set.union-elements", "=-elements"
     "script,note",
     MALFORMED,
     ids=["declare-const", "assert", "declare-fun", "declare-datatype", "ite", "not", "field", "ctor", "arity", "sorts",
+         "fun-argument-sorts", "multi-constructor", "assert-sort", "unknown-symbol", "bare-numeral", "indexed",
+         "as-expression", "bv-equality", "multi-argument-fun", "fun-domain", "undeclared-const-sort",
+         "undeclared-fun-sort", "undeclared-element-sort", "undeclared-field-sort", "narrow-bit-vector",
          *HOSTILE_IDS],
 )
 def test_malformed_commands_and_terms_answer_unknown(script, note):

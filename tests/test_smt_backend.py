@@ -46,20 +46,20 @@ from test_symcc import TEAM_SCHEMA, get_env
 def team_setup(with_wf: bool):
     schema = parse_schema(TEAM_SCHEMA)
     env = get_env(schema, "GetList")
-    senv = encode_types(schema, [env])
+    senv = encode_types(schema, env)
     expr = parse_expr('Team::"A" in Team::"B" && Team::"B" in Team::"A"')
-    fp = []
-    compiled = compile_expr(expr, env, schema, senv, footprint=fp)
+    fp = {}
+    compiled = compile_expr(expr, senv, footprint=fp)
     asserts = []
     if with_wf:
-        asserts += wf_constraints(expr, env, schema, senv)
+        asserts += wf_constraints(expr, senv)
     asserts.append(is_true_term(compiled))
     return senv, asserts
 
 
 def test_print_script_declarations(fig_schema):
     env = get_env(fig_schema, "GetList")
-    senv = encode_types(fig_schema, [env])
+    senv = encode_types(fig_schema, env)
     script = print_script(senv, [])
     assert script.startswith("(set-logic ALL)\n(set-option :produce-models true)\n")
     assert "(declare-fun listAttrs (List) ListRecord)" in script
@@ -87,7 +87,7 @@ def _doubling(levels: int):
     for _ in range(levels):
         t = TOr((TAnd((t, q)), TNot(t)))
     senv = SimpleNamespace(
-        signatures=dict, const_sigs={"p": BOOL_S, "q": BOOL_S}, datatypes=[], fn_order=[], fn_sigs={}, const_order=["p", "q"]
+        signatures=dict, const_sigs={"p": BOOL_S, "q": BOOL_S}, datatypes=[], fn_sigs={}
     )
     return senv, t
 
@@ -120,10 +120,10 @@ def test_print_script_stable_across_processes():
         "from cedar_engine.validator import environments\n"
         f"schema = parse_schema('''{TEAM_SCHEMA}''')\n"
         "env = environments(schema)[0]\n"
-        "senv = encode_types(schema, [env])\n"
+        "senv = encode_types(schema, env)\n"
         "expr = parse_expr('Team::\"A\" in Team::\"B\" && Team::\"B\" in Team::\"A\"')\n"
-        "asserts = wf_constraints(expr, env, schema, senv)\n"
-        "asserts.append(is_true_term(compile_expr(expr, env, schema, senv)))\n"
+        "asserts = wf_constraints(expr, senv)\n"
+        "asserts.append(is_true_term(compile_expr(expr, senv)))\n"
         "import sys; sys.stdout.write(print_script(senv, asserts))\n"
     )
     runs = {
@@ -331,10 +331,10 @@ def test_awkward_entity_ids_round_trip_through_solver():
         "entity T;\naction a appliesTo { principal: [T], resource: [T] };"
     )
     env = environments(schema)[0]
-    senv = encode_types(schema, [env])
+    senv = encode_types(schema, env)
     weird = EntityRef("T", 'a"b c')
     expr = EBinop("==", EVar("principal"), ELit(VEntity(weird)))
-    compiled = compile_expr(expr, env, schema, senv)
+    compiled = compile_expr(expr, senv)
     script = print_script(senv, [__import__("cedar_engine.symcc", fromlist=["is_true_term"]).is_true_term(compiled)])
     outcome = run_solver(SolverConfig.bundled(), script)
     assert outcome.kind == "sat"

@@ -42,8 +42,8 @@ action GetList appliesTo { principal: [User], resource: [Application] };
 
 def compile_src(src, schema, action_id, footprint=None):
     env = get_env(schema, action_id)
-    senv = encode_types(schema, [env])
-    return compile_expr(parse_expr(src), env, schema, senv, footprint=footprint), senv, env
+    senv = encode_types(schema, env)
+    return compile_expr(parse_expr(src), senv, footprint=footprint), senv, env
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def compile_src(src, schema, action_id, footprint=None):
 
 def test_encoding_declares_store_and_request(fig_schema):
     env = get_env(fig_schema, "GetList")
-    senv = encode_types(fig_schema, [env])
+    senv = encode_types(fig_schema, env)
     script = print_script(senv, [])
     # The canonical nine declarations for this schema and environment.
     assert "(declare-datatype User ((User (" in script
@@ -72,7 +72,7 @@ def test_entity_without_parents_gets_no_ancestor_functions():
     schema = parse_schema(
         "entity Lonely;\naction a appliesTo { principal: [Lonely], resource: [Lonely] };"
     )
-    senv = encode_types(schema, [get_env(schema, "a")])
+    senv = encode_types(schema, get_env(schema, "a"))
     assert senv.anc_fn == {}
 
 
@@ -83,14 +83,14 @@ def test_optional_attribute_encoding():
         action go appliesTo { principal: [App], resource: [App] };
         """
     )
-    senv = encode_types(schema, [get_env(schema, "go")])
+    senv = encode_types(schema, get_env(schema, "go"))
     script = print_script(senv, [])
     assert "(declare-datatype AppRecord ((AppRecord (a (_ BitVec 64)) (b (Option String)))))" in script
 
 
 def test_record_types_deduplicate_structurally(fig_schema):
     env = get_env(fig_schema, "GetList")
-    senv = encode_types(fig_schema, [env])
+    senv = encode_types(fig_schema, env)
     # Application, Team, and User all have empty attribute records: one
     # datatype serves them all.
     empty_records = {
@@ -137,15 +137,15 @@ def test_compile_action_groups_fold():
     # compile_expr substitutes the action itself.
     env = get_env(schema, "readRepository")
     expr = parse_expr('action in Action::"administrateRepository"')
-    assert compile_expr(expr, env, schema, encode_types(schema, [env])) == TSome(TBoolLit(True))
+    assert compile_expr(expr, encode_types(schema, env)) == TSome(TBoolLit(True))
 
 
 def test_compiled_terms_sort_check(fig_schema, tinytodo_policies):
     schema = parse_schema(read_fixture("tinytodo", "tinytodo.cedarschema"))
     for env in environments(schema):
-        senv = encode_types(schema, [env])
+        senv = encode_types(schema, env)
         for p in tinytodo_policies:
-            t = compile_expr(toexp(p), env, schema, senv)
+            t = compile_expr(toexp(p), senv)
             assert t.sort == SOption(BOOL_S)
             print_script(senv, [is_true_term(t)])  # checks applications against their signatures
 
@@ -154,17 +154,17 @@ def test_dead_branches_never_compiled(fig_schema, tinytodo_policies):
     # Policy 3 mentions resource.readers, which does not exist on
     # Application; the action guard folds false first.
     env = get_env(fig_schema, "CreateList")
-    senv = encode_types(fig_schema, [env])
-    t = compile_expr(toexp(tinytodo_policies[3]), env, fig_schema, senv)
+    senv = encode_types(fig_schema, env)
+    t = compile_expr(toexp(tinytodo_policies[3]), senv)
     assert t == TSome(TBoolLit(False))
 
 
 def test_action_forms_fold_to_literals_that_agree_with_action_in(action_group_schema):
     schema = action_group_schema
     for env in environments(schema):
-        senv = encode_types(schema, [env])
+        senv = encode_types(schema, env)
         for src, want in action_forms(schema, env):
-            got = compile_expr(parse_expr(src), env, schema, senv)
+            got = compile_expr(parse_expr(src), senv)
             assert got == TSome(TBoolLit(want)), (env.describe(), src)
 
 
@@ -176,9 +176,9 @@ def test_action_forms_fold_to_literals_that_agree_with_action_in(action_group_sc
 def test_grounding_matches_worked_example():
     schema = parse_schema(TEAM_SCHEMA)
     env = get_env(schema, "GetList")
-    senv = encode_types(schema, [env])
+    senv = encode_types(schema, env)
     expr = parse_expr('Team::"A" in Team::"B" && Team::"B" in Team::"A"')
-    constraints = wf_constraints(expr, env, schema, senv)
+    constraints = wf_constraints(expr, senv)
     assert [term_sexpr(c) for c in constraints] == [
         '(not (set.member (Team "A") (teamInTeam (Team "A"))))',
         '(not (set.member (Team "B") (teamInTeam (Team "B"))))',
@@ -189,12 +189,12 @@ def test_grounding_matches_worked_example():
 
 def test_no_entities_no_constraints(fig_schema):
     env = get_env(fig_schema, "GetList")
-    senv = encode_types(fig_schema, [env])
-    assert wf_constraints(parse_expr("1 + 1 < 3"), env, fig_schema, senv) == []
+    senv = encode_types(fig_schema, env)
+    assert wf_constraints(parse_expr("1 + 1 < 3"), senv) == []
 
 
 def test_footprint_and_constraint_enumeration(fig_schema):
-    fp = []
+    fp = {}
     t, senv, env = compile_src("principal in resource.readers", fig_schema, "GetList", footprint=fp)
     rendered = [(term_sexpr(term), e) for term, e in fp]
     # footprint is exactly {principal, resource, resource.readers}
@@ -214,7 +214,7 @@ def test_footprint_and_constraint_enumeration(fig_schema):
         if i != j and e2 in p1
         for e3 in sorted(p1 & p2)
     ]
-    constraints = wf_from_footprint(fp, fig_schema, senv)
+    constraints = wf_from_footprint(fp, senv)
     assert len(constraints) == len(expected_acyclic) + len(expected_trans)
     # Entries: principal (Team in parents? User parents {Team, Application}:
     # no self type), resource (no List parent), readers (Team in {Team, App}).
@@ -299,7 +299,7 @@ def test_arithmetic_guard_boundaries(fig_schema):
     from cedar_engine.ast import EntityRef, vrecord
 
     env = get_env(fig_schema, "GetList")
-    senv = encode_types(fig_schema, [env])
+    senv = encode_types(fig_schema, env)
     store = build_store(
         [
             (EntityRef("User", "u"), vrecord({}), []),
@@ -319,7 +319,7 @@ def test_arithmetic_guard_boundaries(fig_schema):
             exprs.append(EBinop("+", ELit(VLong(v)), ELit(VLong(w))))
             exprs.append(EBinop("-", ELit(VLong(v)), ELit(VLong(w))))
     for expr in exprs:
-        term = compile_expr(expr, env, fig_schema, senv)
+        term = compile_expr(expr, senv)
         symbolic = interp.run(term)
         try:
             concrete = ("some", evaluate(expr, store, request).i)
@@ -339,8 +339,8 @@ def test_no_declaration_is_named_string():
         "entity User;\naction view appliesTo { principal: [User], resource: [User], context: { string: String } };"
     )
     env = get_env(schema, "view")
-    senv = encode_types(schema, [env])
-    term = compile_expr(parse_expr('context.string == "x"'), env, schema, senv)
+    senv = encode_types(schema, env)
+    term = compile_expr(parse_expr('context.string == "x"'), senv)
     script = print_script(senv, [is_true_term(term)])
     assert "(string " not in script and "(string_2 context)" in script
 
@@ -436,7 +436,7 @@ def test_set_and_record_forms_match_both_oracles(gen_seed):
 
     schema = parse_schema(STRUCTURED_SCHEMA)
     (env,) = environments(schema)
-    senv = encode_types(schema, [env])
+    senv = encode_types(schema, env)
     base = gen_seed * 1_000_000
 
     # Compiled terms, interpreted under a store and request, agree with
@@ -450,7 +450,7 @@ def test_set_and_record_forms_match_both_oracles(gen_seed):
             continue
         (expr,) = exprs
         try:
-            term = compile_expr(expr, env, schema, senv)
+            term = compile_expr(expr, senv)
         except UnsupportedConstruct as err:
             assert "re-encode a set" in str(err), f"seed {seed}: {err}"
             unsupported += 1
@@ -543,8 +543,8 @@ def test_coercions_and_static_rules_agree_with_evaluation(src):
     (env,) = environments(schema)
     expr = parse_expr(src)
     typecheck(expr, env, schema)
-    senv = encode_types(schema, [env])
-    term = compile_expr(expr, env, schema, senv)
+    senv = encode_types(schema, env)
+    term = compile_expr(expr, senv)
     for seed in range(200):
         store, request = gen_conforming(GenConfig(seed, max_entities=2), schema)
         interp = TermInterpreter(senv, env, schema, store, request)
@@ -567,4 +567,4 @@ def test_template_slots_are_not_compiled(fig_schema):
     assert ESlot("?principal") in set(subexpressions(expr))
     env = get_env(fig_schema, "GetList")
     with pytest.raises(UnsupportedConstruct, match="link the template first"):
-        compile_expr(expr, env, fig_schema, encode_types(fig_schema, [env]))
+        compile_expr(expr, encode_types(fig_schema, env))

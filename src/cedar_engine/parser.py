@@ -1,9 +1,10 @@
 """Concrete syntax: policy and schema text to AST, and canonical rendering.
 
-Policies live in `.cedar` files, schemas in `.cedarschema` files.  All
-diagnostics carry a source span and render as `file:line:col: severity:
-message` plus the offending line.  Parsing never raises anything but
-ParseError, no matter the input bytes.
+Policies live in `.cedar` files, schemas in `.cedarschema` files.  Tokens
+carry character offsets; a ParseError holds one message and the offsets it
+is about, and works out its line, column and byte span only when read.  It
+renders as `file:line:col: error: message` plus the offending line.  Parsing
+never raises anything but ParseError, no matter the input bytes.
 
 Nesting is bounded by MAX_NESTING, so that no input can exhaust the stack of
 this recursive-descent parser or of the recursive passes over its output
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ast import (
     ANY,
@@ -80,11 +80,6 @@ from .validator import ActionDecl, EntityTypeDecl, Schema, SchemaError, check_sc
 # ---------------------------------------------------------------------------
 
 
-class Severity(Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 @dataclass(frozen=True)
 class SourceSpan:
     byte_start: int
@@ -93,32 +88,43 @@ class SourceSpan:
     column: int
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: Severity
-    message: str
-    span: SourceSpan
+def span_at(source: str, start: int, end: int) -> SourceSpan:
+    """The span of characters ``start`` to ``end`` of ``source``: the line is
+    one more than the newlines before ``start``, the column counts characters
+    from the last of them, and the byte offsets are UTF-8 lengths."""
+    prefix = source[:start]
+    byte_start = len(prefix.encode("utf-8", "surrogatepass"))
+    width = len(source[start:end].encode("utf-8", "surrogatepass"))
+    return SourceSpan(byte_start, byte_start + width, prefix.count("\n") + 1, start - prefix.rfind("\n"))
 
 
 class ParseError(CedarError):
-    def __init__(self, diagnostics, source: str = "", filename: str = "<input>"):
-        self.diagnostics = list(diagnostics)
-        self.source = source
-        self.filename = filename
-        super().__init__(self.render())
+    """A message about characters ``start`` to ``end`` of ``source``."""
+
+    def __init__(self, message: str, start: int, end: int, source: str, filename: str = "<input>"):
+        super().__init__(message)
+        self.message, self.start, self.end = message, start, end
+        self.source, self.filename = source, filename
+
+    @property
+    def span(self) -> SourceSpan:
+        return span_at(self.source, self.start, self.end)
 
     def render(self) -> str:
-        return "\n".join(format_diagnostic(d, self.source, self.filename) for d in self.diagnostics)
+        """`file:line:col: error: message`, then the `\\n`-delimited line of
+        the error, less a trailing `\\r`, and a caret under its column.  An
+        error at the end of input after a final newline, or in an empty
+        source, quotes no line."""
+        span = self.span
+        head = f"{self.filename}:{span.line}:{span.column}: error: {self.message}"
+        line_start = self.start - span.column + 1
+        if line_start == len(self.source):
+            return head
+        line_end = self.source.find("\n", line_start)
+        src_line = self.source[line_start : line_end if line_end >= 0 else None].removesuffix("\r")
+        return f"{head}\n  {src_line}\n  {' ' * (span.column - 1)}^"
 
-
-def format_diagnostic(diag: ParseDiagnostic, source: str, filename: str = "<input>") -> str:
-    head = f"{filename}:{diag.span.line}:{diag.span.column}: {diag.severity.value}: {diag.message}"
-    lines = source.splitlines()
-    if 1 <= diag.span.line <= len(lines):
-        src_line = lines[diag.span.line - 1]
-        marker = " " * (diag.span.column - 1) + "^"
-        return f"{head}\n  {src_line}\n  {marker}"
-    return head
+    __str__ = render
 
 
 # ---------------------------------------------------------------------------
@@ -161,39 +167,21 @@ _STRING_STOP_RE = re.compile(r'["\\]')
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "*": "\\*"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "slot" | "eof" | punctuation text
     text: str
     value: object
-    span: SourceSpan
+    start: int  # character offsets in the source
+    end: int
 
 
 class _Lexer:
-    def __init__(self, source: str):
+    def __init__(self, source: str, filename: str = "<input>"):
         self.source = source
-        self.ascii = source.isascii()
-        # Line, line start and byte offset of `mark`, the start of the last
-        # span made; spans are made in source order, so each character is
-        # counted once.
-        self.mark = 0
-        self.byte = 0
-        self.line = 1
-        self.line_start = 0
+        self.filename = filename
 
-    def error(self, message: str, span: SourceSpan):
-        raise ParseError([ParseDiagnostic(Severity.ERROR, message, span)], self.source)
-
-    def _span(self, start: int, end: int) -> SourceSpan:
-        src, mark = self.source, self.mark
-        if newlines := src.count("\n", mark, start):
-            self.line += newlines
-            self.line_start = src.rindex("\n", mark, start) + 1
-        end = min(end, len(src))
-        self.byte = start if self.ascii else self.byte + len(src[mark:start].encode("utf-8"))
-        width = end - start if self.ascii else len(src[start:end].encode("utf-8"))
-        self.mark = start
-        return SourceSpan(self.byte, self.byte + width, self.line, start - self.line_start + 1)
+    def error(self, message: str, start: int, end: int):
+        raise ParseError(message, start, end, self.source, self.filename)
 
     def tokens(self) -> list:
         src = self.source
@@ -208,12 +196,12 @@ class _Lexer:
                 tok = self._string(start)
                 pos = start + len(tok.text)
             elif kind == "bad":
-                self.error(f"unexpected character {text!r}", self._span(start, pos))
+                self.error(f"unexpected character {text!r}", start, pos)
             else:
                 value = int(text) if kind == "int" else text
-                tok = Token(text if kind == "punct" else kind, text, value, self._span(start, pos))
+                tok = Token(text if kind == "punct" else kind, text, value, start, pos)
             out.append(tok)
-        out.append(Token("eof", "", None, self._span(n, n)))
+        out.append(Token("eof", "", None, n, n))
         return out
 
     def _string(self, start: int) -> Token:
@@ -224,33 +212,33 @@ class _Lexer:
         while True:
             stop = _STRING_STOP_RE.search(src, pos)
             if stop is None:
-                self.error("unterminated string literal", self._span(start, len(src)))
+                self.error("unterminated string literal", start, len(src))
             buf.append(src[pos : stop.start()])
             pos = stop.end()
             if stop.group() == '"':
                 break
             if pos >= len(src):
-                self.error("unterminated escape", self._span(start, pos))
+                self.error("unterminated escape", start, pos)
             esc = src[pos]
             pos += 1
             if esc in _ESCAPES:
                 buf.append(_ESCAPES[esc])
             elif esc == "u":
                 if not src.startswith("{", pos):
-                    self.error("expected { after \\u", self._span(pos, pos + 1))
+                    self.error("expected { after \\u", pos, pos + 1)
                 hex_start = pos + 1
                 close = src.find("}", hex_start)
                 digits = src[hex_start : close if close >= 0 else len(src)]
                 if close < 0 or not digits or len(digits) > 6:
-                    self.error("malformed \\u{...} escape", self._span(hex_start, hex_start + len(digits)))
+                    self.error("malformed \\u{...} escape", hex_start, hex_start + len(digits))
                 try:
                     buf.append(chr(int(digits, 16)))
                 except (ValueError, OverflowError):
-                    self.error("invalid unicode escape", self._span(hex_start, close))
+                    self.error("invalid unicode escape", hex_start, close)
                 pos = close + 1
             else:
-                self.error(f"unknown escape \\{esc}", self._span(pos - 1, pos))
-        return Token("string", src[start:pos], "".join(buf), self._span(start, pos))
+                self.error(f"unknown escape \\{esc}", pos - 1, pos)
+        return Token("string", src[start:pos], "".join(buf), start, pos)
 
 
 # Cedar's other relations, parsed as the negations of the ones the AST has:
@@ -264,9 +252,10 @@ _NEGATED_RELATIONS = {"!=": "==", ">": "<=", ">=": "<"}
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, filename: str):
         self.source = source
-        self.toks = _Lexer(source).tokens()
+        self.filename = filename
+        self.toks = _Lexer(source, filename).tokens()
         self.i = 0
         self.nesting = 0
 
@@ -300,7 +289,7 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
-        raise ParseError([ParseDiagnostic(Severity.ERROR, message, tok.span)], self.source)
+        raise ParseError(message, tok.start, tok.end, self.source, self.filename)
 
     def nest(self, what: str) -> None:
         """Enter one more level of recursion; the caller leaves it with
@@ -655,23 +644,15 @@ class _PolicyParser(_Parser):
 
 def parse_policies(text: str, filename: str = "<input>") -> list:
     """Parse a policy document into Policy values in document order."""
-    try:
-        return _PolicyParser(text).parse()
-    except ParseError as err:
-        err.filename = filename
-        raise
+    return _PolicyParser(text, filename).parse()
 
 
 def parse_expr(text: str, filename: str = "<input>") -> Expr:
     """Parse a single expression (used by the evaluate command and tests)."""
-    try:
-        parser = _PolicyParser(text)
-        e = parser._bounded_expr()
-        parser.expect("eof", "end of input")
-        return e
-    except ParseError as err:
-        err.filename = filename
-        raise
+    parser = _PolicyParser(text, filename)
+    e = parser._bounded_expr()
+    parser.expect("eof", "end of input")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +663,8 @@ _BUILTIN_TYPES = {"Bool": BOOL, "Boolean": BOOL, "Long": LONG, "String": STRING}
 
 
 class _SchemaParser(_Parser):
-    def __init__(self, source: str):
-        super().__init__(source)
+    def __init__(self, source: str, filename: str):
+        super().__init__(source, filename)
         self.entities: dict = {}
         self.actions: dict = {}
 
@@ -852,11 +833,7 @@ class _SchemaParser(_Parser):
 
 
 def parse_schema(text: str, filename: str = "<input>") -> Schema:
-    try:
-        return _SchemaParser(text).parse()
-    except ParseError as err:
-        err.filename = filename
-        raise
+    return _SchemaParser(text, filename).parse()
 
 
 # ---------------------------------------------------------------------------

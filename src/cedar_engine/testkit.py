@@ -991,10 +991,8 @@ class TermInterpreter:
     datatype, values tuple), ("some", v) / ("none",) for Option.
     """
 
-    def __init__(self, senv, env: RequestEnv, schema: Schema, store: EntityStore, request: Request):
+    def __init__(self, senv, store: EntityStore, request: Request):
         self.senv = senv
-        self.env = env
-        self.schema = schema
         self.store = store
         self.request = request
         self.selectors = {}
@@ -1032,7 +1030,7 @@ class TermInterpreter:
         raise TypeError(f"not a value: {v!r}")
 
     def attr_record(self, ref: EntityRef) -> object:
-        decl = self.schema.entity(ref.entity_type)
+        decl = self.senv.schema.entity(ref.entity_type)
         data = self.store.get(ref)
         if data is None:
             raise CedarError(f"attribute function applied to absent entity {ref}")
@@ -1119,7 +1117,7 @@ class TermInterpreter:
                             return self.request.principal
                         if var == "resource":
                             return self.request.resource
-                        return self.encode_value(self.request.context, self.env.context_type)
+                        return self.encode_value(self.request.context, self.senv.env.context_type)
             vals = [go(a) for a in args]
             # attribute / ancestor functions
             for entity_type, name in self.senv.attr_fn.items():

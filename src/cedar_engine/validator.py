@@ -688,11 +688,6 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
         for env in envs:
             try:
                 t, _ = typecheck(expr, env, schema)
-                if not is_subtype(t, BOOL):
-                    raise PolicyTypeError(
-                        TypeErrorKind.NON_BOOLEAN_GUARD,
-                        f"policy condition has type {render_type(t)}",
-                    )
                 results.append(EnvResult(policy.id, env, True, type=t))
                 types.append(t)
             except PolicyTypeError as err:

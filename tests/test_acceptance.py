@@ -336,7 +336,7 @@ def test_criterion_5_symbolic_fidelity(gen_seed):
             senv_cache[env] = encode_types(schema, env)
         senv = senv_cache[env]
         term = compile_expr(expr, senv)
-        interp = TermInterpreter(senv, env, schema, store, request)
+        interp = TermInterpreter(senv, store, request)
         symbolic = interp.run(term)
         try:
             concrete = ("some", evaluate(expr, store, request))

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from cedar_engine.parser import ParseError, SourceSpan, _Lexer, render_policies
+from cedar_engine.parser import ParseError, SourceSpan, _Lexer, render_policies, span_at
 from cedar_engine.testkit import GenConfig, gen_policies
 
 from conftest import FIXTURES
@@ -37,7 +37,8 @@ def assert_spans(source: str) -> int:
         start = _GAP.match(source, pos).end()
         end = start + len(tok.text)
         assert source[start:end] == tok.text
-        assert tok.span == prefix_span(source, start, end), (tok, source[max(0, start - 20) : end])
+        assert (tok.start, tok.end) == (start, end), (tok, source[max(0, start - 20) : end])
+        assert span_at(source, tok.start, tok.end) == prefix_span(source, start, end), tok
         pos = end
     assert tokens[-1].kind == "eof" and pos == len(source)
     return len(tokens)
@@ -89,7 +90,7 @@ ERROR_SITES = [
 def test_lexer_error_message_and_span(source, message, start, end):
     with pytest.raises(ParseError) as err:
         _Lexer(source).tokens()
-    (diag,) = err.value.diagnostics
+    diag = err.value
     assert diag.message == message
     assert diag.span == prefix_span(source, start, min(end, len(source)))
 
@@ -97,7 +98,15 @@ def test_lexer_error_message_and_span(source, message, start, end):
 def test_escape_at_end_of_input_has_an_empty_span():
     with pytest.raises(ParseError) as err:
         _Lexer('"\\u').tokens()
-    assert err.value.diagnostics[0].span == SourceSpan(3, 3, 1, 4)
+    assert err.value.span == SourceSpan(3, 3, 1, 4)
+
+
+def test_a_lone_surrogate_is_lexed_and_located():
+    # Only an error works out byte offsets; a surrogate counts three bytes.
+    assert _Lexer('"\ud800"').tokens()[0].value == "\ud800"
+    with pytest.raises(ParseError) as err:
+        _Lexer('"\ud800" $').tokens()
+    assert err.value.span == SourceSpan(6, 7, 1, 5)
 
 
 def _lex_seconds(source: str) -> float:

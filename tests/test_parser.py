@@ -215,7 +215,7 @@ def test_if_is_an_operand_only_in_parentheses(src):
     # Cedar's grammar allows `if` only at the Expr level.
     with pytest.raises(ParseError) as err:
         parse_expr(src)
-    (diag,) = err.value.diagnostics
+    diag = err.value
     assert (diag.span.line, diag.span.column) == (1, src.index("if") + 1)
     parenthesised = src.replace("if", "(if", 1) + ")"
     e = parse_expr(parenthesised)
@@ -281,6 +281,55 @@ def test_diagnostic_format():
         assert "permit(principal action" in rendered
 
 
+@pytest.mark.parametrize(
+    "parse,text,line",
+    [
+        (parse_policies, "permit(principal action, resource);", 1),
+        (parse_policies, 'permit(principal,\n action == Action::"\\q", resource);', 2),
+        (parse_schema, "entity A { x: };", 1),
+        (parse_schema, "entity A in [B];", 1),
+        (parse_expr, "1 +", 1),
+    ],
+)
+def test_error_text_names_the_given_file(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text, "given.name")
+    assert str(err.value) == err.value.render()
+    assert str(err.value).startswith(f"given.name:{line}:{err.value.span.column}: error: {err.value.message}")
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"])
+def test_only_a_newline_ends_the_quoted_line(brk):
+    src = f"// a{brk}b\npermit(principal action, resource);"
+    with pytest.raises(ParseError) as err:
+        parse_policies(src)
+    head, quoted, caret = err.value.render().split("\n")
+    assert head.startswith("<input>:2:18: error:")
+    assert quoted == "  permit(principal action, resource);"
+    assert caret == "  " + " " * 17 + "^"
+
+
+def test_a_crlf_line_is_quoted_without_its_carriage_return():
+    with pytest.raises(ParseError) as err:
+        parse_policies("permit(principal, action, resource);\r\nforbid(principal action, resource);\r\n")
+    assert err.value.render().split("\n")[1:] == ["  forbid(principal action, resource);", "  " + " " * 17 + "^"]
+
+
+@pytest.mark.parametrize(
+    "parse,text,head",
+    [
+        (parse_policies, "permit(principal, action, resource)\n", "<input>:2:1: error: expected ';' after policy, found 'end of input'"),
+        (parse_policies, "permit(principal, action, resource)\r\n", "<input>:2:1: error: expected ';' after policy, found 'end of input'"),
+        (parse_schema, "entity A {\n", "<input>:2:1: error: expected an attribute name"),
+        (parse_expr, "", "<input>:1:1: error: unexpected token 'end of input'"),
+    ],
+)
+def test_an_error_after_a_final_newline_quotes_no_line(parse, text, head):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.render() == head
+
+
 def test_slots_only_in_scope():
     for src, column in (
         ("permit(principal, action == ?principal, resource);", 29),
@@ -341,7 +390,7 @@ def test_nesting_beyond_the_bound_is_a_parse_error(shape):
         for parse, text in ((parse_policies, _condition(shape, n)), (parse_expr, DEEP_SHAPES[shape](n))):
             with pytest.raises(ParseError) as err:
                 parse(text)
-            (diag,) = err.value.diagnostics
+            diag = err.value
             assert f"nests deeper than {MAX_NESTING} levels" in diag.message
             assert diag.span.line == 1 and diag.span.column > 0
 

@@ -111,9 +111,12 @@ def test_print_script_byte_stable():
 
 
 def test_print_script_stable_across_processes():
-    import subprocess
+    # Each child finds the package through its own sys.path, and the two run
+    # under different string hash seeds, whatever seed the caller fixed.
+    from conftest import ROOT
 
     helper = (
+        f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r})\n"
         "from cedar_engine.parser import parse_schema, parse_expr\n"
         "from cedar_engine.symcc import encode_types, compile_expr, wf_constraints, is_true_term\n"
         "from cedar_engine.smt_backend import print_script\n"
@@ -128,9 +131,13 @@ def test_print_script_stable_across_processes():
     )
     runs = {
         subprocess.run(
-            [sys.executable, "-c", helper], capture_output=True, text=True, check=True
+            [sys.executable, "-c", helper],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
         ).stdout
-        for _ in range(2)
+        for seed in ("0", "1")
     }
     assert len(runs) == 1
     assert runs.pop() == print_script(*_roundtrip_args())

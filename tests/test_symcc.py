@@ -307,7 +307,7 @@ def test_arithmetic_guard_boundaries(fig_schema):
         ]
     )
     request = Request(EntityRef("User", "u"), env.action, EntityRef("List", "l"), vrecord({}))
-    interp = TermInterpreter(senv, env, fig_schema, store, request)
+    interp = TermInterpreter(senv, store, request)
 
     values = [I64_MIN, I64_MIN + 1, -2, -1, 0, 1, 2, I64_MAX - 1, I64_MAX]
     exprs = []
@@ -455,7 +455,7 @@ def test_set_and_record_forms_match_both_oracles(gen_seed):
             assert "re-encode a set" in str(err), f"seed {seed}: {err}"
             unsupported += 1
             continue
-        interp = TermInterpreter(senv, env, schema, store, request)
+        interp = TermInterpreter(senv, store, request)
         symbolic = interp.run(term)
         try:
             concrete = ("some", evaluate(expr, store, request))
@@ -547,7 +547,7 @@ def test_coercions_and_static_rules_agree_with_evaluation(src):
     term = compile_expr(expr, senv)
     for seed in range(200):
         store, request = gen_conforming(GenConfig(seed, max_entities=2), schema)
-        interp = TermInterpreter(senv, env, schema, store, request)
+        interp = TermInterpreter(senv, store, request)
         symbolic = interp.run(term)
         try:
             concrete = ("some", evaluate(expr, store, request))

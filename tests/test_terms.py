@@ -133,7 +133,7 @@ def test_terms_are_immutable_values():
 def test_smart_constructors_agree_with_the_terms_they_fold():
     # Closed terms of built-in heads only, so the term interpreter needs no
     # store or request: literals, and terms no constructor folds.
-    run = TermInterpreter(SimpleNamespace(datatypes=[]), None, None, None, None).run
+    run = TermInterpreter(SimpleNamespace(datatypes=[]), None, None).run
     one, two = TBVLit(1), TBVLit(2)
     bools = [TRUE_TERM, FALSE_TERM, TEq(one, one), TEq(one, two)]
     nums = [one, two, TBVOp("bvneg", (one,))]

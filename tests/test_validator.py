@@ -379,6 +379,48 @@ def test_non_boolean_condition_invalid(fig_schema):
     assert kinds == {TypeErrorKind.NON_BOOLEAN_GUARD}
 
 
+TAGS_SCHEMA = """
+entity User { tags: Set<Long> };
+action view appliesTo { principal: [User], resource: [User] };
+"""
+
+
+@pytest.mark.parametrize(
+    "condition,kind,detail",
+    [
+        ("1.foo", TypeErrorKind.NOT_COMPARABLE, "attribute test on Long"),
+        ("1 is User", TypeErrorKind.NOT_COMPARABLE, "is test on Long"),
+        ('1 like "a"', TypeErrorKind.NOT_COMPARABLE, "like on Long"),
+        ('-"a" == 1', TypeErrorKind.NOT_COMPARABLE, "negation of String"),
+        ('"a" * 2 == 1', TypeErrorKind.NOT_COMPARABLE, "multiplication of String"),
+        ('"a" + 1 == 1', TypeErrorKind.NOT_COMPARABLE, "+ on String and Long"),
+        ('"a" < 1', TypeErrorKind.NOT_COMPARABLE, "< on String and Long"),
+        ("1.contains(1)", TypeErrorKind.NOT_COMPARABLE, "contains on Long"),
+        ('principal.tags.contains("a")', TypeErrorKind.NOT_COMPARABLE, "contains of String in Set<Long>"),
+        ('principal.tags.containsAll(["a"])', TypeErrorKind.NOT_COMPARABLE, "containsAll on Set<Long> and Set<String>"),
+        ("principal.tags.containsAny(1)", TypeErrorKind.NOT_COMPARABLE, "containsAny on Set<Long> and Long"),
+        ('1 in User::"x"', TypeErrorKind.NOT_COMPARABLE, "in with left operand Long"),
+        ("action in 1", TypeErrorKind.NOT_COMPARABLE, "in with right operand Long"),
+        ("principal in 1", TypeErrorKind.NOT_COMPARABLE, "in with right operand Long"),
+        ('Ghost::"x" in User::"y"', TypeErrorKind.UNKNOWN_ENTITY_TYPE, "entity type Ghost is not declared"),
+        (
+            "(if principal.tags.contains(1) then {a: 1} else {b: 1}) == {a: 1}",
+            TypeErrorKind.NOT_COMPARABLE,
+            "branches have incompatible types {a: Long} and {b: Long}",
+        ),
+        (
+            '(if principal.tags.contains(1) then {a: 1} else {a: "x"}) == {a: 1}',
+            TypeErrorKind.NOT_COMPARABLE,
+            "branches have incompatible types {a: Long} and {a: String}",
+        ),
+    ],
+)
+def test_ill_typed_condition_is_rejected(condition, kind, detail):
+    policies = parse_policies(f"permit(principal, action, resource) when {{ {condition} }};")
+    report = validate(policies, parse_schema(TAGS_SCHEMA))
+    assert [(r.error_kind, r.error_detail) for r in report.errors()] == [(kind, detail)]
+
+
 def test_gdrive_fixture_validates():
     policies = parse_policies(read_fixture("gdrive", "policies.cedar"))
     schema = parse_schema(read_fixture("gdrive", "gdrive.cedarschema"))

@@ -25,7 +25,7 @@ from .ast import (
     ScopeIn,
     link,
 )
-from .entities import EntityStore, Request
+from .entities import EntityStore, Request, _collector_paused
 from .evaluator import PolicyEvalStatus, evaluate_policy
 
 
@@ -46,6 +46,7 @@ class PolicySet:
     templates: tuple
 
     @staticmethod
+    @_collector_paused()
     def from_policies(policies: Iterable[Policy], links: Iterable = ()) -> "PolicySet":
         closed = []
         templates = []

@@ -13,7 +13,9 @@ memo and index probes hit by identity.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional
 
@@ -32,6 +34,25 @@ from .ast import (
     Value,
     vrecord,
 )
+
+
+@contextmanager
+def _collector_paused():
+    """Run a bulk build with the cyclic garbage collector disabled, then put it
+    back as it was.  The builders make no reference cycles, so the collector
+    would only rescan a heap that grows; its young collections of the new
+    objects are deferred to the first allocation after the block, not lost.
+    Only a block that found the collector on turns it off, and that block
+    turns it back on, so overlapping blocks in several threads cannot leave
+    it off."""
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class EntityLoadError(CedarError):
@@ -235,6 +256,7 @@ def _decode_json(json_text: str, what: str):
         raise BadEntityRef(f"{what} nests too deeply to decode") from None
 
 
+@_collector_paused()
 def load_entities(json_text: str) -> EntityStore:
     """Load the documented entities JSON format in one pass over its entries."""
     data = _decode_json(json_text, "entities file")
@@ -250,10 +272,12 @@ def load_entities(json_text: str) -> EntityStore:
             attrs_obj = item.get("attrs", {})
             if not isinstance(attrs_obj, dict):
                 raise BadEntityRef(': "attrs" must be an object')
-            try:
-                attrs = vrecord({k: value_from_json(v, k) for k, v in attrs_obj.items()})
-            except BadEntityRef as err:
-                raise BadEntityRef(f".attrs.{err}") from None
+            attrs = _EMPTY_RECORD_V  # one shared record: no per-entity objects to rescan
+            if attrs_obj:
+                try:
+                    attrs = vrecord({k: value_from_json(v, k) for k, v in attrs_obj.items()})
+                except BadEntityRef as err:
+                    raise BadEntityRef(f".attrs.{err}") from None
             parents_obj = item.get("parents", [])
             if not isinstance(parents_obj, list):
                 raise BadEntityRef(': "parents" must be an array')

@@ -112,9 +112,10 @@ class ParseError(CedarError):
 
     def render(self) -> str:
         """`file:line:col: error: message`, then the `\\n`-delimited line of
-        the error, less a trailing `\\r`, and a caret under its column.  An
-        error at the end of input after a final newline, or in an empty
-        source, quotes no line."""
+        the error, less a trailing `\\r`, and a caret under its column: the
+        caret line copies each tab before the column, so that a terminal
+        lines it up.  An error at the end of input after a final newline, or
+        in an empty source, quotes no line."""
         span = self.span
         head = f"{self.filename}:{span.line}:{span.column}: error: {self.message}"
         line_start = self.start - span.column + 1
@@ -122,7 +123,8 @@ class ParseError(CedarError):
             return head
         line_end = self.source.find("\n", line_start)
         src_line = self.source[line_start : line_end if line_end >= 0 else None].removesuffix("\r")
-        return f"{head}\n  {src_line}\n  {' ' * (span.column - 1)}^"
+        pad = re.sub("[^\t]", " ", self.source[line_start : self.start])
+        return f"{head}\n  {src_line}\n  {pad}^"
 
     __str__ = render
 
@@ -260,7 +262,10 @@ class _Parser:
         self.nesting = 0
 
     def peek(self, offset: int = 0) -> Token:
-        return self.toks[min(self.i + offset, len(self.toks) - 1)]
+        try:
+            return self.toks[self.i + offset]
+        except IndexError:  # past the end: the final eof token
+            return self.toks[-1]
 
     def next(self) -> Token:
         tok = self.toks[self.i]

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import os
 
 import pytest
@@ -18,6 +20,40 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def gen_seed(request) -> int:
     return request.config.getoption("--gen-seed")
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request) -> bool:
+    """The cyclic garbage collector on, then off, for the test; the state it
+    had before is put back after."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+@contextlib.contextmanager
+def collections_logged():
+    """Run the block with the cyclic collector on, from a heap without
+    garbage, and yield a list that gets `(phase, generation, collected)` for
+    each collection that starts or stops in it."""
+    enabled = gc.isenabled()
+    gc.collect()
+    log = []
+
+    def record(phase, info):
+        log.append((phase, info["generation"], info["collected"]))
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        yield log
+    finally:
+        gc.callbacks.remove(record)
+        if not enabled:
+            gc.disable()
 
 
 def fixture_path(*parts) -> str:

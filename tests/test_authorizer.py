@@ -1,10 +1,12 @@
 """Indexing, slicing, and the authorization combine rules."""
 
+import gc
 import random
 
 import pytest
 
-from cedar_engine.ast import EntityRef, Effect, vrecord
+import cedar_engine.authorizer as authorizer_module
+from cedar_engine.ast import CedarError, EntityRef, Effect, vrecord
 from cedar_engine.authorizer import (
     ANY_KEY,
     DuplicatePolicyId,
@@ -18,6 +20,8 @@ from cedar_engine.entities import EMPTY_STORE, Request, build_store
 from cedar_engine.evaluator import EvalErrorKind, PolicyEvalStatus, evaluate_policy
 from cedar_engine.parser import parse_policies
 from cedar_engine.testkit import GenConfig, gen_policies, gen_request, gen_store, gen_template_links
+
+from conftest import collections_logged
 
 
 def pset(src: str) -> PolicySet:
@@ -364,3 +368,54 @@ def test_duplicate_ids_are_rejected():
     (template,) = parse_policies('@id("t") permit(principal == ?principal, action, resource);')
     with pytest.raises(DuplicatePolicyId, match="duplicate policy id t"):
         PolicySet.from_policies([template], links=[("t", {"?principal": EntityRef("User", "u")}, "t")])
+
+
+# ---------------------------------------------------------------------------
+# Linking runs with the cyclic collector paused and puts it back as it was.
+# ---------------------------------------------------------------------------
+
+_TEMPLATE = '@id("t") permit(principal == ?principal, action, resource);'
+
+
+def _links(n, template="t"):
+    return [(template, {"?principal": EntityRef("User", f"linked-{i}")}, f"link{i}") for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "links, error, message",
+    [
+        (_links(3), None, None),
+        (_links(3) + _links(1), DuplicatePolicyId, "duplicate policy id link0"),
+        (_links(3, template="ghost"), CedarError, "unknown template ghost"),
+    ],
+    ids=["linked", "duplicate-id", "unknown-template"],
+)
+def test_linking_leaves_the_collector_as_it_found_it(collector, links, error, message):
+    policies = parse_policies(_TEMPLATE)
+    threshold = gc.get_threshold()
+    if error is None:
+        PolicySet.from_policies(policies, links)
+    else:
+        with pytest.raises(error, match=message):
+            PolicySet.from_policies(policies, links)
+    assert gc.isenabled() is collector
+    assert gc.get_threshold() == threshold
+
+
+def test_linking_starts_no_collection_and_leaves_no_garbage(monkeypatch):
+    policies, links = parse_policies(_TEMPLATE), _links(3000)
+    made = []  # collection events logged when every link was materialised
+    policy_set = authorizer_module.PolicySet
+
+    def logged_policy_set(closed, templates):
+        made.append(len(log))
+        return policy_set(closed, templates)
+
+    monkeypatch.setattr(authorizer_module, "PolicySet", logged_policy_set)
+    with collections_logged() as log:
+        ps = policy_set.from_policies(policies, links)
+        unreachable = gc.collect()
+    assert len(ps.closed_policies) == 3000
+    assert made == [0]
+    assert unreachable == 0
+    assert sum(collected for phase, _, collected in log if phase == "stop") == 0

@@ -1,11 +1,13 @@
 """Hierarchy closure, store loading, and the JSON formats."""
 
+import gc
 import json
 import sys
 import threading
 
 import pytest
 
+import cedar_engine.entities as entities_module
 from cedar_engine.ast import EntityRef, VBool, VEntity, VLong, VString, vrecord, vset
 from cedar_engine.entities import (
     BadEntityRef,
@@ -22,7 +24,7 @@ from cedar_engine.entities import (
 from cedar_engine.parser import parse_schema
 from cedar_engine.testkit import GenConfig, bfs_ancestors, gen_store
 
-from conftest import read_fixture
+from conftest import collections_logged, read_fixture
 
 
 def ref(t, i):
@@ -126,6 +128,93 @@ def test_concurrent_first_reads_agree_with_oracle():
             assert wrong == []
     finally:
         sys.setswitchinterval(interval)
+
+
+def _entity(i, *parents):
+    return {"uid": {"type": "E", "id": i}, "parents": [{"type": "E", "id": p} for p in parents]}
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ([_entity("a", "b"), _entity("b")], None, None),
+        ("[{", BadEntityRef, "not valid JSON"),
+        ([_entity("a", "b"), _entity("b", "a")], HierarchyCycle, "cycle"),
+        ([_entity("a"), _entity("a")], DuplicateEntity, "duplicate entity"),
+        ([{"uid": {"type": "", "id": "a"}}], BadEntityRef, "malformed entity uid"),
+    ],
+    ids=["loaded", "bad-json", "cycle", "duplicate", "malformed-uid"],
+)
+def test_loading_leaves_the_collector_as_it_found_it(collector, entries, error, message):
+    text = entries if isinstance(entries, str) else json.dumps(entries)
+    threshold = gc.get_threshold()
+    if error is None:
+        load_entities(text)
+    else:
+        with pytest.raises(error, match=message):
+            load_entities(text)
+    assert gc.isenabled() is collector
+    assert gc.get_threshold() == threshold
+
+
+def test_loading_starts_no_collection_and_leaves_no_garbage(monkeypatch):
+    # Enough entities for dozens of young collections, were the collector on.
+    text = json.dumps(
+        [
+            {
+                "uid": {"type": "User", "id": f"paused-{i}"},
+                "attrs": {"level": i, "tags": ["a", str(i)]},
+                "parents": [{"type": "Group", "id": f"paused-{i % 50}"}],
+            }
+            for i in range(3000)
+        ]
+    )
+    built = []  # collection events logged when the store was built
+    build_store = entities_module.build_store
+
+    def logged_build_store(triples):
+        store = build_store(triples)
+        built.append(len(log))
+        return store
+
+    monkeypatch.setattr(entities_module, "build_store", logged_build_store)
+    with collections_logged() as log:
+        store = load_entities(text)
+        unreachable = gc.collect()
+    assert len(store.entries) == 3000
+    assert built == [0]
+    # The loader makes no reference cycles, so pausing strands no garbage:
+    # neither the deferred collections nor a full one find any.
+    assert unreachable == 0
+    assert sum(collected for phase, _, collected in log if phase == "stop") == 0
+
+
+def test_overlapping_loads_in_threads_leave_the_collector_on():
+    # A load that found the collector off (another load had paused it) must
+    # not turn it off after that other load turned it back on.  Empty loads
+    # make the pause and restore most of the work, so threads overlap there.
+    enabled = gc.isenabled()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            gc.enable()
+            loaded = []
+
+            def load():
+                loaded.extend(len(load_entities("[]").entries) for _ in range(5000))
+
+            threads = [threading.Thread(target=load) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert loaded == [0] * 20000
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_duplicate_rejected():

@@ -80,6 +80,7 @@ def test_counterexample_refs_are_the_interned_objects():
 
 def test_the_intern_table_drops_an_unreferenced_ref():
     key = ("Interning", "dropped")
+    enabled = gc.isenabled()
     gc.disable()  # the ref must go by reference counting alone
     try:
         ref = EntityRef(*key)
@@ -93,7 +94,8 @@ def test_the_intern_table_drops_an_unreferenced_ref():
         del again
         assert key not in ast_module._INTERNED
     finally:
-        gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def test_terms_die_with_their_analysis(monkeypatch):

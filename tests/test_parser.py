@@ -315,6 +315,19 @@ def test_a_crlf_line_is_quoted_without_its_carriage_return():
     assert err.value.render().split("\n")[1:] == ["  forbid(principal action, resource);", "  " + " " * 17 + "^"]
 
 
+def test_the_caret_copies_the_tabs_before_the_error():
+    with pytest.raises(ParseError) as spaced:
+        parse_policies("permit( principal action, resource);")
+    with pytest.raises(ParseError) as err:
+        parse_policies("permit(\tprincipal action, resource);")
+    assert (err.value.message, err.value.span) == (spaced.value.message, spaced.value.span)
+    head, quoted, caret = err.value.render().split("\n")
+    assert head == str(spaced.value).split("\n")[0]
+    assert caret == "  " + " " * 7 + "\t" + " " * 10 + "^"
+    for tabsize in (2, 4, 8):
+        assert caret.expandtabs(tabsize).index("^") == quoted.expandtabs(tabsize).index("action")
+
+
 @pytest.mark.parametrize(
     "parse,text,head",
     [

@@ -418,7 +418,6 @@ class EIf(Expr):
 
 
 E_TRUE = ELit(TRUE)
-E_FALSE = ELit(FALSE)
 
 
 def children(e: Expr) -> tuple:
@@ -456,20 +455,6 @@ def expr_depth(e: Expr) -> int:
         depth = max(depth, d)
         stack.extend((c, d + 1) for c in children(node))
     return depth
-
-
-def as_if(e: Expr) -> Expr:
-    """``!a``, ``a && b`` and ``a || b`` read as the conditionals they mean:
-    ``if a then false else true``, ``if a then (if b then true else false)
-    else false`` and ``if a then true else (if b then true else false)``.
-    The validator and the symbolic compiler type and compile this form."""
-    if isinstance(e, ENot):
-        return EIf(e.arg, E_FALSE, E_TRUE)
-    if isinstance(e, EAnd):
-        return EIf(e.left, EIf(e.right, E_TRUE, E_FALSE), E_FALSE)
-    if isinstance(e, EOr):
-        return EIf(e.left, E_TRUE, EIf(e.right, E_TRUE, E_FALSE))
-    raise TypeError(f"not a connective: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +510,12 @@ ANY = ScopeAny()
 
 @dataclass(frozen=True)
 class Policy:
+    """A policy or template as written.  What the engine derives from it is
+    kept with it on first use: ``desugared``, its one expression, which the
+    validator types and the symbolic compiler compiles (each with rules of
+    its own for `&&`, `||` and `!`, which it reads as the conditionals they
+    mean), and ``compiled``, the closure authorization evaluates."""
+
     id: str
     effect: Effect
     principal: Scope
@@ -554,6 +545,13 @@ class Policy:
 
     def is_template(self) -> bool:
         return bool(self.slots())
+
+    @cached_property
+    def desugared(self) -> Expr:
+        """``toexp(self)``: desugared on first use, then kept with the
+        policy.  The validator types it and the symbolic compiler compiles
+        it in every request environment."""
+        return toexp(self)
 
     @cached_property
     def compiled(self) -> Callable:

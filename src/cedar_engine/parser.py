@@ -20,6 +20,7 @@ this recursive-descent parser or of the recursive passes over its output
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -98,6 +99,14 @@ def span_at(source: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(byte_start, byte_start + width, prefix.count("\n") + 1, start - prefix.rfind("\n"))
 
 
+def _pad(ch: str) -> str:
+    """What the caret line puts under ``ch``: a tab, or a space for each
+    terminal column it takes."""
+    if ch == "\t":
+        return ch
+    return "  " if unicodedata.east_asian_width(ch) in ("W", "F") else " "
+
+
 class ParseError(CedarError):
     """A message about characters ``start`` to ``end`` of ``source``."""
 
@@ -113,9 +122,10 @@ class ParseError(CedarError):
     def render(self) -> str:
         """`file:line:col: error: message`, then the `\\n`-delimited line of
         the error, less a trailing `\\r`, and a caret under its column: the
-        caret line copies each tab before the column, so that a terminal
-        lines it up.  An error at the end of input after a final newline, or
-        in an empty source, quotes no line."""
+        caret line copies each tab before the column and pads each East Asian
+        Wide or Fullwidth character with two spaces, so that a terminal lines
+        it up.  An error at the end of input after a final newline, or in an
+        empty source, quotes no line."""
         span = self.span
         head = f"{self.filename}:{span.line}:{span.column}: error: {self.message}"
         line_start = self.start - span.column + 1
@@ -123,7 +133,7 @@ class ParseError(CedarError):
             return head
         line_end = self.source.find("\n", line_start)
         src_line = self.source[line_start : line_end if line_end >= 0 else None].removesuffix("\r")
-        pad = re.sub("[^\t]", " ", self.source[line_start : self.start])
+        pad = "".join(map(_pad, self.source[line_start : self.start]))
         return f"{head}\n  {src_line}\n  {pad}^"
 
     __str__ = render

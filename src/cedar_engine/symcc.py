@@ -6,7 +6,10 @@ functions, and every compiled expression is Option-wrapped so that `none`
 marks a runtime error.  The `action` variable compiles to the environment's
 action literal.  Statically-decided guards (notably the action comparisons
 that `validator.action_test` decides) partially evaluate away, which mirrors
-the validator's dead-branch pruning.
+the validator's dead-branch pruning.  `!`, `&&` and `||` have rules of their
+own that share the `if` rule's logic: each compiles to the term of the
+conditional it means (`a && b` as `if a then (if b then true else false)
+else false`), and an operand a folded guard rules out is never compiled.
 
 Hierarchy well-formedness is grounded over the *footprint*: the entity-typed
 subexpressions actually compiled.  Acyclicity and transitivity instances over
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .ast import (
     CedarError,
@@ -59,9 +63,7 @@ from .ast import (
     VString,
     Value,
     WILDCARD,
-    as_if,
     render_type,
-    toexp,
 )
 from .authorizer import Decision, PolicySet, authorize
 from .entities import EntityStore, Request, build_store, merge_action_hierarchy
@@ -70,6 +72,7 @@ from .validator import RequestEnv, Schema, action_literal, action_test, environm
 from .terms import (
     BOOL_S,
     BV64_S,
+    FALSE_TERM,
     SOption,
     SSet,
     STRING_S,
@@ -327,6 +330,18 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+SOME_TRUE = TSome(TRUE_TERM)
+SOME_FALSE = TSome(FALSE_TERM)
+
+
+def _some_true() -> Term:
+    return SOME_TRUE
+
+
+def _some_false() -> Term:
+    return SOME_FALSE
+
+
 class _Compiler:
     def __init__(self, senv: SymbolicEnv, footprint: Optional[dict]):
         self.senv = senv
@@ -471,10 +486,10 @@ class _Compiler:
             obj = self.compile(e.obj)
             found = self._field(e.attr, mk_val(obj))
             if found is None:
-                return mk_ifok(obj, TSome(TBoolLit(False)))
+                return mk_ifok(obj, SOME_FALSE)
             required, f_term = found
             if required:
-                return mk_ifok(obj, TSome(TBoolLit(True)))
+                return mk_ifok(obj, SOME_TRUE)
             return mk_ifok(obj, TSome(mk_is_some(f_term)))
         if isinstance(e, EIs):
             a = action_literal(e.obj, self.senv.env, self.senv.schema)
@@ -488,8 +503,12 @@ class _Compiler:
             parts = [TReAll() if p is WILDCARD else TStrToRe(p) for p in e.pattern.parts]
             regex = TReConcat(parts) if parts else TStrToRe("")
             return mk_ifok(obj, TSome(TStrInRe(mk_val(obj), regex)))
-        if isinstance(e, (ENot, EAnd, EOr)):
-            return self._go(as_if(e))
+        if isinstance(e, ENot):
+            return self._if(self.compile(e.arg), _some_false, _some_true)
+        if isinstance(e, EAnd):
+            return self._if(self.compile(e.left), partial(self._truth, e.right), _some_false)
+        if isinstance(e, EOr):
+            return self._if(self.compile(e.left), _some_true, partial(self._truth, e.right))
         if isinstance(e, ENeg):
             arg = self.compile(e.arg)
             v = mk_val(arg)
@@ -498,17 +517,26 @@ class _Compiler:
         if isinstance(e, EMul):
             return self._mul(e)
         if isinstance(e, EIf):
-            cond = self.compile(e.cond)
-            if cond is TSome(TBoolLit(True)):
-                return self.compile(e.then)
-            if cond is TSome(TBoolLit(False)):
-                return self.compile(e.els)
-            # Validation rejects branches whose types have no join.
-            then, els = self._unify([self.compile(e.then), self.compile(e.els)])
-            return mk_ifok(cond, mk_ite(mk_val(cond), then, els))
+            return self._if(self.compile(e.cond), partial(self.compile, e.then), partial(self.compile, e.els))
         if isinstance(e, EBinop):
             return self._binop(e)
         raise TypeError(f"not an expression: {e!r}")
+
+    def _if(self, cond: Term, then: Callable[[], Term], els: Callable[[], Term]) -> Term:
+        """`if` over the compiled guard `cond`, with `then` and `els`
+        compiling the branches when called.  A branch the guard folds away is
+        never compiled, so it adds nothing to the footprint."""
+        if cond is SOME_TRUE:
+            return then()
+        if cond is SOME_FALSE:
+            return els()
+        # Validation rejects branches whose types have no join.
+        then_term, els_term = self._unify([then(), els()])
+        return mk_ifok(cond, mk_ite(mk_val(cond), then_term, els_term))
+
+    def _truth(self, e: Expr) -> Term:
+        """`if e then true else false`: the right operand of `&&` and `||`."""
+        return self._if(self.compile(e), _some_true, _some_false)
 
     def _mul(self, e: EMul) -> Term:
         arg = self.compile(e.arg)
@@ -607,7 +635,7 @@ class _Compiler:
         if unified is None:
             # Values of types without a join, such as two entity types,
             # are never equal.
-            return mk_ifok(left, mk_ifok(right, TSome(TBoolLit(False))))
+            return mk_ifok(left, mk_ifok(right, SOME_FALSE))
         left, right = unified
         return mk_ifok(left, mk_ifok(right, TSome(mk_eq(mk_val(left), mk_val(right)))))
 
@@ -703,7 +731,7 @@ def wf_constraints(expr: Expr, senv: SymbolicEnv) -> list:
 
 def is_true_term(t: Term) -> Term:
     """(= (some true) t), partially evaluated."""
-    return mk_eq(TSome(TRUE_TERM), t)
+    return mk_eq(SOME_TRUE, t)
 
 
 def allowed_term(policies: PolicySet, senv: SymbolicEnv, footprint: dict) -> Term:
@@ -712,7 +740,7 @@ def allowed_term(policies: PolicySet, senv: SymbolicEnv, footprint: dict) -> Ter
     forbids = []
     for p in policies.closed_policies:
         # Validation makes each policy Bool-typed: `is_true_term` checks it.
-        flag = is_true_term(compile_expr(toexp(p), senv, footprint=footprint))
+        flag = is_true_term(compile_expr(p.desugared, senv, footprint=footprint))
         if p.effect is Effect.PERMIT:
             permits.append(flag)
         else:

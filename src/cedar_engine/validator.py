@@ -5,14 +5,19 @@ action and allowed principal/resource type pair), where the `action`
 variable denotes the environment's action.  The checker tracks
 boolean singleton types (True/False) to prune dead branches and a
 capability set recording which optional attributes a `has` test has
-proven present on the current control path.
+proven present on the current control path.  `!`, `&&` and `||` have rules
+of their own that share the `if` rule's logic: each is typed as the
+conditional it means (`a || b` as `if a then true else (if b then true else
+false)`), so `&&` carries the capabilities its left operand proves to its
+right one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional
 
 from .ast import (
     BOOL,
@@ -60,9 +65,7 @@ from .ast import (
     VLong,
     VString,
     Value,
-    as_if,
     render_type,
-    toexp,
 )
 
 # ---------------------------------------------------------------------------
@@ -342,6 +345,16 @@ def _singleton(b: bool):
     return (TRUE_T, CAPS_NONE) if b else (FALSE_T, CAPS_TOP)
 
 
+def _true(caps: Caps):
+    """The `true` branch of a connective: typed as the literal is."""
+    return _singleton(True)
+
+
+def _false(caps: Caps):
+    """The `false` branch of a connective: typed as the literal is."""
+    return _singleton(False)
+
+
 class _Checker:
     def __init__(self, env: RequestEnv, schema: Schema):
         self.env = env
@@ -472,8 +485,12 @@ class _Checker:
                     TypeErrorKind.NOT_COMPARABLE, f"like on {render_type(t_obj)}", e
                 )
             return (BOOL, CAPS_NONE)
-        if isinstance(e, (ENot, EAnd, EOr)):
-            return self.check(as_if(e), caps)
+        if isinstance(e, ENot):
+            return self._if(e.arg, caps, _false, _true, e)
+        if isinstance(e, EAnd):
+            return self._if(e.left, caps, partial(self._truth, e.right), _false, e)
+        if isinstance(e, EOr):
+            return self._if(e.left, caps, _true, partial(self._truth, e.right), e)
         if isinstance(e, ENeg):
             t, _ = self.check(e.arg, caps)
             if not isinstance(t, TLong):
@@ -489,26 +506,37 @@ class _Checker:
                 )
             return (LONG, CAPS_NONE)
         if isinstance(e, EIf):
-            t1, eps1 = self.check(e.cond, caps)
-            self._require_boolish(t1, e.cond)
-            if isinstance(t1, TTrue):
-                t2, eps2 = self.check(e.then, caps.union(eps1))
-                return (t2, eps1.union(eps2))
-            if isinstance(t1, TFalse):
-                return self.check(e.els, caps)
-            t2, eps2 = self.check(e.then, caps.union(eps1))
-            t3, eps3 = self.check(e.els, caps)
-            t = join(t2, t3)
-            if t is None:
-                raise PolicyTypeError(
-                    TypeErrorKind.NOT_COMPARABLE,
-                    f"branches have incompatible types {render_type(t2)} and {render_type(t3)}",
-                    e,
-                )
-            return (t, eps1.union(eps2).inter(eps3))
+            return self._if(e.cond, caps, partial(self.check, e.then), partial(self.check, e.els), e)
         if isinstance(e, EBinop):
             return self._binop(e, caps)
         raise TypeError(f"not an expression: {e!r}")
+
+    def _if(self, cond: Expr, caps: Caps, then: Callable, els: Callable, at: Expr):
+        """`if cond then .. else ..`, where `then` and `els` type a branch
+        under the capabilities they are given: the then-branch under those
+        `cond` proves.  A branch a singleton-typed guard rules out is never
+        typed.  `at` is the expression an incompatible join is reported at."""
+        t1, eps1 = self.check(cond, caps)
+        self._require_boolish(t1, cond)
+        if isinstance(t1, TTrue):
+            t2, eps2 = then(caps.union(eps1))
+            return (t2, eps1.union(eps2))
+        if isinstance(t1, TFalse):
+            return els(caps)
+        t2, eps2 = then(caps.union(eps1))
+        t3, eps3 = els(caps)
+        t = join(t2, t3)
+        if t is None:
+            raise PolicyTypeError(
+                TypeErrorKind.NOT_COMPARABLE,
+                f"branches have incompatible types {render_type(t2)} and {render_type(t3)}",
+                at,
+            )
+        return (t, eps1.union(eps2).inter(eps3))
+
+    def _truth(self, e: Expr, caps: Caps):
+        """`if e then true else false`: the right operand of `&&` and `||`."""
+        return self._if(e, caps, _true, _false, e)
 
     def _binop(self, e: EBinop, caps: Caps):
         op = e.op
@@ -678,7 +706,7 @@ def validate(policies: Iterable[Policy], schema: Schema) -> ValidationReport:
     for env in environments(schema):
         envs_of.setdefault(env.action, []).append(env)
     for policy in policies:
-        expr = toexp(policy)
+        expr = policy.desugared
         actions = matching_actions(schema, policy.action)
         envs = [env for action in actions for env in envs_of.get(action, ())]
         if not envs:

@@ -56,6 +56,40 @@ def collections_logged():
             gc.disable()
 
 
+def if_form(e):
+    """`!a`, `a && b` and `a || b` written as the conditionals they mean:
+    `if a then false else true`, `if a then (if b then true else false)
+    else false` and `if a then true else (if b then true else false)`.  Any
+    other expression, and the operands, stay as they are."""
+    from cedar_engine.ast import FALSE, TRUE, EAnd, EIf, ELit, ENot, EOr
+
+    true, false = ELit(TRUE), ELit(FALSE)
+    if isinstance(e, ENot):
+        return EIf(e.arg, false, true)
+    if isinstance(e, EAnd):
+        return EIf(e.left, EIf(e.right, true, false), false)
+    if isinstance(e, EOr):
+        return EIf(e.left, true, EIf(e.right, true, false))
+    return e
+
+
+def if_form_everywhere(e):
+    """`e` with every `!`, `&&` and `||` in it written by `if_form`."""
+    from dataclasses import fields, replace
+
+    from cedar_engine.ast import Expr
+
+    def rewrite(x):
+        if isinstance(x, tuple):
+            return tuple(map(rewrite, x))
+        if not isinstance(x, Expr):
+            return x
+        x = if_form(x)
+        return replace(x, **{f.name: rewrite(getattr(x, f.name)) for f in fields(x)})
+
+    return rewrite(e)
+
+
 def fixture_path(*parts) -> str:
     return os.path.join(FIXTURES, *parts)
 

@@ -328,6 +328,21 @@ def test_the_caret_copies_the_tabs_before_the_error():
         assert caret.expandtabs(tabsize).index("^") == quoted.expandtabs(tabsize).index("action")
 
 
+@pytest.mark.parametrize("wide", ["数据", "\U0001F600", "ｅ"])
+def test_the_caret_takes_two_columns_under_a_wide_character(wide):
+    # CJK, an emoji and a fullwidth letter each take two terminal columns.
+    src = f'permit(principal, action, resource) when {{ "{wide}" == @ }};'
+    with pytest.raises(ParseError) as err:
+        parse_policies(src)
+    with pytest.raises(ParseError) as narrow:
+        parse_policies(src.replace(wide, "a" * len(wide)))
+    assert (err.value.message, err.value.span.column) == (narrow.value.message, narrow.value.span.column)
+    head, quoted, caret = err.value.render().split("\n")
+    assert quoted == "  " + src
+    assert caret == "  " + " " * (src.index("@") + len(wide)) + "^"
+    assert narrow.value.render().split("\n")[2] == "  " + " " * src.index("@") + "^"
+
+
 @pytest.mark.parametrize(
     "parse,text,head",
     [

@@ -568,3 +568,73 @@ def test_template_slots_are_not_compiled(fig_schema):
     env = get_env(fig_schema, "GetList")
     with pytest.raises(UnsupportedConstruct, match="link the template first"):
         compile_expr(expr, encode_types(fig_schema, env))
+
+
+def test_connectives_compile_as_their_if_form(gen_seed):
+    # `!`, `&&` and `||` have rules of their own; each must build the term,
+    # and fill the footprint in the order, that the conditional it means does.
+    from collections import Counter
+
+    from cedar_engine.ast import EAnd, ENot, EOr, subexpressions
+    from cedar_engine.testkit import GenConfig, gen_conforming, gen_typed_bool_expr
+    from cedar_engine.validator import PolicyTypeError, typecheck
+
+    from conftest import if_form_everywhere
+    from test_acceptance import _FIDELITY_SCHEMA
+
+    schema = parse_schema(_FIDELITY_SCHEMA)
+    senvs = {env: encode_types(schema, env) for env in environments(schema)}
+    connectives = Counter()
+    checked = 0
+    seed = gen_seed * 1_000_000
+    while checked < 2_000:
+        seed += 1
+        store, request = gen_conforming(GenConfig(seed, max_entities=3), schema)
+        env = next(e for e in senvs if e.action == request.action)
+        rng = random.Random(seed ^ 0xF1DE)
+        expr = gen_typed_bool_expr(rng, env, schema, store, depth=rng.randint(1, 3))
+        if expr is None:
+            continue
+        try:
+            typecheck(expr, env, schema)
+        except PolicyTypeError:
+            continue
+        direct_fp, if_fp = {}, {}
+        direct = compile_expr(expr, senvs[env], footprint=direct_fp)
+        via_if = compile_expr(if_form_everywhere(expr), senvs[env], footprint=if_fp)
+        assert direct is via_if, f"seed {seed}"
+        assert list(direct_fp) == list(if_fp), f"seed {seed}"
+        connectives.update(type(x).__name__ for x in subexpressions(expr) if isinstance(x, (ENot, EAnd, EOr)))
+        checked += 1
+    assert min(connectives[name] for name in ("ENot", "EAnd", "EOr")) >= 100, connectives
+
+
+def test_each_policy_desugared_once_across_environments(monkeypatch):
+    import sys
+    from collections import Counter
+
+    from cedar_engine import ast
+    from cedar_engine.validator import validate
+
+    desugared = []
+    real = ast.toexp
+
+    def counting(policy):
+        desugared.append(id(policy))
+        return real(policy)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cedar_engine" and hasattr(module, "toexp"):
+            monkeypatch.setattr(module, "toexp", counting)
+    schema = parse_schema(read_fixture("github", "github.cedarschema"))
+    old = PolicySet.from_policies(parse_policies(read_fixture("github", "policies.cedar")))
+    new = PolicySet.from_policies(parse_policies(read_fixture("github", "refactored.cedar")))
+    assert len(environments(schema)) > 1
+    analyze_equivalence(old, new, schema)
+    policies = old.all_policies() + new.all_policies()
+    assert max(Counter(desugared).values()) == 1
+    assert set(desugared) <= {id(p) for p in policies}
+    after_analysis = len(desugared)
+    validate(old.all_policies(), schema)
+    validate(new.all_policies(), schema)
+    assert len(desugared) == after_analysis

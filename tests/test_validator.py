@@ -21,6 +21,7 @@ from cedar_engine.ast import (
 from cedar_engine.parser import parse_expr, parse_policies, parse_schema
 from cedar_engine.validator import (
     CAPS_NONE,
+    CAPS_TOP,
     Caps,
     PolicyTypeError,
     TypeErrorKind,
@@ -499,3 +500,65 @@ def test_singleton_soundness_on_small_enumeration(fig_schema):
             assert isinstance(t, (TTrue if expected else TFalse))
             assert evaluate(expr, store, request) == VBool(expected)
     assert count > 0
+
+
+# The menus of `testkit.gen_expr`: its entity types, attributes and actions.
+GEN_EXPR_SCHEMA = """
+entity E2;
+entity E1 in [E2] { n: Long, b?: Bool, owner?: E0 };
+entity E0 in [E1, E2] { n: Long, s: String, b?: Bool, owner: E1, members?: Set<E0> };
+action a2;
+action a0, a1 in [a2]
+    appliesTo { principal: [E0, E1], resource: [E0, E2], context: { n: Long, b?: Bool } };
+"""
+
+
+def test_connectives_type_as_their_if_form(gen_seed):
+    # `!`, `&&` and `||` have rules of their own; each must give the type and
+    # capabilities, or raise the error, of the conditional it means, on
+    # ill-typed operands too, and whatever capabilities are in force.
+    import random
+    from collections import Counter
+
+    from cedar_engine.ast import EAnd, ENot, EOr, subexpressions
+    from cedar_engine.testkit import GenConfig, gen_conforming, gen_expr, gen_typed_bool_expr
+
+    from conftest import if_form
+    from test_acceptance import _FIDELITY_SCHEMA
+
+    seen = Counter()
+
+    def outcome(checker, e, caps):
+        try:
+            return ("ok",) + checker.check(e, caps)
+        except PolicyTypeError as err:
+            return ("error", err.kind, err.detail, err.at)
+
+    def compare(expr, env, schema):
+        checker = _Checker(env, schema)
+        for sub in subexpressions(expr):
+            if isinstance(sub, (ENot, EAnd, EOr)):
+                for caps in (CAPS_NONE, CAPS_TOP):
+                    direct = outcome(checker, sub, caps)
+                    assert direct == outcome(checker, if_form(sub), caps), (env, sub)
+                    seen[type(sub).__name__, direct[0]] += 1
+
+    schema = parse_schema(GEN_EXPR_SCHEMA)
+    envs = environments(schema)
+    refs = [EntityRef(t, f"e{i}") for t in ("E0", "E1", "E2") for i in range(2)]
+    refs += [EntityRef("Action", f"a{i}") for i in range(3)]
+    rng = random.Random(gen_seed ^ 0xC0EC)
+    for _ in range(1_500):
+        compare(gen_expr(rng, rng.randint(1, 4), refs), rng.choice(envs), schema)
+
+    schema = parse_schema(_FIDELITY_SCHEMA)
+    envs = environments(schema)
+    for seed in range(gen_seed * 1_000_000, gen_seed * 1_000_000 + 1_500):
+        store, request = gen_conforming(GenConfig(seed, max_entities=3), schema)
+        env = next(e for e in envs if e.action == request.action)
+        rng = random.Random(seed ^ 0xF1DE)
+        expr = gen_typed_bool_expr(rng, env, schema, store, depth=rng.randint(1, 3))
+        if expr is not None:
+            compare(expr, env, schema)
+    for name in ("ENot", "EAnd", "EOr"):
+        assert seen[name, "ok"] >= 100 and seen[name, "error"] >= 100, seen

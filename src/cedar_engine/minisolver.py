@@ -16,16 +16,21 @@ to the CDCL loop in `sat.py`.  The domain bound makes this decision procedure
 complete for the fragment: any model can be collapsed onto term-denoted
 elements plus the slack elements.
 
-Every term is sort-checked before any is translated: `sexpr.RANKS` states a
-built-in head's argument and result sorts, a declaration those of a declared
-symbol.  An ill-sorted script answers `unknown`, as does one that uses
-bit-vector arithmetic or regular-expression membership; the first fault is
-noted as `(error "unsupported: ...")`.
+The solver translates `terms.Term`s, which carry their sorts: each was
+sort-checked when it was built.  The session takes commands
+(`run_commands`): declarations as trees, and assertions as terms (the
+symbolic compiler's, checked against the same declarations when its script
+was made) or as trees read from text.  When check-sat runs, the session
+reads each asserted tree into a term, checking it against `sexpr.RANKS`,
+which states a built-in head's argument and result sorts, and against the
+declarations.  An ill-sorted script answers `unknown`, as does one that
+declares a built-in name or uses bit-vector arithmetic or
+regular-expression membership; the first fault is noted as
+`(error "unsupported: ...")`.
 
-The session takes command trees (`run_commands`) and answers with the model
-as define-fun trees, in the shape cvc5 prints, so one model grammar serves
-both solvers.  Text is read and written only at the standalone command's
-edge (`run`, `main`).
+The answer's model is a list of define-fun trees, in the shape cvc5 prints,
+so one model grammar serves both solvers.  Text is read and written only at
+the standalone command's edge (`run`, `main`).
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from typing import Optional
 from .sat import CNF, dpll
 from .sexpr import (
     BOOL,
+    BUILT_IN_LEAVES,
     BV,
     RANKS,
-    REGLAN,
     STRING,
     SexprError,
     is_string_literal,
@@ -47,6 +52,7 @@ from .sexpr import (
     read_sexprs,
     write_sexpr,
 )
+from .terms import IS_SOME, TBoolLit, TConst, TReAll, TStrLit, Term
 
 
 class Unsupported(Exception):
@@ -189,7 +195,7 @@ class Session:
         self.selectors: dict = {}  # selector -> (dt, index, sort)
         self.funs: dict = {}  # name -> (arg sorts, ret sort)
         self.consts: dict = {}  # name -> sort
-        self.asserts: list = []
+        self.asserts: list = []  # terms, or trees read from text
         self.deadline = deadline
 
     # -- command loop -------------------------------------------------------
@@ -209,10 +215,11 @@ class Session:
         return replies
 
     def run_commands(self, commands, err) -> list:
-        """The replies to the commands, trees as `read_sexprs` reads them:
-        "sat", "unsat" or "unknown" for each check-sat, and the list of
-        define-fun trees of the model for a get-model after `sat`.  Notes
-        `(error "...")` go to `err`."""
+        """The replies to the commands, trees as `read_sexprs` reads them,
+        except that an assert may hold a `Term`: "sat", "unsat" or
+        "unknown" for each check-sat, and the list of define-fun trees of
+        the model for a get-model after `sat`.  Notes `(error "...")` go to
+        `err`."""
         replies: list = []
         poisoned: Optional[str] = None
         model: Optional[list] = None  # after a check-sat that answered sat
@@ -227,13 +234,13 @@ class Session:
                 if head == "declare-datatype":
                     self._declare_datatype(cmd)
                 elif head == "declare-fun":
-                    name, args, ret = cmd[1], cmd[2], cmd[3]
+                    name, args, ret = _declared_name(cmd[1]), cmd[2], cmd[3]
                     if type(args) is not tuple:
                         raise Unsupported(f"argument sorts {write_sexpr(args)}")
                     sorts = tuple(check_sort(sort, self.datatypes) for sort in args)
                     self.funs[name] = (sorts, check_sort(ret, self.datatypes))
                 elif head == "declare-const":
-                    self.consts[cmd[1]] = check_sort(cmd[2], self.datatypes)
+                    self.consts[_declared_name(cmd[1])] = check_sort(cmd[2], self.datatypes)
                 elif head == "assert":
                     self.asserts.append(cmd[1])
                 elif head == "check-sat":
@@ -258,28 +265,120 @@ class Session:
         return replies
 
     def _declare_datatype(self, cmd) -> None:
-        name, ctors = cmd[1], cmd[2]
+        name, ctors = _declared_name(cmd[1]), cmd[2]
         if type(ctors) is not tuple or len(ctors) != 1:
             raise Unsupported("multi-constructor datatypes")
         ctor = ctors[0]
         if type(ctor) is not tuple or ctor[:1] != (name,):
             raise Unsupported("constructor name differing from datatype name")
         fields = tuple(
-            (sel, check_sort(sort, self.datatypes)) for sel, sort in (check_arity(field, 1) for field in ctor[1:])
+            (_declared_name(sel), check_sort(sort, self.datatypes))
+            for sel, sort in (check_arity(field, 1) for field in ctor[1:])
         )
         for idx, (sel, sort) in enumerate(fields):
             self.selectors[sel] = (name, idx, sort)
         self.datatypes[name] = fields
 
+    def assertions(self) -> list:
+        """The asserted terms, in order.  A term is taken as it is; a tree
+        is read here, against the declarations made so far.  Raises
+        Unsupported at the first fault."""
+        memo: dict = {}
+        out = []
+        for a in self.asserts:
+            term = a if type(a) is Term else self._read(a, memo)
+            if term.sort != BOOL:
+                raise Unsupported("assertion is not Bool")
+            out.append(term)
+        return out
+
     def _check(self) -> Optional[list]:
         """The model's define-fun trees, or None when unsat."""
-        check = _Check(self)
+        check = _Check(self, self.assertions())
         assignment = check.solve(self.deadline)
         return None if assignment is None else check.render_model(assignment)
 
+    # -- reading trees into terms ----------------------------------------------
+
+    def _read(self, node, memo: dict) -> Term:
+        """The term the tree `node` denotes.  `memo` holds the term of each
+        node read so far, by the node's id: a tree read from a `let` shares
+        the bound subtree wherever the name occurs, so each is read once."""
+        got = memo.get(id(node))
+        if got is None:
+            got = memo[id(node)] = self._read_node(node, memo)
+        return got
+
+    def _read_node(self, node, memo: dict) -> Term:
+        if node == "true" or node == "false":
+            return TBoolLit(node == "true")
+        if is_string_literal(node):
+            return TStrLit(node[1])
+        if isinstance(node, str):
+            sort = self.consts.get(node)
+            if sort is not None:
+                return TConst(node, sort)
+            if node in self.datatypes and not self.datatypes[node]:
+                return Term(node, (), node)
+            if node == "re.all":
+                return TReAll()
+            raise Unsupported(f"unknown symbol {node}")
+        if isinstance(node, int):
+            raise Unsupported("bare numeral")
+        head = check_arity(node)[0]
+        if head == "_":
+            if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdecimal() and node[2] == 64:
+                return Term(node, (), BV)
+            raise Unsupported(f"indexed {write_sexpr(node)}")
+        if head == "as":
+            sort = check_sort(node[2], self.datatypes)
+            if type(sort) is tuple and (node[1], sort[0]) in (("none", "Option"), ("set.empty", "Set")):
+                return Term(node, (), sort)
+            raise Unsupported(f"as-expression {write_sexpr(node)}")
+        # The head's rank: built in, or declared, looked up in the order
+        # `_Check._trans` dispatches on it.
+        rank = RANKS.get(head)
+        if rank is not None:
+            wants, result = rank_arguments(rank, len(node) - 1), rank[1]
+            check_arity(node, len(wants))
+        elif head in self.datatypes:
+            wants, result = tuple(sort for _, sort in self.datatypes[head]), head
+        elif head in self.selectors:
+            dt, _, result = self.selectors[head]
+            wants = (dt,)
+        elif head in self.funs:
+            wants, result = self.funs[head]
+        else:
+            raise Unsupported(f"unknown application head {write_sexpr(head)}")
+        args = tuple([self._read(a, memo) for a in node[1:]])
+        sort = ranked_sort(wants, result, [a.sort for a in args])
+        if sort is None:
+            raise Unsupported(f"{write_sexpr(head)} takes arguments of sorts {write_sexpr(wants)}")
+        return Term(head, args, sort)
+
+
+# A name a script may not declare: a built-in head or leaf.  A term of a
+# built-in head is interned without its sort, so a declared one would take
+# the built-in's.
+_BUILT_IN_NAMES = frozenset({*RANKS, *BUILT_IN_LEAVES})
+
+
+def _declared_name(name):
+    """`name`, which a declaration gives a constant, function, datatype,
+    constructor or selector, if it is not built in."""
+    if name in _BUILT_IN_NAMES:
+        raise Unsupported(f"declaration of the built-in {write_sexpr(name)}")
+    return name
+
+
+def _string_of(t: Term) -> Optional[str]:
+    """The text of a string literal; None for any other term."""
+    head = t.head
+    return head[1] if type(head) is tuple and head[0] == "string" else None
+
 
 class _Check:
-    """One check-sat: sorts, finite domains, the CNF translation and the model.
+    """One check-sat: finite domains, the CNF translation and the model.
 
     Nothing it makes refers back to it (a lazy holds a function of the
     class, not a bound method, and no method makes a closure), so when the
@@ -287,24 +386,20 @@ class _Check:
     waiting for the cycle collector.
     """
 
-    def __init__(self, session: Session):
+    def __init__(self, session: Session, asserts: list):
         self.datatypes = session.datatypes
         self.selectors = session.selectors
         self.funs = session.funs
         self.consts = session.consts
-        self.asserts = session.asserts
-        self.sorts: dict = {}  # id(node) -> sort
+        self.asserts = asserts
         self.selected: set = set()  # one-String-field datatypes whose field is read or built
         self.pools: dict = {}
         self.cnf = CNF()
         self.const_vals: dict = {}
         self.fn_tables: dict = {}
-        self.memo: dict = {}  # id(node) -> value
+        self.memo: dict = {}  # term -> value
 
     def solve(self, deadline: Optional[float]) -> Optional[list]:
-        for a in self.asserts:
-            if self.infer(a) != BOOL:
-                raise Unsupported("assertion is not Bool")
         self.pools = self._build_pools()
         cnf = self.cnf
         roots = [self.bool_lit(a) for a in self.asserts]
@@ -329,66 +424,6 @@ class _Check:
             return "String" if sort in self.selected else sort
         return None
 
-    # -- sort inference -----------------------------------------------------
-
-    def infer(self, node):
-        key = id(node)
-        hit = self.sorts.get(key)
-        if hit is not None:
-            return hit
-        sort = self._infer(node)
-        self.sorts[key] = sort
-        return sort
-
-    def _infer(self, node):
-        if node == "true" or node == "false":
-            return BOOL
-        if is_string_literal(node):
-            return STRING
-        if isinstance(node, str):
-            if node in self.consts:
-                return self.consts[node]
-            if node in self.datatypes and not self.datatypes[node]:
-                return node
-            if node == "re.all":
-                return REGLAN
-            raise Unsupported(f"unknown symbol {node}")
-        if isinstance(node, int):
-            raise Unsupported("bare numeral")
-        head = check_arity(node)[0]
-        if head == "_":
-            if isinstance(node[1], str) and node[1].startswith("bv") and node[1][2:].isdigit() and node[2] == 64:
-                return BV
-            raise Unsupported(f"indexed {write_sexpr(node)}")
-        if head == "as":
-            sort = check_sort(node[2], self.datatypes)
-            if type(sort) is tuple and (node[1], sort[0]) in (("none", "Option"), ("set.empty", "Set")):
-                return sort
-            raise Unsupported(f"as-expression {write_sexpr(node)}")
-        # The head's rank: built in, or declared, looked up in the order
-        # `_trans` dispatches on it.
-        rank = RANKS.get(head)
-        if rank is not None:
-            wants, result = rank_arguments(rank, len(node) - 1), rank[1]
-            check_arity(node, len(wants))
-        elif head in self.datatypes:
-            wants, result = tuple(sort for _, sort in self.datatypes[head]), head
-            if self._entity_like(head) and not is_string_literal(node[-1]):  # its field is built
-                self.selected.add(head)
-        elif head in self.selectors:
-            dt, _, result = self.selectors[head]
-            wants = (dt,)
-            if self._entity_like(dt):
-                self.selected.add(dt)
-        elif head in self.funs:
-            wants, result = self.funs[head]
-        else:
-            raise Unsupported(f"unknown application head {write_sexpr(head)}")
-        sort = ranked_sort(wants, result, [self.infer(a) for a in node[1:]])
-        if sort is None:
-            raise Unsupported(f"{write_sexpr(head)} takes arguments of sorts {write_sexpr(wants)}")
-        return sort
-
     # -- pools ---------------------------------------------------------------
 
     def _build_pools(self) -> dict:
@@ -396,57 +431,59 @@ class _Check:
         # could flip an atom the formula relies on: a subset or set equality
         # in non-positive position (dropping elements can only make those
         # atoms more true).  Count each such occurrence; each needs at most
-        # one extra domain element.
-        sorts = self.sorts
-        lits: dict = {}
-        node_count: dict = {}
-        counted: set = set()
+        # one extra domain element.  The walk also fills `selected`, which
+        # decides the pool of each sort, so pools are keyed once it is done.
+        lits: dict = {}  # sort -> the strings of its literals
         witness_atoms = 0
         seen: set = set()
         todo = [(a, 1) for a in self.asserts]
         while todo:
-            node, pol = todo.pop()
-            key = (id(node), pol)
-            if key in seen:
+            t, pol = todo.pop()
+            if (t, pol) in seen:
                 continue
-            seen.add(key)
-            sort = sorts.get(id(node))
-            pk = self._pool_key(sort) if sort is not None else None
-            if pk is not None and id(node) not in counted:
-                counted.add(id(node))
-                node_count[pk] = node_count.get(pk, 0) + 1
-            if not isinstance(node, tuple):
+            seen.add((t, pol))
+            head, args = t.head, t.args
+            if not args:
+                text = _string_of(t)
+                if text is not None:
+                    lits.setdefault(STRING, set()).add(text)
                 continue
-            if is_string_literal(node):
-                lits.setdefault("String", set()).add(node[1])
-                continue
-            head = node[0]
-            if head in self.datatypes and self._entity_like(head) and len(node) == 2 and is_string_literal(node[1]):
-                lits.setdefault(self._pool_key(head), set()).add(node[1][1])
-            if head == "set.subset" and pol != 1:
+            if head in self.datatypes and self._entity_like(head):
+                text = _string_of(args[0])
+                if text is None:
+                    self.selected.add(head)  # its field is built
+                else:
+                    lits.setdefault(head, set()).add(text)
+            elif head in self.selectors and self._entity_like(self.selectors[head][0]):
+                self.selected.add(self.selectors[head][0])
+            elif head == "set.subset" and pol != 1:
                 witness_atoms += 1
-            if head in ("=", "distinct") and len(node) >= 3:
-                s = sorts.get(id(node[1]))
-                if s is not None and s[0] == "Set" and (head == "distinct" or pol != 1):
-                    witness_atoms += 1
+            elif head in ("=", "distinct") and args[0].sort[0] == "Set" and (head == "distinct" or pol != 1):
+                witness_atoms += 1
             # Polarity propagation.
             if head == "not":
-                todo.append((node[1], -pol))
+                todo.append((args[0], -pol))
             elif head in ("and", "or"):
-                todo.extend((child, pol) for child in node[1:])
+                todo.extend((child, pol) for child in args)
             elif head == "=>":
-                todo += [(node[1], -pol), (node[2], pol)]
+                todo += [(args[0], -pol), (args[1], pol)]
             elif head == "ite":
-                todo += [(node[1], 0), (node[2], pol), (node[3], pol)]
-            elif head in ("=", "distinct") and sorts.get(id(node[1])) == BOOL:
-                todo += [(node[1], 0), (node[2], 0)]
+                todo += [(args[0], 0), (args[1], pol), (args[2], pol)]
             else:
-                todo.extend((child, 0) for child in node)
+                todo.extend((child, 0) for child in args)
 
+        node_count: dict = {}
+        for t in {t for t, _ in seen}:
+            key = self._pool_key(t.sort)
+            if key is not None:
+                node_count[key] = node_count.get(key, 0) + 1
+        pool_lits: dict = {}
+        for sort, texts in lits.items():
+            pool_lits.setdefault(self._pool_key(sort), set()).update(texts)
         pools: dict = {}
-        for key in set(lits) | set(node_count):
+        for key in set(pool_lits) | set(node_count):
             pool = Pool(key)
-            pool.elems.extend(sorted(lits.get(key, ())))
+            pool.elems.extend(sorted(pool_lits.get(key, ())))
             slack = node_count.get(key, 0) + witness_atoms + 1
             pool.elems.extend(("fresh", k) for k in range(slack))
             pools[key] = pool
@@ -549,103 +586,95 @@ class _Check:
             return CNF.TRUE if a.value == b.value else CNF.FALSE
         raise Unsupported("equality over symbolic bit-vectors")
 
-    def bool_lit(self, node) -> int:
-        return self.trans(node).lit
+    def bool_lit(self, t: Term) -> int:
+        return self.trans(t).lit
 
-    def trans(self, node):
-        key = id(node)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._trans(node)
-        self.memo[key] = out
-        return out
+    def trans(self, t: Term):
+        got = self.memo.get(t)
+        if got is None:
+            got = self.memo[t] = self._trans(t)
+        return got
 
-    def _trans(self, node):
+    def _trans(self, t: Term):
         cnf, trans, bool_lit = self.cnf, self.trans, self.bool_lit
-        if node == "true":
+        head, args = t.head, t.args
+        if type(head) is tuple:  # a literal, (as ...), or the tester
+            if head == IS_SOME:
+                return BoolV(trans(args[0]).flag)
+            if head[0] == "string":
+                return self._literal(head[1], STRING)
+            if head[0] == "_":  # (_ bvN 64)
+                return BVV(int(head[1][2:]) % (1 << 64))
+            # (as none (Option s)) or (as set.empty (Set s))
+            if head[1] == "none":
+                return OptV(CNF.FALSE, Lazy(_Check.fresh, t.sort[1]), t.sort)
+            pool = self._pool_for(t.sort[1])
+            return SetV([CNF.FALSE] * len(pool.elems), pool, t.sort)
+        if head == "true":
             return BoolV(CNF.TRUE)
-        if node == "false":
+        if head == "false":
             return BoolV(CNF.FALSE)
-        if is_string_literal(node):
-            return self._literal(node[1], STRING)
-        if isinstance(node, str):
-            if node in self.consts:
-                got = self.const_vals.get(node)
-                if got is None:
-                    got = self.fresh(self.consts[node])
-                    self.const_vals[node] = got
-                return got
-            if node in self.datatypes and not self.datatypes[node]:
-                return RecV([], node)
-            raise Unsupported(f"{node} (bit-vector/regex theory)")  # re.all, as `infer` checked
-        head = node[0]
-        if head == "_":  # (_ bvN 64), as `infer` checked
-            return BVV(int(node[1][2:]) % (1 << 64))
-        if head == "as":  # (as none (Option s)) or (as set.empty (Set s)), as `infer` checked
-            sort = node[2]
-            if node[1] == "none":
-                return OptV(CNF.FALSE, Lazy(_Check.fresh, sort[1]), sort)
-            pool = self._pool_for(sort[1])
-            return SetV([CNF.FALSE] * len(pool.elems), pool, sort)
         if head == "ite":
-            return self.mux2(bool_lit(node[1]), trans(node[2]), trans(node[3]))
+            return self.mux2(bool_lit(args[0]), trans(args[1]), trans(args[2]))
         if head == "=":
-            return BoolV(self.val_eq(trans(node[1]), trans(node[2])))
+            return BoolV(self.val_eq(trans(args[0]), trans(args[1])))
         if head == "distinct":
-            return BoolV(-self.val_eq(trans(node[1]), trans(node[2])))
+            return BoolV(-self.val_eq(trans(args[0]), trans(args[1])))
         if head == "not":
-            return BoolV(-bool_lit(node[1]))
+            return BoolV(-bool_lit(args[0]))
         if head == "and":
-            return BoolV(cnf.mk_and([bool_lit(x) for x in node[1:]]))
+            return BoolV(cnf.mk_and([bool_lit(x) for x in args]))
         if head == "or":
-            return BoolV(cnf.mk_or([bool_lit(x) for x in node[1:]]))
+            return BoolV(cnf.mk_or([bool_lit(x) for x in args]))
         if head == "=>":
-            return BoolV(cnf.mk_or([-bool_lit(node[1]), bool_lit(node[2])]))
+            return BoolV(cnf.mk_or([-bool_lit(args[0]), bool_lit(args[1])]))
         if head == "some":
-            inner = trans(node[1])
-            return OptV(CNF.TRUE, Lazy(None, value=inner), ("Option", inner.sort))
+            return OptV(CNF.TRUE, Lazy(None, value=trans(args[0])), t.sort)
         if head == "val":
-            return trans(node[1]).payload.get(self)
-        if head == ("_", "is", "some"):
-            return BoolV(trans(node[1]).flag)
+            return trans(args[0]).payload.get(self)
         if head == "set.singleton":
-            elem = trans(node[1])
+            elem = trans(args[0])
             if not isinstance(elem, EnumV):
                 raise Unsupported("set of unsupported elements")
-            return SetV(list(elem.bits), elem.pool, ("Set", elem.sort))
+            return SetV(list(elem.bits), elem.pool, t.sort)
         if head in ("set.union", "set.inter", "set.minus"):
-            a, b = trans(node[1]), trans(node[2])
+            a, b = trans(args[0]), trans(args[1])
             if head == "set.union":
                 bits = [cnf.mk_or([x, y]) for x, y in zip(a.bits, b.bits)]
             else:
                 bits = [cnf.mk_and([x, y if head == "set.inter" else -y]) for x, y in zip(a.bits, b.bits)]
             return SetV(bits, a.pool, a.sort)
         if head == "set.member":
-            elem, st = trans(node[1]), trans(node[2])
+            elem, st = trans(args[0]), trans(args[1])
             return BoolV(cnf.mk_or([cnf.mk_and([x, y]) for x, y in zip(elem.bits, st.bits)]))
         if head == "set.subset":
-            a, b = trans(node[1]), trans(node[2])
+            a, b = trans(args[0]), trans(args[1])
             return BoolV(cnf.mk_and([cnf.mk_or([-x, y]) for x, y in zip(a.bits, b.bits)]))
-        if head in RANKS:  # the built-in heads left are sort-checked, not translated
+        if head in _BUILT_IN_NAMES:  # the built-in heads left, and re.all, are sort-checked, not translated
             raise Unsupported(f"{head} (bit-vector/regex theory)")
+        if not args and self.consts.get(head) == t.sort:  # else a zero-argument function, applied
+            got = self.const_vals.get(head)
+            if got is None:
+                got = self.const_vals[head] = self.fresh(t.sort)
+            return got
         if head in self.datatypes:
             if self._entity_like(head):
-                if is_string_literal(node[1]):
-                    return self._literal(node[1][1], head)
-                field = trans(node[1])  # shares the String domain: the constructor is the identity
+                text = _string_of(args[0])
+                if text is not None:
+                    return self._literal(text, head)
+                field = trans(args[0])  # shares the String domain: the constructor is the identity
                 return EnumV(field.bits, field.pool, head)
-            return RecV([Lazy(None, value=trans(x)) for x in node[1:]], head)
+            return RecV([Lazy(None, value=trans(x)) for x in args], head)
         if head in self.selectors:
-            index, sort = self.selectors[head][1:]
-            arg = trans(node[1])
+            index = self.selectors[head][1]
+            arg = trans(args[0])
             if isinstance(arg, RecV):
                 return arg.fields[index].get(self)
-            return EnumV(arg.bits, arg.pool, sort)  # an entity read as its field: the identity
-        arg_sorts, ret = self.funs[head]  # a declared function, as `infer` checked
+            return EnumV(arg.bits, arg.pool, t.sort)  # an entity read as its field: the identity
+        arg_sorts, ret = self.funs[head]  # a declared function, as read
         if len(arg_sorts) != 1:
             raise Unsupported("multi-argument uninterpreted functions")
-        arg = trans(node[1])
+        arg = trans(args[0])
         if not isinstance(arg, EnumV):
             raise Unsupported("function argument without a finite domain")
         values = [self.fn_value(head, i) for i in range(len(arg.pool.elems))]

@@ -99,6 +99,13 @@ def span_at(source: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(byte_start, byte_start + width, prefix.count("\n") + 1, start - prefix.rfind("\n"))
 
 
+# Each C0 control character but the tab, as the quoted line shows it: its
+# Unicode control picture (U+2400 to U+241F), one visible column, where the
+# character itself could move a terminal's cursor (a lone `\r` returns it
+# to the start of the line).
+_CONTROL_PICTURES = {c: 0x2400 + c for c in range(0x20) if c != 0x09}
+
+
 def _pad(ch: str) -> str:
     """What the caret line puts under ``ch``: a tab, or a space for each
     terminal column it takes."""
@@ -121,11 +128,13 @@ class ParseError(CedarError):
 
     def render(self) -> str:
         """`file:line:col: error: message`, then the `\\n`-delimited line of
-        the error, less a trailing `\\r`, and a caret under its column: the
-        caret line copies each tab before the column and pads each East Asian
-        Wide or Fullwidth character with two spaces, so that a terminal lines
-        it up.  An error at the end of input after a final newline, or in an
-        empty source, quotes no line."""
+        the error, less a trailing `\\r` and with each other control
+        character but the tab shown as its control picture, and a caret
+        under its column: the caret line copies each tab before the column
+        and pads each East Asian Wide or Fullwidth character with two
+        spaces, so that a terminal lines it up.  An error at the end of
+        input after a final newline, or in an empty source, quotes no
+        line."""
         span = self.span
         head = f"{self.filename}:{span.line}:{span.column}: error: {self.message}"
         line_start = self.start - span.column + 1
@@ -133,6 +142,7 @@ class ParseError(CedarError):
             return head
         line_end = self.source.find("\n", line_start)
         src_line = self.source[line_start : line_end if line_end >= 0 else None].removesuffix("\r")
+        src_line = src_line.translate(_CONTROL_PICTURES)
         pad = "".join(map(_pad, self.source[line_start : self.start]))
         return f"{head}\n  {src_line}\n  {pad}^"
 

@@ -3,8 +3,8 @@
 Trees: a compound is a tuple, a string literal is ``("string", text)`` with
 ``""`` unescaped, a ``|quoted|`` symbol is the plain string between the bars,
 and an atom whose first character is a digit is an int when ``int()``
-accepts it.  Every other atom is a plain string.  In the trees `read_sexprs`
-reads, equal nodes are one object; `write_sexpr` writes a tree as text.
+accepts it.  Every other atom is a plain string.  `write_sexpr` writes a
+tree as text.
 
 A sort is a tree too, and `RANKS` states each built-in term head's SMT-LIB
 rank over such trees, once for the term builder and the bundled solver.
@@ -16,7 +16,6 @@ solver driver and the bundled solver share it without importing each other.
 from __future__ import annotations
 
 import re
-import struct
 from itertools import repeat
 from typing import Optional
 
@@ -42,42 +41,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Sharer:
-    """Hash-consing for one set of trees: equal atoms, and compounds of the
-    same items, are one object, so `is` decides equality."""
-
-    __slots__ = ("atoms", "compounds")
-
-    def __init__(self):
-        self.atoms: dict = {}  # each distinct atom, keyed by itself
-        self.compounds: dict = {}  # each distinct compound, keyed by the ids of its items
-
-    def node(self, items) -> tuple:
-        # Items are shared already, so their ids decide equality without
-        # hashing whole subtrees; packed, a key is one small object.
-        key = struct.pack(f"{len(items)}N", *map(id, items))
-        node = self.compounds.get(key)
-        if node is None:
-            node = self.compounds[key] = tuple(items)
-        return node
-
-    def share(self, tree):
-        """`tree`, made of tuples and atoms, rebuilt from shared nodes."""
-        if type(tree) is tuple:
-            atoms = self.atoms
-            return self.node([atoms.setdefault(x, x) if type(x) is str else self.share(x) for x in tree])
-        return self.atoms.setdefault(tree, tree)
-
-
 def read_sexprs(text: str) -> list:
     """The top-level s-expressions of `text`, in order; raises SexprError.
 
-    The trees are built through one `_Sharer`, so a tree takes the memory of
-    its distinct subterms only.  A `(let ((name term) ...) body)` reads as
-    its body with each name replaced by its term, so a script that binds its
-    shared subterms reads as the same tree as one that writes them out.
+    A `(let ((name term) ...) body)` reads as its body with each name
+    replaced by its term, so a script that binds its shared subterms reads
+    as the same tree as one that writes them out.
     """
-    sharer = _Sharer()
     stack: list = [[]]
     lets = False
     for m in _TOKEN_RE.finditer(text):
@@ -92,11 +62,11 @@ def read_sexprs(text: str) -> list:
         if kind == "close":
             if len(stack) == 1:
                 raise SexprError("unbalanced parenthesis")
-            node = sharer.node(stack.pop())
+            node = tuple(stack.pop())
             if node and node[0] == "let":
                 lets = True
         elif kind == "string":
-            node = sharer.share(("string", m.group(kind).replace('""', '"')))
+            node = ("string", m.group(kind).replace('""', '"'))
         elif kind == "quoted" or kind == "atom":
             node = m.group(kind)
             if kind == "atom" and node[0].isdigit():
@@ -104,7 +74,6 @@ def read_sexprs(text: str) -> list:
                     node = int(node)
                 except ValueError:
                     pass
-            node = sharer.share(node)
         else:
             raise SexprError("unterminated string" if m.group() == '"' else "unterminated quoted symbol")
         stack[-1].append(node)
@@ -113,35 +82,27 @@ def read_sexprs(text: str) -> list:
     if not lets:
         return stack[0]
     try:
-        return [_expand(node, {}, {}, sharer.node) for node in stack[0]]
+        return [_expand(node, {}) for node in stack[0]]
     except RecursionError:
         raise SexprError("s-expression nested too deeply") from None
 
 
-def _expand(node, env: dict, memo: dict, share):
-    """`node` with its lets expanded and the names of `env` replaced.
-
-    `memo` maps id(node) to its expansion under `env`; a let's body gets a
-    memo of its own.  Each node is expanded once per scope it occurs in.
-    """
+def _expand(node, env: dict):
+    """`node` with its lets expanded and the names of `env` replaced.  A
+    bound term is expanded once, where it is bound, so it is one object
+    wherever its name occurs."""
     if type(node) is str:
         return env.get(node, node)
     if type(node) is not tuple or is_string_literal(node):
         return node
-    got = memo.get(id(node))
-    if got is not None:
-        return got
     if len(node) == 3 and node[0] == "let" and type(node[1]) is tuple:
         inner = dict(env)
         for binding in node[1]:
             if type(binding) is not tuple or len(binding) != 2 or type(binding[0]) is not str:
                 raise SexprError("malformed let binding")
-            inner[binding[0]] = _expand(binding[1], env, memo, share)
-        got = _expand(node[2], inner, {}, share)
-    else:
-        got = share([_expand(item, env, memo, share) for item in node])
-    memo[id(node)] = got
-    return got
+            inner[binding[0]] = _expand(binding[1], env)
+        return _expand(node[2], inner)
+    return tuple([_expand(item, env) for item in node])
 
 
 def is_string_literal(node) -> bool:
@@ -192,6 +153,9 @@ RANKS = {
     "bvadd": _BV_OP, "bvsub": _BV_OP, "bvmul": _BV_OP, "bvneg": ((BV,), BV), "bvslt": _BV_CMP, "bvsle": _BV_CMP,
     "str.in_re": ((STRING, REGLAN), BOOL), "str.to_re": ((STRING,), REGLAN), "re.++": ((REGLAN, ...), REGLAN),
 }
+
+# The built-in leaves: the Bool literals and the regex of every string.
+BUILT_IN_LEAVES = frozenset({"true", "false", "re.all"})
 
 
 def _unify(want, got, binding: dict) -> bool:

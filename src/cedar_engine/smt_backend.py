@@ -1,4 +1,4 @@
-"""Scripts as SMT-LIB text or as command trees, running the solver, models.
+"""Scripts as SMT-LIB text or as commands over terms, running the solver, models.
 
 All solver interaction is batch: one script in, one response back.  The
 script always ends with (check-sat)(get-model); the model block is only
@@ -7,8 +7,9 @@ parsed when the answer is `sat`, so solvers that complain about the trailing
 
 The solver comes from, in precedence order: an explicit config, the
 SOLVER_BIN environment variable, a `cvc5` on PATH, then the bundled
-finite-model solver, which runs in this process and takes command trees;
-any other solver runs as a child process that reads text on standard input.
+finite-model solver, which runs in this process and takes the assertion
+terms themselves; any other solver runs as a child process that reads text
+on standard input.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ast import CedarError
-from .sexpr import SexprError, is_string_literal, read_sexprs, write_sexpr
-from .terms import BOOL_S, InternalSortError, Term, term_shape, term_tree
+from .sexpr import BUILT_IN_LEAVES, SexprError, is_string_literal, read_sexprs, write_sexpr
+from .terms import BOOL_S, InternalSortError, Term, term_shape
 
 
 class SolverUnavailable(CedarError):
@@ -55,10 +56,6 @@ _OPTION_DECL = "(declare-datatypes ((Option 1)) ((par (X) ((none) (some (val X))
 _INLINE_CHARS = 40
 
 
-# Leaf heads that are built in, not declared constants.
-_BUILT_IN_LEAVES = frozenset({"true", "false", "re.all"})
-
-
 def _visit(node: Term, uses: dict, order: list, consts: set, signatures: dict) -> None:
     if node in uses:
         uses[node] += 1
@@ -71,7 +68,7 @@ def _visit(node: Term, uses: dict, order: list, consts: set, signatures: dict) -
             got = tuple(a.sort for a in node.args)
             if tuple(want_args) != got or want_res != node.sort:
                 raise InternalSortError(f"application {head}: got {[write_sexpr(s) for s in got]}")
-        elif not node.args and head not in _BUILT_IN_LEAVES:
+        elif not node.args and head not in BUILT_IN_LEAVES:
             consts.add((head, node.sort))
     for child in node.args:
         _visit(child, uses, order, consts, signatures)
@@ -157,14 +154,13 @@ def print_script(senv, assertions) -> str:
 
 
 def script_commands(senv, assertions) -> list:
-    """The commands of print_script(senv, assertions) as `read_sexprs`
-    reads them, without the set-logic, set-option and Option declarations,
-    which the bundled solver skips.  Equal subterms of the assertions are
-    one tree (see term_tree).  Raises InternalSortError as print_script
-    does."""
+    """The commands of print_script(senv, assertions) for the bundled
+    solver: the declarations as `read_sexprs` reads them, then an assert of
+    each term itself, then check-sat.  The set-logic, set-option and Option
+    declarations, which the bundled solver skips, are left out.  Raises
+    InternalSortError as print_script does."""
     _checked_walks(senv, assertions)
-    trees: dict = {}
-    return [*_declarations(senv), *[("assert", term_tree(a, trees)) for a in assertions], ("check-sat",)]
+    return [*_declarations(senv), *[("assert", a) for a in assertions], ("check-sat",)]
 
 
 def _read(text: str) -> list:
@@ -215,7 +211,8 @@ _SET_OPS = {"set.union": frozenset.__or__, "set.inter": frozenset.__and__, "set.
 
 
 class ModelEvaluator:
-    """Evaluates model define-fun bodies (and ground term trees).
+    """Evaluates model define-fun bodies, and ground terms (a `Term` or a
+    tree).
 
     Values: True/False, ("bv", int), ("string", str), ("dt", ctor, args),
     ("set", frozenset), ("some", v), ("none",).
@@ -232,6 +229,8 @@ class ModelEvaluator:
         return self.eval(body, {name: value for (name, _), value in zip(params, args)})
 
     def eval(self, sexp, env: dict):
+        if type(sexp) is Term:
+            sexp = term_shape(sexp)  # its arguments are terms still
         if is_string_literal(sexp):
             return sexp
         if isinstance(sexp, int):
@@ -384,11 +383,11 @@ class SolverConfig:
 def run_solver(config: SolverConfig, script) -> SolverOutcome:
     """Hand the script to the solver and classify the response.
 
-    `script` is SMT-LIB text, or the command trees of `script_commands`,
-    which only the bundled solver takes: it answers them without a round
-    trip through text.  The bundled solver runs in this process, under a
-    deadline checked inside its CDCL loop; any other solver is spawned, and
-    the child is always reaped.  Past the timeout the outcome is `timeout`.
+    `script` is SMT-LIB text, or the commands of `script_commands`, which
+    only the bundled solver takes: it solves the assertion terms without a
+    round trip through text.  The bundled solver runs in this process,
+    under a deadline checked inside its CDCL loop; any other solver is
+    spawned, and the child is always reaped.  Past the timeout the outcome is `timeout`.
     A `sat` answer is followed by the model read from the same response.
     """
     script = script + "(get-model)\n" if isinstance(script, str) else [*script, ("get-model",)]

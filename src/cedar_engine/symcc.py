@@ -107,7 +107,6 @@ from .terms import (
     mk_set_literal,
     mk_val,
     term_sexpr,
-    term_tree,
 )
 
 
@@ -814,9 +813,8 @@ def reconstruct_counterexample(model, senv: SymbolicEnv, footprint: dict) -> tup
         return decoded.ref
 
     refs: dict = {}
-    trees: dict = {}
     for t, _ in footprint:
-        v = ev.eval(term_tree(t, trees), {})
+        v = ev.eval(t, {})
         if isinstance(v, tuple) and v[0] == "none":
             continue
         if isinstance(v, tuple) and v[0] == "some":
@@ -885,7 +883,7 @@ def analyze_equivalence(
             fname = script_names.fresh(f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}") + ".smt2"
             with open(os.path.join(emit_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        # The bundled solver takes the script as trees; text is for the others.
+        # The bundled solver takes the terms themselves; text is for the others.
         outcome = run_solver(config, script_commands(senv, assertions) if config.in_process else text)
         if outcome.kind == "unsat":
             verdicts.append(EnvVerdict(env, "equivalent"))

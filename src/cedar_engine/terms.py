@@ -13,16 +13,15 @@ against, so building an ill-sorted term raises `InternalSortError`.  Only
 the checks that need the declarations (each application against its
 function's signature, each constant against its declaration) are left to
 `smt_backend`, which makes them once for a script, whether it is printed or
-built as trees.
+handed to the bundled solver, which translates the terms themselves.
 
 The smart constructors check their operands' sorts first, then partially
 evaluate (literal guards collapse conditionals, `and`/`or`/`implies` drop
 literal operands, membership in a set literal listing the element is true)
 so that statically-decided subexpressions vanish from the output.  Terms
 are spelled (`term_shape`) in the finite-set theory's names (`set.member`,
-`set.subset`, `set.inter`, `set.singleton`, `as set.empty`), as text
-(`term_sexpr`) or as a tree (`term_tree`), where equal subterms are one
-tree.  A regex is a term of sort RegLan.
+`set.subset`, `set.inter`, `set.singleton`, `as set.empty`), and written
+as text (`term_sexpr`).  A regex is a term of sort RegLan.
 
 Option-wrapped sorts carry the error channel: `none` is a runtime error.
 """
@@ -416,8 +415,7 @@ def mk_set_literal(elems) -> Term:
 # ---------------------------------------------------------------------------
 #
 # A term's shape is one level of its s-expression tree (see `sexpr`): its
-# head, then its arguments as Term objects.  Its text writes the shape, and
-# its tree is the shape with each argument replaced by the argument's tree.
+# head, then its arguments as Term objects.  Its text writes the shape.
 
 
 def term_shape(t: Term):
@@ -428,13 +426,3 @@ def term_sexpr(t: Term) -> str:
     """SMT-LIB text of `t`."""
     return write_sexpr(term_shape(t), lambda item: term_sexpr(item) if isinstance(item, Term) else str(item))
 
-
-def term_tree(t: Term, trees: dict):
-    """The tree `read_sexprs` reads from term_sexpr(t).  `trees` maps each
-    term built so far to its tree, and gets `t` and its subterms: a term's
-    tree is built once, from its arguments' trees, so equal subterms have
-    one tree."""
-    got = trees.get(t)
-    if got is None:
-        got = trees[t] = (t.head, *[term_tree(a, trees) for a in t.args]) if t.args else t.head
-    return got

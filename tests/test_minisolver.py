@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from cedar_engine.minisolver import CNF, Session, _Check, dpll
+from cedar_engine.minisolver import CNF, Session, dpll
 from cedar_engine.sat import Timeout
 from cedar_engine.sexpr import read_sexprs, write_sexpr
 from cedar_engine.smt_backend import Model, ModelEvaluator
@@ -218,6 +218,7 @@ MALFORMED = (
     ("(assert y)(check-sat)", "unknown symbol y"),
     ("(assert (= 1 1))(check-sat)", "bare numeral"),
     ("(assert (= (_ bv1 32) (_ bv1 32)))(check-sat)", "indexed (_ bv1 32)"),
+    ("(assert (= (_ bv\u00b2 64) (_ bv5 64)))(check-sat)", "indexed (_ bv\u00b2 64)"),  # a digit, not a decimal one
     ("(assert (as none Bool))(check-sat)", "as-expression (as none Bool)"),
     ("(declare-const n (_ BitVec 64))(assert (= n (_ bv5 64)))(check-sat)", "equality over symbolic bit-vectors"),
     ("(declare-fun f (Bool Bool) Bool)(declare-const x Bool)(assert (f x x))(check-sat)",
@@ -230,6 +231,12 @@ MALFORMED = (
     ("(declare-const x (Set Foo))(check-sat)", "sort Foo"),
     ("(declare-datatype D ((D (f Foo))))(check-sat)", "sort Foo"),
     ("(declare-const x (_ BitVec 32))(check-sat)", "sort (_ BitVec 32)"),
+    # No declaration takes a built-in name: a term of a built-in head is
+    # one term whatever sort it was given, so the name would take the
+    # built-in's sort.
+    ("(declare-const distinct String)(declare-const s String)(assert (= distinct s))(check-sat)",
+     "declaration of the built-in distinct"),
+    ("(declare-datatype D ((D (and String))))(check-sat)", "declaration of the built-in and"),
     # The first fault is noted, not the last.
     ("(declare-const x)(assert)(check-sat)", "declare-const applied to 1 arguments, expected 2"),
     # Built-in heads over arguments of the wrong sorts.
@@ -250,9 +257,9 @@ HOSTILE_IDS = ["first-fault", "ite-branches", "set.union-elements", "=-elements"
     MALFORMED,
     ids=["declare-const", "assert", "declare-fun", "declare-datatype", "ite", "not", "field", "ctor", "arity", "sorts",
          "fun-argument-sorts", "multi-constructor", "assert-sort", "unknown-symbol", "bare-numeral", "indexed",
-         "as-expression", "bv-equality", "multi-argument-fun", "fun-domain", "undeclared-const-sort",
-         "undeclared-fun-sort", "undeclared-element-sort", "undeclared-field-sort", "narrow-bit-vector",
-         *HOSTILE_IDS],
+         "non-decimal-index", "as-expression", "bv-equality", "multi-argument-fun", "fun-domain",
+         "undeclared-const-sort", "undeclared-fun-sort", "undeclared-element-sort", "undeclared-field-sort",
+         "narrow-bit-vector", "built-in-const", "built-in-selector", *HOSTILE_IDS],
 )
 def test_malformed_commands_and_terms_answer_unknown(script, note):
     out, err = io.StringIO(), io.StringIO()
@@ -293,6 +300,40 @@ def test_deadline_stops_the_cdcl_loop():
     assert "unsat" in run_script(pigeonhole(5))
     with pytest.raises(Timeout):  # a deadline already past stops it before any search
         dpll(3, [(1,), (2, 3)], deadline=time.monotonic() - 1)
+
+
+_ENTITY_T = "(declare-datatype T ((T (eid String))))(declare-const x T)"
+
+# Scripts the compiler never writes, since its smart constructors fold them,
+# each reaching one shortcut of the translation: a literal guard picks its
+# branch, a bit-vector value is concrete or free, and an equality with a
+# `none` needs no payload.
+SHORTCUTS = (
+    (_ENTITY_T + '(assert (= (ite true x (T "a")) (T "b")))(assert (= (ite false (T "a") x) (T "b")))', "sat"),
+    (_ENTITY_T + '(assert (= (ite true (T "a") x) (T "b")))', "unsat"),
+    (_ENTITY_T + '(assert (= (ite false x (T "a")) (T "b")))', "unsat"),
+    ("(assert (= (_ bv5 64) (_ bv5 64)))", "sat"),
+    ("(assert (= (_ bv5 64) (_ bv6 64)))", "unsat"),
+    ("(assert (distinct (_ bv18446744073709551621 64) (_ bv5 64)))", "unsat"),  # 2^64 + 5 wraps to 5
+    ("(declare-const c Bool)(assert (= (ite c (_ bv5 64) (_ bv5 64)) (_ bv5 64)))", "sat"),
+    ("(declare-const c Bool)(assert (= (ite c (_ bv5 64) (_ bv6 64)) (_ bv5 64)))", "unknown"),
+    ("(declare-const o (Option Bool))(assert (= o (as none (Option Bool))))(assert ((_ is some) o))", "unsat"),
+    ("(assert (= (as none (Option Bool)) (as none (Option Bool))))", "sat"),
+)
+
+
+@pytest.mark.parametrize("script,answer", SHORTCUTS)
+def test_translation_shortcuts_on_the_text_path(script, answer):
+    assert run_script(script + "(check-sat)") == answer + "\n"
+
+
+def test_nullary_datatype_and_re_all_symbols_are_read():
+    # A nullary datatype's name is its one value; re.all is read and
+    # sort-checked, then not translated.
+    assert run_script("(declare-datatype E ((E)))(declare-const e E)(assert (= e E))(check-sat)") == "sat\n"
+    out, err = io.StringIO(), io.StringIO()
+    assert Session().run('(assert (str.in_re "a" re.all))(check-sat)', out, err) == ["unknown"]
+    assert err.getvalue() == '(error "unsupported: str.in_re (bit-vector/regex theory)")\n'
 
 
 def test_error_notes_go_to_the_given_stream(capsys):
@@ -363,15 +404,15 @@ def test_single_string_field_records_are_read():
 
 
 def _sorted_scripts(monkeypatch) -> list:
-    """The command trees of the fixture pairs' and the wide pairs' scripts,
-    each with its argument slots, (parent tree, index, sort the argument
-    must have), and its subterm trees, (tree, sort).  Sorts are the
-    compiler's (`Term.sort`), not the solver's; by the compiler's rule a
-    tester takes any Option, written "Option"."""
+    """The commands read from the printed scripts of the fixture pairs and
+    the wide pairs, each with its argument slots, (parent tree, index, sort
+    the argument must have), and its subterm trees, (tree, the compiler's
+    term it was printed from).  By the compiler's rule a tester takes any
+    Option, written "Option"."""
     from test_script_trees import _fixture_pairs, _wide_pairs
 
     from cedar_engine import smt_backend
-    from cedar_engine.smt_backend import SolverConfig
+    from cedar_engine.smt_backend import SolverConfig, print_script
     from cedar_engine.symcc import analyze_equivalence
     from cedar_engine.terms import IS_SOME, Term, term_shape
 
@@ -390,7 +431,7 @@ def _sorted_scripts(monkeypatch) -> list:
         if id(tree) in seen:
             return
         seen.add(id(tree))
-        subterms.append((tree, term.sort))
+        subterms.append((tree, term))
         shape = term_shape(term)
         for i, child in enumerate(shape if type(shape) is tuple else ()):
             if isinstance(child, Term):
@@ -399,7 +440,7 @@ def _sorted_scripts(monkeypatch) -> list:
 
     scripts = []
     for senv, assertions in captured:
-        commands, seen, slots, subterms = real(senv, assertions), set(), [], []
+        commands, seen, slots, subterms = read_sexprs(print_script(senv, assertions)), set(), [], []
         for term, command in zip(assertions, [c for c in commands if c[0] == "assert"]):
             walk(term, command[1], seen, slots, subterms)
         scripts.append((commands, slots, subterms))
@@ -425,24 +466,24 @@ def _swapped(commands, parent, index, donor) -> list:
 
 
 def test_sort_mutations_answer_unknown(monkeypatch, gen_seed):
-    """The solver infers for every node of a compiled script the sort of
-    the term it came from.  Swapping one argument for a subterm of another
-    sort makes the script ill-sorted: the solver answers unknown and raises
+    """The solver reads every subtree of a printed script as the term it
+    was printed from.  Swapping one argument for a subterm of another sort
+    makes the script ill-sorted: the solver answers unknown and raises
     nothing.  A swap for a subterm of the same sort raises nothing either."""
     scripts = _sorted_scripts(monkeypatch)
     for commands, _, subterms in scripts:
         session = Session()
         session.run_commands([c for c in commands if c[0] != "check-sat"], io.StringIO())
-        check = _Check(session)
-        for tree, sort in subterms:
-            assert check.infer(tree) == sort, write_sexpr(tree)
+        memo: dict = {}
+        for tree, term in subterms:
+            assert session._read(tree, memo) is term, write_sexpr(tree)
     rng = random.Random(0x50127 + gen_seed)
     answers = {True: set(), False: set()}
     for i in range(600):
         commands, slots, subterms = rng.choice(scripts)
         parent, index, want = rng.choice(slots)
         same = i % 4 == 0
-        donors = [tree for tree, s in subterms if (s[0] == want if want == "Option" else s == want) == same]
+        donors = [tree for tree, t in subterms if (t.sort[0] == want if want == "Option" else t.sort == want) == same]
         if not donors:
             continue
         mutated = _swapped(commands, parent, index, rng.choice(donors))

@@ -343,6 +343,18 @@ def test_the_caret_takes_two_columns_under_a_wide_character(wide):
     assert narrow.value.render().split("\n")[2] == "  " + " " * src.index("@") + "^"
 
 
+@pytest.mark.parametrize("control", ["\r", "\x1b", "\x0b", "\x00"])
+def test_a_control_character_is_quoted_as_one_visible_column(control):
+    # On a terminal a lone carriage return would send the quoted line back
+    # to its start, far from the caret.
+    src = f'permit(principal, action, resource) when {{ "a{control}b" == @ }};'
+    with pytest.raises(ParseError) as err:
+        parse_policies(src)
+    head, quoted, caret = err.value.render().split("\n")
+    assert quoted == "  " + src.replace(control, chr(0x2400 + ord(control)))
+    assert caret == "  " + " " * src.index("@") + "^"
+
+
 @pytest.mark.parametrize(
     "parse,text,head",
     [

@@ -1,6 +1,7 @@
-"""The bundled solver's tree path: scripts reach the solver as the trees the
-reader would make of their text, models come back as trees, and the text
-that remains (--emit-smt, the standalone solver, the CLI) is unchanged."""
+"""The bundled solver's in-process path: scripts reach the solver as the
+compiler's terms, which are the terms the solver reads from their text,
+models come back as trees, and the text that remains (--emit-smt, the
+standalone solver, the CLI) is unchanged."""
 
 import io
 import os
@@ -45,9 +46,6 @@ _WIDE_PAIRS = (
      "permit(principal, action, resource) when { context has r };"),
 )
 
-# The commands the bundled solver skips, which the tree path leaves out.
-_HEADER = ("set-logic", "set-option", "declare-datatypes")
-
 
 def _fixture_pairs():
     for name, old, new, schema in CASES:
@@ -55,9 +53,9 @@ def _fixture_pairs():
         yield name, sets[0], sets[1], parse_schema(read_fixture(*schema.split("/")))
 
 
-def _generated_pairs(n):
+def _generated_pairs(n, seed=0):
     schema = parse_schema(_ANALYSIS_SCHEMA)
-    rng = random.Random(0xC0FFEE)
+    rng = random.Random(0xC0FFEE + seed)
     for i in range(n):
         yield f"random{i}", _gen_analysis_set(rng, "a"), _gen_analysis_set(rng, "b"), schema
 
@@ -77,23 +75,6 @@ def _outcome(verdicts) -> list:
     ]
 
 
-def _argument_nodes(commands) -> list:
-    """The distinct objects at argument positions of the asserts in
-    `commands`: each assertion and each argument of an application within
-    one.  The bundled solver keys its sorts, translations and domain counts
-    by the ids of these nodes, and of no others."""
-    seen, out, todo = set(), [], [c[1] for c in commands if c[0] == "assert"]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            # Literals and `(_ ...)`, `(as ...)` identifiers have no arguments.
-            if type(node) is tuple and not sexpr.is_string_literal(node) and node[0] not in ("_", "as"):
-                todo.extend(node[1:])
-    return out
-
-
 def test_bundled_path_handles_no_text(monkeypatch):
     pairs = [*_fixture_pairs(), *_generated_pairs(40), *_wide_pairs()]
     config = SolverConfig.bundled()
@@ -111,23 +92,28 @@ def test_bundled_path_handles_no_text(monkeypatch):
         assert _outcome(analyze_equivalence(a, b, schema, config=config)) == want, name
 
 
-def test_command_trees_are_the_read_script(monkeypatch):
+def test_printed_scripts_read_back_as_their_terms(monkeypatch, gen_seed):
+    """Reading a script's text gives the very terms it was printed from, so
+    the bundled solver solves one problem whether it is handed the terms or
+    their text."""
     compared = []
     real = script_commands
 
     def checked(senv, assertions):
-        trees = real(senv, assertions)
-        read = [c for c in read_sexprs(print_script(senv, assertions)) if c[0] not in _HEADER]
-        assert trees == read
-        nodes = _argument_nodes(trees)
-        assert len(nodes) == len(_argument_nodes(read))
-        assert len(set(nodes)) == len(nodes)  # equal subtrees there are one object
-        compared.append(len(trees))
-        return trees
+        session = Session()
+        commands = read_sexprs(print_script(senv, assertions))
+        session.run_commands([c for c in commands if c[0] != "check-sat"], io.StringIO())
+        read = session.assertions()
+        assert len(read) == len(assertions) and all(r is a for r, a in zip(read, assertions))
+        direct = real(senv, assertions)  # the declarations as trees, then the terms
+        declarations = [c for c in commands if c[0] in ("declare-datatype", "declare-fun", "declare-const")]
+        assert declarations == direct[: len(direct) - len(assertions) - 1]
+        compared.append(len(assertions))
+        return direct
 
     monkeypatch.setattr(smt_backend, "script_commands", checked)
     config = SolverConfig.bundled()
-    for _, a, b, schema in [*_fixture_pairs(), *_generated_pairs(200), *_wide_pairs()]:
+    for _, a, b, schema in [*_fixture_pairs(), *_generated_pairs(200, gen_seed), *_wide_pairs()]:
         analyze_equivalence(a, b, schema, config=config)
     assert len(compared) > 200
 

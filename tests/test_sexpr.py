@@ -28,20 +28,6 @@ def test_read_sexprs():
             read_sexprs(bad)
 
 
-def test_equal_subterms_are_one_object():
-    text = '(assert (= (f x) "a")) (assert (or (= (f x) "a") (g 12 "a" 12)))'
-    first, second = read_sexprs(text)
-    shared = first[1]
-    assert second[1][1] is shared
-    assert second[1][1][1] is shared[1]  # (f x)
-    literal = shared[2]
-    assert literal == ("string", "a") and second[1][2][2] is literal
-    assert second[1][2][1] is second[1][2][3]  # 12
-    assert first[0] is second[0]  # "assert"
-    # Equal subterms of different texts are not shared.
-    assert read_sexprs("(f x)")[0] is not read_sexprs("(f x)")[0]
-
-
 def test_nesting_is_bounded():
     # Hashing or comparing a compound recurses in C: a million levels
     # would overflow the C stack of a consumer, so the reader stops at
@@ -61,7 +47,7 @@ def test_nesting_is_bounded():
 def test_let_reads_as_its_expansion():
     (bound,) = read_sexprs("(let ((a (f x)) (b 2)) (let ((c (g a b))) (and c (f x) a)))")
     assert bound == read_sexprs("(and (g (f x) 2) (f x) (f x))")[0]
-    assert bound[1][1] is bound[2] is bound[3]  # (f x), bound or written out
+    assert bound[1][1] is bound[3]  # (f x), bound: one object wherever `a` occurs
     # A binding sees the enclosing scope; an inner name shadows an outer one.
     assert read_sexprs("(let ((x 1)) (let ((x (h x))) x))") == [("h", 1)]
     assert read_sexprs('(let ((s "x")) (= s "x"))') == [("=", ("string", "x"), ("string", "x"))]

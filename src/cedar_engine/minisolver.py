@@ -24,9 +24,9 @@ was made) or as trees read from text.  When check-sat runs, the session
 reads each asserted tree into a term, checking it against `sexpr.RANKS`,
 which states a built-in head's argument and result sorts, and against the
 declarations.  An ill-sorted script answers `unknown`, as does one that
-declares a built-in name or uses bit-vector arithmetic or
-regular-expression membership; the first fault is noted as
-`(error "unsupported: ...")`.
+declares a built-in name or one declared already, nests terms deeper than
+Python recurses, or uses bit-vector arithmetic or regular-expression
+membership; the first fault is noted as `(error "unsupported: ...")`.
 
 The answer's model is a list of define-fun trees, in the shape cvc5 prints,
 so one model grammar serves both solvers.  Text is read and written only at
@@ -234,13 +234,13 @@ class Session:
                 if head == "declare-datatype":
                     self._declare_datatype(cmd)
                 elif head == "declare-fun":
-                    name, args, ret = _declared_name(cmd[1]), cmd[2], cmd[3]
+                    name, args, ret = self._new_name(cmd[1]), cmd[2], cmd[3]
                     if type(args) is not tuple:
                         raise Unsupported(f"argument sorts {write_sexpr(args)}")
                     sorts = tuple(check_sort(sort, self.datatypes) for sort in args)
                     self.funs[name] = (sorts, check_sort(ret, self.datatypes))
                 elif head == "declare-const":
-                    self.consts[_declared_name(cmd[1])] = check_sort(cmd[2], self.datatypes)
+                    self.consts[self._new_name(cmd[1])] = check_sort(cmd[2], self.datatypes)
                 elif head == "assert":
                     self.asserts.append(cmd[1])
                 elif head == "check-sat":
@@ -264,17 +264,30 @@ class Session:
                 poisoned = poisoned or str(exc)  # the first fault
         return replies
 
+    def _new_name(self, name):
+        """`name`, which a declaration gives a constant, function, datatype,
+        constructor or selector, if it is neither built in nor declared
+        already."""
+        if name in _BUILT_IN_NAMES:
+            raise Unsupported(f"declaration of the built-in {write_sexpr(name)}")
+        if name in self.consts or name in self.funs or name in self.datatypes or name in self.selectors:
+            raise Unsupported(f"redeclaration of {write_sexpr(name)}")
+        return name
+
     def _declare_datatype(self, cmd) -> None:
-        name, ctors = _declared_name(cmd[1]), cmd[2]
+        name, ctors = self._new_name(cmd[1]), cmd[2]
         if type(ctors) is not tuple or len(ctors) != 1:
             raise Unsupported("multi-constructor datatypes")
         ctor = ctors[0]
         if type(ctor) is not tuple or ctor[:1] != (name,):
             raise Unsupported("constructor name differing from datatype name")
         fields = tuple(
-            (_declared_name(sel), check_sort(sort, self.datatypes))
+            (self._new_name(sel), check_sort(sort, self.datatypes))
             for sel, sort in (check_arity(field, 1) for field in ctor[1:])
         )
+        names = {name, *(sel for sel, _ in fields)}  # the constructor is named as the datatype
+        if len(names) <= len(fields):
+            raise Unsupported(f"a name declared twice in datatype {write_sexpr(name)}")
         for idx, (sel, sort) in enumerate(fields):
             self.selectors[sel] = (name, idx, sort)
         self.datatypes[name] = fields
@@ -294,8 +307,11 @@ class Session:
 
     def _check(self) -> Optional[list]:
         """The model's define-fun trees, or None when unsat."""
-        check = _Check(self, self.assertions())
-        assignment = check.solve(self.deadline)
+        try:
+            check = _Check(self, self.assertions())
+            assignment = check.solve(self.deadline)
+        except RecursionError:  # reading or translating a term
+            raise Unsupported("terms nested too deeply") from None
         return None if assignment is None else check.render_model(assignment)
 
     # -- reading trees into terms ----------------------------------------------
@@ -361,14 +377,6 @@ class Session:
 # built-in head is interned without its sort, so a declared one would take
 # the built-in's.
 _BUILT_IN_NAMES = frozenset({*RANKS, *BUILT_IN_LEAVES})
-
-
-def _declared_name(name):
-    """`name`, which a declaration gives a constant, function, datatype,
-    constructor or selector, if it is not built in."""
-    if name in _BUILT_IN_NAMES:
-        raise Unsupported(f"declaration of the built-in {write_sexpr(name)}")
-    return name
 
 
 def _string_of(t: Term) -> Optional[str]:
@@ -697,8 +705,8 @@ class _Check:
             body = self.render(v) if v is not None else self.default_tree(sort)
             defs.append(("define-fun", name, (), sort, body))
         for fn, (arg_sorts, ret) in self.funs.items():
-            if not arg_sorts:
-                continue
+            if len(arg_sorts) != 1:
+                continue  # never applied: a script that applies one is unsupported
             table, arg_sort = self.fn_tables.get(fn, {}), arg_sorts[0]
             try:
                 pool = self._pool_for(arg_sort)
@@ -706,21 +714,12 @@ class _Check:
                 table = {}  # no finite domain, so never applied
             body = self.default_tree(ret)
             for index in sorted(table, reverse=True):
-                try:
-                    value = self.render(table[index])
-                except Unsupported:
-                    value = self.default_tree(ret)
-                body = ("ite", ("=", "x!0", self.elem_tree(pool, index, arg_sort)), value, body)
+                body = ("ite", ("=", "x!0", self.elem_tree(pool, index, arg_sort)), self.render(table[index]), body)
             defs.append(("define-fun", fn, (("x!0", arg_sort),), ret, body))
         return defs
 
     def lit_true(self, lit: int) -> bool:
-        if lit == CNF.TRUE:
-            return True
-        if lit == CNF.FALSE:
-            return False
-        v = self.assignment[abs(lit)]
-        return (v == 1) == (lit > 0)
+        return (self.assignment[abs(lit)] == 1) == (lit > 0)
 
     def elem_string(self, pool: Pool, index: int) -> str:
         elem = pool.elems[index]
@@ -758,13 +757,13 @@ class _Check:
         return ("as", "set.empty" if sort[0] == "Set" else "none", sort)
 
     def render(self, v):
+        """The tree of `v`, a value `fresh` made, under the assignment: each
+        of its bits is a variable, and one of an EnumV's is set."""
         if isinstance(v, BoolV):
             return "true" if self.lit_true(v.lit) else "false"
         if isinstance(v, EnumV):
-            for i, bit in enumerate(v.bits):
-                if self.lit_true(bit):
-                    return self.elem_tree(v.pool, i, v.sort)
-            return self.default_tree(v.sort)
+            index = next(i for i, bit in enumerate(v.bits) if self.lit_true(bit))
+            return self.elem_tree(v.pool, index, v.sort)
         if isinstance(v, SetV):
             members = [self.elem_tree(v.pool, i, v.sort[1]) for i, bit in enumerate(v.bits) if self.lit_true(bit)]
             if not members:
@@ -784,19 +783,11 @@ class _Check:
             fields = self.datatypes[v.sort]
             if not fields:
                 return v.sort
-            parts = []
-            for lazy, (_, fsort) in zip(v.fields, fields):
-                if lazy.make is not None:
-                    parts.append(self.default_tree(fsort))
-                    continue
-                try:
-                    parts.append(self.render(lazy.value))
-                except Unsupported:
-                    parts.append(self.default_tree(fsort))
+            # A field never forced during solving is unconstrained.
+            parts = (self.default_tree(fs) if lazy.make is not None else self.render(lazy.value)
+                     for lazy, (_, fs) in zip(v.fields, fields))
             return (v.sort, *parts)
-        if isinstance(v, BVV):
-            return ("_", f"bv{(v.value or 0) % (1 << 64)}", 64)
-        raise Unsupported("cannot render model value")
+        return self.default_tree(BV)  # a BVV: `fresh` makes only free ones
 
 
 def main() -> int:

@@ -221,7 +221,8 @@ class _Lexer:
                 self.error(f"unexpected character {text!r}", start, pos)
             else:
                 value = int(text) if kind == "int" else text
-                tok = Token(text if kind == "punct" else kind, text, value, start, pos)
+                # `Token(...)` would call its generated `__new__`, a Python function.
+                tok = tuple.__new__(Token, (text if kind == "punct" else kind, text, value, start, pos))
             out.append(tok)
         out.append(Token("eof", "", None, n, n))
         return out
@@ -282,10 +283,8 @@ class _Parser:
         self.nesting = 0
 
     def peek(self, offset: int = 0) -> Token:
-        try:
-            return self.toks[self.i + offset]
-        except IndexError:  # past the end: the final eof token
-            return self.toks[-1]
+        # Nothing looks past the final eof token, the only one with none after it.
+        return self.toks[self.i + offset]
 
     def next(self) -> Token:
         tok = self.toks[self.i]
@@ -294,14 +293,14 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
 
     def at_ident(self, *names: str) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.i]
         return tok.kind == "ident" and tok.text in names
 
     def expect(self, kind: str, what: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind != kind:
             self.error(f"expected {what or kind}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
@@ -338,6 +337,52 @@ class _Parser:
         self.expect("::", "'::'")
         ident = self.expect("string", "an entity id string")
         return EntityRef(etype, ident.value)
+
+    def name(self, what: str) -> str:
+        """An identifier, or a string for a name that is not one."""
+        tok = self.peek()
+        if tok.kind == "ident":
+            return self.next().text
+        if tok.kind == "string":
+            return self.next().value
+        self.error(f"expected {what}")
+
+    def bracketed(self, item, bracket: str = "[", empty_ok: bool = False) -> list:
+        """The items ``item`` reads between ``bracket`` and its closing
+        bracket, separated by commas; a comma may follow the last.  At least
+        one, unless ``empty_ok``."""
+        close = "]" if bracket == "[" else "}"
+        self.expect(bracket)
+        items = []
+        if not (empty_ok and self.at(close)):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                if self.at(close):
+                    break
+                items.append(item())
+        self.expect(close)
+        return items
+
+    def names(self, item) -> list:
+        """One name read by ``item``, or a bracketed list of them."""
+        return self.bracketed(item) if self.at("[") else [item()]
+
+    def fields(self, value, duplicate: str) -> list:
+        """A record's `{name ..., ...}`: the (name, ``value()``) pairs, where
+        ``value`` reads what follows each name.  A name given twice is the
+        error ``duplicate`` and the name, at its second occurrence."""
+        seen = set()
+
+        def field() -> tuple:
+            tok = self.peek()
+            name = self.name("an attribute name")
+            if name in seen:
+                self.error(f"{duplicate} {name!r}", tok)
+            seen.add(name)
+            return name, value()
+
+        return self.bracketed(field, "{", empty_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,29 +460,26 @@ class _PolicyParser(_Parser):
             if self.at("["):
                 if var != "action":
                     self.error(f"{var} constraint cannot use a set of entities", op_tok)
-                self.next()
-                refs = [self.entity_ref()]
-                while self.at(","):
-                    self.next()
-                    if self.at("]"):
-                        break
-                    refs.append(self.entity_ref())
-                self.expect("]")
-                return ScopeInSet(tuple(refs))
+                return ScopeInSet(tuple(self.bracketed(self.entity_ref)))
             return ScopeIn(self._scope_target(var, slots_ok))
         self.error(f"expected '==', 'in', ',' or ')' after {var}", op_tok)
 
     def _scope_target(self, var: str, slots_ok: bool):
         if self.at("slot"):
-            tok = self.next()
-            if tok.text not in ("?principal", "?resource"):
-                self.error(f"unknown slot {tok.text}", tok)
+            tok = self.slot()
             if not slots_ok:
                 self.error(f"slots cannot appear in the {var} constraint", tok)
             if tok.text != f"?{var}":
                 self.error(f"slot {tok.text} cannot appear in the {var} constraint", tok)
             return SlotRef(tok.text)
         return self.entity_ref()
+
+    def slot(self) -> Token:
+        """The slot at hand, which must be `?principal` or `?resource`."""
+        tok = self.next()
+        if tok.text not in ("?principal", "?resource"):
+            self.error(f"unknown slot {tok.text}", tok)
+        return tok
 
     # Expressions, lowest precedence first ------------------------------------
 
@@ -495,7 +537,7 @@ class _PolicyParser(_Parser):
                 left = EBinop("in", left, self._add())
             elif tok.kind == "ident" and tok.text == "has":
                 self.next()
-                left = EHas(left, self._attr_name())
+                left = EHas(left, self.name("an attribute name"))
             elif tok.kind == "ident" and tok.text == "like":
                 self.next()
                 pat = self.expect("string", "a pattern string")
@@ -505,14 +547,6 @@ class _PolicyParser(_Parser):
                 left = EIs(left, self.path())
             else:
                 return left
-
-    def _attr_name(self) -> str:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return self.next().text
-        if tok.kind == "string":
-            return self.next().value
-        self.error("expected an attribute name")
 
     def _add(self) -> Expr:
         left = self._mul()
@@ -598,47 +632,16 @@ class _PolicyParser(_Parser):
         if tok.kind == "slot":
             if self.clause is not None:
                 self.error(f"slot {tok.text} in a {self.clause.value} condition: slots may appear only in the scope", tok)
-            self.next()
-            if tok.text not in ("?principal", "?resource"):
-                self.error(f"unknown slot {tok.text}", tok)
-            return ESlot(tok.text)
+            return ESlot(self.slot().text)
         if tok.kind == "(":
             self.next()
             e = self._expr()
             self.expect(")")
             return e
         if tok.kind == "[":
-            self.next()
-            elems = []
-            if not self.at("]"):
-                elems.append(self._expr())
-                while self.at(","):
-                    self.next()
-                    if self.at("]"):
-                        break
-                    elems.append(self._expr())
-            self.expect("]")
-            return ESet(tuple(elems))
+            return ESet(tuple(self.bracketed(self._expr, empty_ok=True)))
         if tok.kind == "{":
-            self.next()
-            fields = []
-            seen = set()
-            if not self.at("}"):
-                while True:
-                    name = self._attr_name()
-                    if name in seen:
-                        self.error(f"duplicate record attribute {name!r}")
-                    seen.add(name)
-                    self.expect(":")
-                    fields.append((name, self._expr()))
-                    if self.at(","):
-                        self.next()
-                        if self.at("}"):
-                            break
-                    else:
-                        break
-            self.expect("}")
-            return ERecord(tuple(fields))
+            return ERecord(tuple(self.fields(self._field_value, "duplicate record attribute")))
         if tok.kind == "ident":
             if tok.text == "true":
                 self.next()
@@ -665,6 +668,10 @@ class _PolicyParser(_Parser):
             self.i = save
             self.error(f"unexpected name {tok.text!r} (expected an entity reference Type::\"id\")", tok)
         self.error(f"unexpected token {tok.text or 'end of input'!r}", tok)
+
+    def _field_value(self) -> Expr:
+        self.expect(":")
+        return self._expr()
 
 
 def parse_policies(text: str, filename: str = "<input>") -> list:
@@ -726,7 +733,7 @@ class _SchemaParser(_Parser):
         parents: frozenset = frozenset()
         if self.at_ident("in"):
             self.next()
-            parents = frozenset(self._type_name_list())
+            parents = frozenset(self.names(self.path))
         attrs = trecord({})
         if self.at("{"):
             attrs = self._record_type()
@@ -735,47 +742,16 @@ class _SchemaParser(_Parser):
                 self.error(f"duplicate declaration of entity type {name}", name_tok)
             self.entities[name] = EntityTypeDecl(attrs, parents)
 
-    def _type_name_list(self) -> list:
-        if self.at("["):
-            self.next()
-            names = [self.path()]
-            while self.at(","):
-                self.next()
-                if self.at("]"):
-                    break
-                names.append(self.path())
-            self.expect("]")
-            return names
-        return [self.path()]
-
     def _record_type(self) -> TRecord:
-        self.expect("{")
-        attrs: dict = {}
-        if not self.at("}"):
-            while True:
-                tok = self.peek()
-                if tok.kind == "string":
-                    name = self.next().value
-                elif tok.kind == "ident":
-                    name = self.next().text
-                else:
-                    self.error("expected an attribute name")
-                if name in attrs:
-                    self.error(f"duplicate attribute {name!r}", tok)
-                required = True
-                if self.at("?"):
-                    self.next()
-                    required = False
-                self.expect(":")
-                attrs[name] = (required, self._type())
-                if self.at(","):
-                    self.next()
-                    if self.at("}"):
-                        break
-                else:
-                    break
-        self.expect("}")
-        return trecord(attrs)
+        return trecord(dict(self.fields(self._attr_type, "duplicate attribute")))
+
+    def _attr_type(self) -> tuple:
+        """An attribute's `?` if optional, `:` and type: (required, type)."""
+        optional = self.at("?")
+        if optional:
+            self.next()
+        self.expect(":")
+        return not optional, self._type()
 
     def _type(self):
         self.nest("type")
@@ -795,12 +771,7 @@ class _SchemaParser(_Parser):
         return t
 
     def _action_name(self) -> EntityRef:
-        tok = self.peek()
-        if tok.kind == "string":
-            return EntityRef("Action", self.next().value)
-        if tok.kind == "ident":
-            return EntityRef("Action", self.next().text)
-        self.error("expected an action name")
+        return EntityRef("Action", self.name("an action name"))
 
     def _action_decl(self) -> None:
         self.expect_ident("action")
@@ -812,49 +783,31 @@ class _SchemaParser(_Parser):
         parents: tuple = ()
         if self.at_ident("in"):
             self.next()
-            if self.at("["):
-                self.next()
-                ps = [self._action_name()]
-                while self.at(","):
-                    self.next()
-                    if self.at("]"):
-                        break
-                    ps.append(self._action_name())
-                self.expect("]")
-                parents = tuple(ps)
-            else:
-                parents = (self._action_name(),)
-        principal_types: tuple = ()
-        resource_types: tuple = ()
-        context = EMPTY_RECORD
+            parents = tuple(self.names(self._action_name))
+        applies: dict = {}
         if self.at_ident("appliesTo"):
             self.next()
-            self.expect("{")
-            while True:
-                key = self.expect("ident", "'principal', 'resource' or 'context'").text
-                self.expect(":")
-                if key == "principal":
-                    principal_types = tuple(self._type_name_list())
-                elif key == "resource":
-                    resource_types = tuple(self._type_name_list())
-                elif key == "context":
-                    t = self._type()
-                    if not isinstance(t, TRecord):
-                        self.error("context type must be a record")
-                    context = t
-                else:
-                    self.error(f"unknown appliesTo field {key!r}")
-                if self.at(","):
-                    self.next()
-                    if self.at("}"):
-                        break
-                else:
-                    break
-            self.expect("}")
+            applies = dict(self.bracketed(self._applies_to_field, "{"))
+        principal_types, resource_types = applies.get("principal", ()), applies.get("resource", ())
+        context = applies.get("context", EMPTY_RECORD)
         for ref in names:
             if ref in self.actions:
                 self.error(f"duplicate declaration of action {ref}", name_tok)
             self.actions[ref] = ActionDecl(ref, principal_types, resource_types, context, parents)
+
+    def _applies_to_field(self) -> tuple:
+        """`principal: ...`, `resource: ...` or `context: ...`, as a (key,
+        value) pair; a later one replaces an earlier one of the same key."""
+        key = self.expect("ident", "'principal', 'resource' or 'context'").text
+        self.expect(":")
+        if key in ("principal", "resource"):
+            return key, tuple(self.names(self.path))
+        if key == "context":
+            t = self._type()
+            if not isinstance(t, TRecord):
+                self.error("context type must be a record")
+            return key, t
+        self.error(f"unknown appliesTo field {key!r}")
 
 
 def parse_schema(text: str, filename: str = "<input>") -> Schema:

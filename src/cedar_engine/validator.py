@@ -135,7 +135,8 @@ def check_schema(schema: Schema) -> None:
 
     for name, decl in schema.entity_types.items():
         check_type(decl.attrs, f"attributes of entity {name}")
-        for p in decl.parents:
+        # Sorted, so that every run names the same unknown parent first.
+        for p in sorted(decl.parents):
             if p not in schema.entity_types:
                 raise SchemaError(f"unknown entity type {p} in parents of entity {name}")
     for ref, decl in schema.actions.items():

@@ -113,6 +113,10 @@ def test_unsat_contradiction():
     assert "unsat" in run_script("(set-logic ALL)\n(assert false)\n(check-sat)\n")
 
 
+def test_a_command_that_is_not_an_application_is_skipped_and_exit_ends_the_script():
+    assert run_script("x 1 (assert false)(check-sat)(exit)(check-sat)") == "unsat\n"
+
+
 def test_sat_model_shape():
     out = run_script(
         "(set-logic ALL)\n"
@@ -237,6 +241,14 @@ MALFORMED = (
     ("(declare-const distinct String)(declare-const s String)(assert (= distinct s))(check-sat)",
      "declaration of the built-in distinct"),
     ("(declare-datatype D ((D (and String))))(check-sat)", "declaration of the built-in and"),
+    # Nor a name declared already: constants, functions, datatypes (and
+    # their constructors) and selectors share one namespace.
+    ('(declare-const x Bool)(declare-const x String)(assert (= x "a"))(check-sat)', "redeclaration of x"),
+    ("(declare-fun f (String) Bool)(declare-const f Bool)(assert f)(check-sat)", "redeclaration of f"),
+    ("(declare-datatype D ((D (a String))))(declare-fun a (String) Bool)(check-sat)", "redeclaration of a"),
+    ("(declare-const D Bool)(declare-datatype D ((D)))(check-sat)", "redeclaration of D"),
+    ("(declare-datatype D ((D (a String) (a Bool))))(check-sat)", "a name declared twice in datatype D"),
+    ("(declare-datatype D ((D (D String))))(check-sat)", "a name declared twice in datatype D"),
     # The first fault is noted, not the last.
     ("(declare-const x)(assert)(check-sat)", "declare-const applied to 1 arguments, expected 2"),
     # Built-in heads over arguments of the wrong sorts.
@@ -259,7 +271,9 @@ HOSTILE_IDS = ["first-fault", "ite-branches", "set.union-elements", "=-elements"
          "fun-argument-sorts", "multi-constructor", "assert-sort", "unknown-symbol", "bare-numeral", "indexed",
          "non-decimal-index", "as-expression", "bv-equality", "multi-argument-fun", "fun-domain",
          "undeclared-const-sort", "undeclared-fun-sort", "undeclared-element-sort", "undeclared-field-sort",
-         "narrow-bit-vector", "built-in-const", "built-in-selector", *HOSTILE_IDS],
+         "narrow-bit-vector", "built-in-const", "built-in-selector", "redeclared-const", "redeclared-fun",
+         "redeclared-selector", "redeclared-datatype", "repeated-selector", "selector-named-as-datatype",
+         *HOSTILE_IDS],
 )
 def test_malformed_commands_and_terms_answer_unknown(script, note):
     out, err = io.StringIO(), io.StringIO()
@@ -275,6 +289,46 @@ def test_the_standalone_solver_answers_malformed_input():
             timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "unknown\n", f'(error "unsupported: {note}")\n'), script
+
+
+# Nested deeper than Python recurses: reading a level takes two calls.
+DEEP_NOT = "(declare-const p Bool)(assert " + "(not " * 3000 + "p" + ")" * 3001 + "(check-sat)"
+
+
+def test_a_script_nested_too_deeply_answers_unknown():
+    out, err = io.StringIO(), io.StringIO()
+    assert Session().run(DEEP_NOT, out, err) == ["unknown"]
+    assert (out.getvalue(), err.getvalue()) == ("unknown\n", '(error "unsupported: terms nested too deeply")\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "cedar_engine.minisolver"], input=DEEP_NOT, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.getvalue(), err.getvalue())
+
+
+# Models of the parts of a script no assertion constrains, and of fresh
+# elements named clear of the script's literals.
+MODELS = (
+    # A function of other than one argument, unused (used, it is unsupported),
+    # has no definition.
+    ("(declare-fun f () Bool)(declare-const x Bool)(assert x)", ["(define-fun x () Bool true)"]),
+    ("(declare-fun g (String Bool) Bool)(assert true)", []),
+    # A function over a sort without a finite domain is never applied: its default.
+    ("(declare-fun f (Bool) Bool)(assert true)", ["(define-fun f ((x!0 Bool)) Bool false)"]),
+    # A bit-vector constant is free (one the solver equates is unsupported): zero.
+    ("(declare-const n (_ BitVec 64))(assert ((_ is some) (some n)))",
+     ["(define-fun n () (_ BitVec 64) (_ bv0 64))"]),
+    # The fresh element `string_2` is renamed: the script has that literal.
+    ('(declare-const x String)(assert (distinct x "string_2"))', ['(define-fun x () String "string_2_1")']),
+)
+
+
+@pytest.mark.parametrize(
+    "script,model", MODELS, ids=["nullary-fun", "binary-fun", "fun-without-domain", "bit-vector", "fresh-name"]
+)
+def test_model_of_unconstrained_parts(script, model):
+    assert run_script(script + "(check-sat)(get-model)") == "\n".join(["sat", "(", *model, ")", ""])
 
 
 def pigeonhole(pigeons: int) -> str:

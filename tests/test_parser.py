@@ -9,10 +9,13 @@ from cedar_engine.ast import (
     EIf,
     ELit,
     EMul,
+    ERecord,
+    ESet,
     EntityRef,
     ScopeEq,
     ScopeIn,
     ScopeInSet,
+    TRecord,
     TSet,
     VLong,
     I64_MAX,
@@ -380,6 +383,91 @@ def test_slots_only_in_scope():
         with pytest.raises(ParseError) as err:
             parse_policies(src)
         assert err.value.render().startswith(f"<input>:1:{column}: error:"), src
+
+
+def test_an_unknown_slot_is_an_error_in_the_scope_and_in_an_expression():
+    for parse, src, message, start in (
+        (parse_policies, "permit(principal == ?foo, action, resource);", "unknown slot ?foo", 20),
+        (parse_policies, "permit(principal, action, resource in ?bar);", "unknown slot ?bar", 38),
+        (parse_expr, "?foo == principal", "unknown slot ?foo", 0),
+        # In a condition no slot may appear, known or not.
+        (parse_policies, "permit(principal, action, resource) when { ?foo };",
+         "slot ?foo in a when condition: slots may appear only in the scope", 43),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (err.value.message, err.value.start, err.value.end) == (message, start, start + 4), src
+
+
+# Each bracketed list, with `^` where a comma may follow its last item.
+COMMA_LISTS = {
+    "scope-set": (parse_policies, 'permit(principal, action in [Action::"a", Action::"b"^], resource);'),
+    "set-literal": (parse_expr, "[1, [2^]^]"),
+    "record-literal": (parse_expr, '{a: 1, "b c": {d: 2^}^}'),
+    "entity-parents": (parse_schema, "entity A in [B, C^]; entity B in [C^]; entity C;"),
+    "applies-to-types": (parse_schema, "entity A, B; action a appliesTo {principal: [A, B^], resource: [A^]};"),
+    "record-type": (parse_schema, 'entity A {a: Long, "b c"?: {d: String^}^};'),
+    "action-parents": (parse_schema, 'action a in [b, "c d"^]; action b in [c^]; action "c d", c;'),
+    "applies-to": (parse_schema, "entity A; action a appliesTo {principal: A, resource: A, context: {}^};"),
+}
+
+
+@pytest.mark.parametrize("parse,text", COMMA_LISTS.values(), ids=COMMA_LISTS.keys())
+def test_a_comma_may_follow_the_last_item_of_a_list(parse, text):
+    assert parse(text.replace("^", ",")) == parse(text.replace("^", ""))
+
+
+# Lists that need an item, given none: each reports the item it expected.
+EMPTY_LISTS = {
+    "scope-set": (parse_policies, "permit(principal, action in [], resource);", "expected a name, found ']'", 29),
+    "entity-parents": (parse_schema, "entity A in [];", "expected a name, found ']'", 13),
+    "applies-to-types": (parse_schema, "entity A; action a appliesTo {principal: A, resource: []};",
+                         "expected a name, found ']'", 55),
+    "action-parents": (parse_schema, "action a in [];", "expected an action name", 13),
+    "applies-to": (parse_schema, "action a appliesTo {};", "expected 'principal', 'resource' or 'context', found '}'",
+                   20),
+}
+
+
+@pytest.mark.parametrize("parse,text,message,start", EMPTY_LISTS.values(), ids=EMPTY_LISTS.keys())
+def test_a_list_that_needs_an_item_rejects_empty_brackets(parse, text, message, start):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.start, err.value.end) == (message, start, start + 1)
+
+
+def test_empty_sets_and_records_parse():
+    assert parse_expr("[]") == ESet(())
+    assert parse_expr("{}") == ERecord(())
+    assert parse_schema("entity A {};").entity_types["A"].attrs == TRecord(())
+
+
+def test_a_duplicate_attribute_is_reported_at_its_name():
+    for parse, src, message in (
+        (parse_expr, '{a: 1, "a": 2}', "duplicate record attribute 'a'"),
+        (parse_schema, 'entity A {a: Long, "a"?: String};', "duplicate attribute 'a'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert (err.value.message, src[err.value.start : err.value.end]) == (message, '"a"')
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_policies, 'permit(principal in [User::"a"], action, resource);',
+         "principal constraint cannot use a set of entities"),
+        (parse_expr, "context[1]", "expected end of input, found '['"),  # only a string projects
+        (parse_expr, "has", "reserved word 'has' cannot start an expression"),
+        (parse_schema, "action a; action a;", 'duplicate declaration of action Action::"a"'),
+        (parse_schema, "action a appliesTo {context: Long};", "context type must be a record"),
+        (parse_schema, "action a appliesTo {owner: Long};", "unknown appliesTo field 'owner'"),
+    ],
+)
+def test_scope_expression_and_declaration_errors(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == message
 
 
 def test_appendix_schema_texts_parse():

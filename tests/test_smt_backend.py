@@ -206,12 +206,30 @@ def test_solver_unavailable():
         run_solver(SolverConfig(("/nonexistent/solver-binary",)), "(check-sat)\n")
 
 
-def test_solver_timeout_reaps_child():
-    config = SolverConfig((sys.executable, "-c", "import time; time.sleep(30)"), timeout_ms=300)
+def test_solver_timeout_reaps_child(monkeypatch):
+    spawned = []
+    popen = subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spawn)
+    config = SolverConfig((sys.executable, "-c", "import time; time.sleep(60)"), timeout_ms=300)
     start = time.time()
     outcome = run_solver(config, "(check-sat)\n")
     assert outcome.kind == "timeout"
     assert time.time() - start < 5
+    [child] = spawned
+    assert child.returncode is not None  # killed and reaped: nothing left running
+
+
+def test_a_script_nested_too_deeply_is_unknown_not_a_failure():
+    from test_minisolver import DEEP_NOT
+
+    outcome = run_solver(SolverConfig.bundled(), DEEP_NOT)
+    assert outcome.kind == "unknown"
+    assert outcome.detail.startswith('(error "unsupported: terms nested too deeply")')
 
 
 def test_model_parsing_shapes():

@@ -1,5 +1,9 @@
 """The typing judgment, request environments, and whole-set validation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from cedar_engine.ast import (
@@ -562,3 +566,19 @@ def test_connectives_type_as_their_if_form(gen_seed):
             compare(expr, env, schema)
     for name in ("ENot", "EAnd", "EOr"):
         assert seen[name, "ok"] >= 100 and seen[name, "error"] >= 100, seen
+
+
+def test_the_unknown_parent_reported_is_the_same_under_every_hash_seed():
+    # An entity type's parents are a set, whose order follows the string
+    # hash seed: the first unknown one is found in sorted order instead.
+    check = (
+        "from cedar_engine.parser import ParseError, parse_schema\n"
+        "try:\n    parse_schema('entity User in [Team, Org, Group];')\n"
+        "except ParseError as err:\n    print(err.message)\n"
+    )
+    messages = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60)
+        messages.add(done.stdout)
+    assert messages == {"unknown entity type Group in parents of entity User\n"}

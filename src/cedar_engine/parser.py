@@ -313,7 +313,10 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.start, tok.end, self.source, self.filename)
+        self.error_at(message, tok.start, tok.end)
+
+    def error_at(self, message: str, start: int, end: int):
+        raise ParseError(message, start, end, self.source, self.filename)
 
     def nest(self, what: str) -> None:
         """Enter one more level of recursion; the caller leaves it with
@@ -367,6 +370,13 @@ class _Parser:
     def names(self, item) -> list:
         """One name read by ``item``, or a bracketed list of them."""
         return self.bracketed(item) if self.at("[") else [item()]
+
+    def spanned(self, item) -> tuple:
+        """What ``item`` reads, the start offset of its first token and the
+        end offset of its last: (value, start, end)."""
+        start = self.peek().start
+        value = item()
+        return value, start, self.toks[self.i - 1].end
 
     def fields(self, value, duplicate: str) -> list:
         """A record's `{name ..., ...}`: the (name, ``value()``) pairs, where
@@ -699,6 +709,10 @@ class _SchemaParser(_Parser):
         super().__init__(source, filename)
         self.entities: dict = {}
         self.actions: dict = {}
+        # (declaration, name) -> (start, end) of the name's first mention in
+        # that declaration, where a SchemaError's reference is reported.
+        self.mentions: dict = {}
+        self._types: list = []  # the declaration's entity type names, spanned
 
     def parse(self) -> Schema:
         while not self.at("eof"):
@@ -720,27 +734,35 @@ class _SchemaParser(_Parser):
         try:
             check_schema(schema)
         except SchemaError as err:
-            self.error(str(err), self.toks[-1])
+            eof = self.toks[-1]
+            self.error_at(str(err), *self.mentions.get(err.reference, (eof.start, eof.end)))
         return schema
+
+    def _declare(self, table: dict, what: str, names: list, decl, mentioned: list) -> None:
+        """Enter ``decl`` under each spanned name; a name declared before is
+        an error at that name.  ``mentioned`` are the spanned names the
+        declaration refers to."""
+        for name, start, end in names:
+            if name in table:
+                self.error_at(f"duplicate declaration of {what} {name}", start, end)
+            table[name] = decl(name)
+            for ref, ref_start, ref_end in mentioned:
+                self.mentions.setdefault((name, ref), (ref_start, ref_end))
 
     def _entity_decl(self) -> None:
         self.expect_ident("entity")
-        names = [self.path()]
-        name_tok = self.peek()
+        names = [self.spanned(self.path)]
         while self.at(","):
             self.next()
-            names.append(self.path())
-        parents: frozenset = frozenset()
+            names.append(self.spanned(self.path))
+        parents: list = []
         if self.at_ident("in"):
             self.next()
-            parents = frozenset(self.names(self.path))
-        attrs = trecord({})
-        if self.at("{"):
-            attrs = self._record_type()
-        for name in names:
-            if name in self.entities:
-                self.error(f"duplicate declaration of entity type {name}", name_tok)
-            self.entities[name] = EntityTypeDecl(attrs, parents)
+            parents = self.names(lambda: self.spanned(self.path))
+        self._types = []
+        attrs = self._record_type() if self.at("{") else trecord({})
+        decl = EntityTypeDecl(attrs, frozenset(p for p, _, _ in parents))
+        self._declare(self.entities, "entity type", names, lambda _: decl, parents + self._types)
 
     def _record_type(self) -> TRecord:
         return trecord(dict(self.fields(self._attr_type, "duplicate attribute")))
@@ -765,8 +787,12 @@ class _SchemaParser(_Parser):
         else:
             if not self.at("ident"):
                 self.error("expected a type")
-            name = self.path()
-            t = _BUILTIN_TYPES[name] if name in _BUILTIN_TYPES else TEntity(name)
+            name, start, end = self.spanned(self.path)
+            if name in _BUILTIN_TYPES:
+                t = _BUILTIN_TYPES[name]
+            else:
+                t = TEntity(name)
+                self._types.append((name, start, end))
         self.nesting -= 1
         return t
 
@@ -775,33 +801,39 @@ class _SchemaParser(_Parser):
 
     def _action_decl(self) -> None:
         self.expect_ident("action")
-        names = [self._action_name()]
-        name_tok = self.peek()
+        names = [self.spanned(self._action_name)]
         while self.at(","):
             self.next()
-            names.append(self._action_name())
-        parents: tuple = ()
+            names.append(self.spanned(self._action_name))
+        parents: list = []
         if self.at_ident("in"):
             self.next()
-            parents = tuple(self.names(self._action_name))
+            parents = self.names(lambda: self.spanned(self._action_name))
+        self._types = []
         applies: dict = {}
         if self.at_ident("appliesTo"):
             self.next()
             applies = dict(self.bracketed(self._applies_to_field, "{"))
         principal_types, resource_types = applies.get("principal", ()), applies.get("resource", ())
         context = applies.get("context", EMPTY_RECORD)
-        for ref in names:
-            if ref in self.actions:
-                self.error(f"duplicate declaration of action {ref}", name_tok)
-            self.actions[ref] = ActionDecl(ref, principal_types, resource_types, context, parents)
+        self._declare(
+            self.actions,
+            "action",
+            names,
+            lambda ref: ActionDecl(ref, principal_types, resource_types, context, tuple(p for p, _, _ in parents)),
+            parents + self._types,
+        )
 
     def _applies_to_field(self) -> tuple:
         """`principal: ...`, `resource: ...` or `context: ...`, as a (key,
-        value) pair; a later one replaces an earlier one of the same key."""
+        value) pair; a later one replaces an earlier one of the same key.
+        The entity type names read go to ``_types``."""
         key = self.expect("ident", "'principal', 'resource' or 'context'").text
         self.expect(":")
         if key in ("principal", "resource"):
-            return key, tuple(self.names(self.path))
+            types = self.names(lambda: self.spanned(self.path))
+            self._types.extend(types)
+            return key, tuple(name for name, _, _ in types)
         if key == "context":
             t = self._type()
             if not isinstance(t, TRecord):

@@ -14,13 +14,16 @@ else false`), and an operand a folded guard rules out is never compiled.
 Hierarchy well-formedness is grounded over the *footprint*: the entity-typed
 subexpressions actually compiled.  Acyclicity and transitivity instances over
 footprint terms replace quantified axioms, keeping every emitted assertion
-quantifier-free.
+quantifier-free.  Emitted scripts carry every instance; the bundled solver
+is given only those its models violate (see `_decide`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -66,7 +69,7 @@ from .ast import (
     render_type,
 )
 from .authorizer import Decision, PolicySet, authorize
-from .entities import EntityStore, Request, build_store, merge_action_hierarchy
+from .entities import EntityStore, HierarchyCycle, Request, build_store, merge_action_hierarchy
 from .sexpr import RANKS
 from .validator import RequestEnv, Schema, action_literal, action_test, environments, join
 from .terms import (
@@ -700,19 +703,29 @@ def _wft(senv: SymbolicEnv, t1: Term, t2: Term, e1: str, e2: str, e3: str) -> Te
     return mk_implies(mk_and2(both, member), subset)
 
 
-def wf_from_footprint(footprint: dict, senv: SymbolicEnv) -> list:
-    """Acyclicity and transitivity instances grounded over the footprint."""
+def _wf_instances(footprint: dict, senv: SymbolicEnv):
+    """Every wf instance over the footprint, in the order wf_from_footprint
+    asserts them: ``(t1, e1)`` for acyclicity, then ``(t1, t2, e1, e2, e3)``
+    for transitivity."""
     entries = [(term, entity_type, senv.parents(entity_type)) for term, entity_type in footprint]
-    out = []
     for t1, e1, p1 in entries:
         if e1 in p1:
-            out.append(_wfa(senv, t1, e1))
+            yield t1, e1
     for i, (t1, e1, p1) in enumerate(entries):
         for j, (t2, e2, p2) in enumerate(entries):
             if i == j or e2 not in p1:
                 continue
             for e3 in sorted(p1 & p2):
-                out.append(_wft(senv, t1, t2, e1, e2, e3))
+                yield t1, t2, e1, e2, e3
+
+
+def _wf_term(senv: SymbolicEnv, instance: tuple) -> Term:
+    return _wfa(senv, *instance) if len(instance) == 2 else _wft(senv, *instance)
+
+
+def wf_from_footprint(footprint: dict, senv: SymbolicEnv) -> list:
+    """Acyclicity and transitivity instances grounded over the footprint."""
+    out = (_wf_term(senv, instance) for instance in _wf_instances(footprint, senv))
     return [c for c in out if c is not TRUE_TERM]
 
 
@@ -796,12 +809,43 @@ def _decode_value(senv: SymbolicEnv, v) -> Value:
     raise AnalysisError(f"cannot decode model value {v!r}")
 
 
+class _ModelHierarchy:
+    """The entity values a model gives footprint terms, and the ancestor
+    sets it gives those values, read as reconstruction reads them."""
+
+    def __init__(self, model, senv: SymbolicEnv):
+        from .smt_backend import ModelEvaluator, selector_table
+
+        self.senv = senv
+        self.ev = ModelEvaluator(model, selector_table(senv))
+        self._ancestors: dict = {}
+
+    def value(self, t: Term):
+        """The model value of footprint term ``t``, unwrapped; None where it
+        is `none`."""
+        v = self.ev.eval(t, {})
+        if isinstance(v, tuple) and v[0] == "none":
+            return None
+        if isinstance(v, tuple) and v[0] == "some":
+            return v[1]
+        return v
+
+    def ancestors(self, value, entity_type: str, ancestor_type: str) -> frozenset:
+        """The model values in the ancestor set of ``value``, an entity of
+        ``entity_type``, for one allowed parent type."""
+        key = (value, entity_type, ancestor_type)
+        got = self._ancestors.get(key)
+        if got is None:
+            fn = self.senv.anc_fn[(entity_type, ancestor_type)]
+            got = self._ancestors[key] = self.ev.apply(fn, [value])[1]
+        return got
+
+
 def reconstruct_counterexample(model, senv: SymbolicEnv, footprint: dict) -> tuple:
     """Concrete (request, store) from a model: read entity ids at footprint
     points, apply attribute/ancestor functions there, close transitively."""
-    from .smt_backend import ModelEvaluator, selector_table
-
-    ev = ModelEvaluator(model, selector_table(senv))
+    hierarchy = _ModelHierarchy(model, senv)
+    ev = hierarchy.ev
 
     def var_value(var: str):
         return ev.eval(senv.var_consts[var][0], {})
@@ -814,13 +858,9 @@ def reconstruct_counterexample(model, senv: SymbolicEnv, footprint: dict) -> tup
 
     refs: dict = {}
     for t, _ in footprint:
-        v = ev.eval(t, {})
-        if isinstance(v, tuple) and v[0] == "none":
-            continue
-        if isinstance(v, tuple) and v[0] == "some":
-            v = v[1]
-        ref = as_ref(v)
-        refs[ref] = v
+        v = hierarchy.value(t)
+        if v is not None:
+            refs[as_ref(v)] = v
     principal = as_ref(var_value("principal"))
     resource = as_ref(var_value("resource"))
     context = _decode_value(senv, var_value("context"))
@@ -834,16 +874,104 @@ def reconstruct_counterexample(model, senv: SymbolicEnv, footprint: dict) -> tup
         rec = _decode_value(senv, ev.apply(senv.attr_fn[ref.entity_type], [value]))
         direct = set()
         for ancestor_type in sorted(senv.parents(ref.entity_type)):
-            fn = senv.anc_fn[(ref.entity_type, ancestor_type)]
-            got = _decode_value(senv, ev.apply(fn, [value]))
-            assert isinstance(got, VSet)
-            for elem in got.elems:
-                if isinstance(elem, VEntity):
-                    direct.add(elem.ref)
+            direct.update(as_ref(elem) for elem in hierarchy.ancestors(value, ref.entity_type, ancestor_type))
         triples.append((ref, rec, direct))
     store = build_store(triples)
     request = Request(principal=principal, action=senv.env.action, resource=resource, context=context)
     return request, store
+
+
+def _violated_wf(model, senv: SymbolicEnv, footprint: dict) -> list:
+    """The instances of wf_from_footprint(footprint, senv) that ``model``
+    falsifies.  Each is tested on the concrete values and ancestor sets the
+    model gives the footprint, and only a violated one is built as a term."""
+    hierarchy = _ModelHierarchy(model, senv)
+    value = {t: hierarchy.value(t) for t, _ in footprint}
+    anc = hierarchy.ancestors
+    out = []
+    for instance in _wf_instances(footprint, senv):
+        if len(instance) == 2:
+            t1, e1 = instance
+            v1 = value[t1]
+            violated = v1 is not None and v1 in anc(v1, e1, e1)
+        else:
+            t1, t2, e1, e2, e3 = instance
+            v1, v2 = value[t1], value[t2]
+            violated = (
+                v1 is not None
+                and v2 is not None
+                and v2 in anc(v1, e1, e2)
+                and not anc(v2, e2, e3) <= anc(v1, e1, e3)
+            )
+        if violated:
+            out.append(_wf_term(senv, instance))
+    return out
+
+
+def _counterexample(set_a: PolicySet, set_b: PolicySet, schema: Schema, senv: SymbolicEnv, model, footprint: dict):
+    """The model's request and store as a Counterexample, if the concrete
+    authorizer decides them differently under the two sets; else None.
+    Raises HierarchyCycle where the model's hierarchy is cyclic."""
+    request, store = reconstruct_counterexample(model, senv, footprint)
+    full_store = merge_action_hierarchy(store, schema)
+    decision_a = authorize(set_a, full_store, request, use_slicing=False)
+    decision_b = authorize(set_b, full_store, request, use_slicing=False)
+    if decision_a.verdict == decision_b.verdict:
+        return None
+    return Counterexample(request, store, decision_a, decision_b)
+
+
+# Refinement rounds the bundled solver gets after its first solve, each with
+# the wf instances its earlier models violated; the solve after the last
+# round asserts the whole of wf_from_footprint.
+_REFINEMENT_ROUNDS = 8
+
+
+def _decide(set_a, set_b, schema, senv: SymbolicEnv, footprint: dict, goal: Term, config, text) -> EnvVerdict:
+    """One environment's verdict on (not phi), ``goal``, within one
+    ``config.timeout_ms`` budget.
+
+    A solver other than the bundled one gets ``text``, the script with the
+    full wf grounding, once.  The bundled solver first gets ``goal`` alone:
+    dropping constraints only adds models, so unsat means equivalent, and a
+    model that re-verifies is a counterexample whatever it leaves out.  A
+    model that does not re-verify, or whose hierarchy is cyclic, violates
+    some wf instances: those are added and the solver runs again, on
+    whatever is left of the budget, for up to _REFINEMENT_ROUNDS rounds
+    before the full grounding is asserted.
+    """
+    from . import smt_backend
+
+    env = senv.env
+    deadline = time.monotonic() + config.timeout_ms / 1000.0
+    grounded = not config.in_process
+    learnt: list = []
+    for solves in itertools.count():
+        if solves == _REFINEMENT_ROUNDS + 1:
+            grounded, learnt = True, wf_from_footprint(footprint, senv)
+        remaining_ms = int((deadline - time.monotonic()) * 1000)
+        if remaining_ms <= 0:
+            return EnvVerdict(env, "timeout", detail=f"exceeded {config.timeout_ms} ms")
+        script = smt_backend.script_commands(senv, learnt + [goal]) if config.in_process else text
+        outcome = smt_backend.run_solver(replace(config, timeout_ms=remaining_ms), script)
+        if outcome.kind == "unsat":
+            return EnvVerdict(env, "equivalent")
+        if outcome.kind == "timeout":
+            return EnvVerdict(env, "timeout", detail=f"exceeded {config.timeout_ms} ms")
+        if outcome.kind != "sat":
+            return EnvVerdict(env, "unknown", detail=outcome.detail)
+        try:
+            cex = _counterexample(set_a, set_b, schema, senv, outcome.model, footprint)
+        except HierarchyCycle as cycle:
+            fault = cycle
+        else:
+            if cex is not None:
+                return EnvVerdict(env, "differs", counterexample=cex)
+            fault = AnalysisError(f"counterexample failed concrete re-verification in {env.describe()}")
+        violated = None if grounded else _violated_wf(outcome.model, senv, footprint)
+        if not violated:
+            raise fault
+        learnt.extend(violated)
 
 
 def analyze_equivalence(
@@ -855,14 +983,17 @@ def analyze_equivalence(
 ) -> list:
     """Per-environment equivalence of two policy sets, with concrete witnesses.
 
-    The assertion set is wf(phi) plus (not phi) where phi equates the two
-    sets' allow conditions: unsat means the sets agree everywhere in that
-    environment.  Sat models are reconstructed into a request and store and
-    re-verified against the concrete authorizer before being reported.
-    Given `emit_dir`, an existing directory, each script is written there,
-    named after its environment and unique within the analysis.
+    The question is (not phi), where phi equates the two sets' allow
+    conditions, under the hierarchy's well-formedness wf(phi): unsat means
+    the sets agree everywhere in that environment.  Sat models are
+    reconstructed into a request and store and re-verified against the
+    concrete authorizer before being reported.  The bundled solver grounds
+    wf(phi) lazily (see _decide); every other solver, and every emitted
+    script, gets it whole.  Given `emit_dir`, an existing directory, each
+    script is written there, named after its environment and unique within
+    the analysis.
     """
-    from .smt_backend import SolverConfig, print_script, run_solver, script_commands
+    from .smt_backend import SolverConfig, print_script
 
     if config is None:
         config = SolverConfig.default()
@@ -877,29 +1008,13 @@ def analyze_equivalence(
         if phi is TRUE_TERM:
             verdicts.append(EnvVerdict(env, "equivalent", detail="statically identical"))
             continue
-        assertions = wf_from_footprint(footprint, senv) + [mk_not(phi)]
-        text = print_script(senv, assertions) if emit_dir is not None or not config.in_process else None
+        goal = mk_not(phi)
+        text = None
+        if emit_dir is not None or not config.in_process:
+            text = print_script(senv, wf_from_footprint(footprint, senv) + [goal])
         if emit_dir is not None:
             fname = script_names.fresh(f"{env.action.entity_id}_{env.principal_type}_{env.resource_type}") + ".smt2"
             with open(os.path.join(emit_dir, fname), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        # The bundled solver takes the terms themselves; text is for the others.
-        outcome = run_solver(config, script_commands(senv, assertions) if config.in_process else text)
-        if outcome.kind == "unsat":
-            verdicts.append(EnvVerdict(env, "equivalent"))
-        elif outcome.kind == "sat":
-            request, store = reconstruct_counterexample(outcome.model, senv, footprint)
-            full_store = merge_action_hierarchy(store, schema)
-            decision_a = authorize(set_a, full_store, request, use_slicing=False)
-            decision_b = authorize(set_b, full_store, request, use_slicing=False)
-            if decision_a.verdict == decision_b.verdict:
-                raise AnalysisError(
-                    f"counterexample failed concrete re-verification in {env.describe()}"
-                )
-            cex = Counterexample(request, store, decision_a, decision_b)
-            verdicts.append(EnvVerdict(env, "differs", counterexample=cex))
-        elif outcome.kind == "timeout":
-            verdicts.append(EnvVerdict(env, "timeout", detail=outcome.detail))
-        else:
-            verdicts.append(EnvVerdict(env, "unknown", detail=outcome.detail))
+        verdicts.append(_decide(set_a, set_b, schema, senv, footprint, goal, config, text))
     return verdicts

@@ -117,52 +117,58 @@ class Schema:
 
 
 class SchemaError(CedarError):
-    """The schema is not well-formed."""
+    """The schema is not well-formed.  ``reference``, where there is one, is
+    the (declaration, name) pair at fault: an entity type name or action
+    ref, and the name its declaration refers to."""
+
+    def __init__(self, message: str, reference: Optional[tuple] = None):
+        super().__init__(message)
+        self.reference = reference
 
 
 def check_schema(schema: Schema) -> None:
     """Raise SchemaError on undefined type references or action-group cycles."""
 
-    def check_type(t: CedarType, where: str) -> None:
+    def check_type(t: CedarType, owner, where: str) -> None:
         if isinstance(t, TEntity):
             if t.name not in schema.entity_types:
-                raise SchemaError(f"unknown entity type {t.name} in {where}")
+                raise SchemaError(f"unknown entity type {t.name} in {where}", (owner, t.name))
         elif isinstance(t, TSet):
-            check_type(t.elem, where)
+            check_type(t.elem, owner, where)
         elif isinstance(t, TRecord):
             for a in t.attrs:
-                check_type(a.type, where)
+                check_type(a.type, owner, where)
 
     for name, decl in schema.entity_types.items():
-        check_type(decl.attrs, f"attributes of entity {name}")
+        check_type(decl.attrs, name, f"attributes of entity {name}")
         # Sorted, so that every run names the same unknown parent first.
         for p in sorted(decl.parents):
             if p not in schema.entity_types:
-                raise SchemaError(f"unknown entity type {p} in parents of entity {name}")
+                raise SchemaError(f"unknown entity type {p} in parents of entity {name}", (name, p))
     for ref, decl in schema.actions.items():
         for t in decl.principal_types + decl.resource_types:
             if t not in schema.entity_types:
-                raise SchemaError(f"unknown entity type {t} in appliesTo of {ref}")
-        check_type(decl.context, f"context of {ref}")
+                raise SchemaError(f"unknown entity type {t} in appliesTo of {ref}", (ref, t))
+        check_type(decl.context, ref, f"context of {ref}")
 
     # Action-group cycle detection over direct parents.
     state: dict = {}
 
-    def visit(ref: EntityRef) -> None:
+    def visit(ref: EntityRef, child: Optional[EntityRef]) -> None:
         mark = state.get(ref)
         if mark == "done":
             return
         if mark == "active":
-            raise SchemaError(f"cyclic action-group membership at {ref}")
+            raise SchemaError(f"cyclic action-group membership at {ref}", (child, ref))
         state[ref] = "active"
         decl = schema.actions.get(ref)
         if decl is not None:
             for p in decl.parents:
-                visit(p)
+                visit(p, ref)
         state[ref] = "done"
 
     for ref in schema.actions:
-        visit(ref)
+        visit(ref, None)
 
 
 @dataclass(frozen=True)

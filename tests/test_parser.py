@@ -453,6 +453,29 @@ def test_a_duplicate_attribute_is_reported_at_its_name():
 
 
 @pytest.mark.parametrize(
+    "text,message,start,end",
+    [
+        ("entity A, B, A;", "duplicate declaration of entity type A", 13, 14),
+        ("entity A; entity B, A;", "duplicate declaration of entity type A", 20, 21),
+        ("action a; action a;", 'duplicate declaration of action Action::"a"', 17, 18),
+        ('action "a b", c, "a b";', 'duplicate declaration of action Action::"a b"', 17, 22),
+        ("entity A in B;", "unknown entity type B in parents of entity A", 12, 13),
+        ("entity N::A in [N::A, M::B];", "unknown entity type M::B in parents of entity N::A", 22, 26),
+        ("entity A; entity B { x: Set<{ y: C }> };", "unknown entity type C in attributes of entity B", 33, 34),
+        ("entity A; action a appliesTo { principal: [A, Q], resource: A };",
+         'unknown entity type Q in appliesTo of Action::"a"', 46, 47),
+        ("entity A; action a appliesTo { principal: A, resource: A, context: { u: Z } };",
+         'unknown entity type Z in context of Action::"a"', 72, 73),
+        ("action a in [b]; action b in [a];", 'cyclic action-group membership at Action::"a"', 30, 31),
+    ],
+)
+def test_a_schema_error_is_reported_at_the_name_at_fault(text, message, start, end):
+    with pytest.raises(ParseError) as err:
+        parse_schema(text)
+    assert (err.value.message, err.value.start, err.value.end) == (message, start, end)
+
+
+@pytest.mark.parametrize(
     "parse,text,message",
     [
         (parse_policies, 'permit(principal in [User::"a"], action, resource);',
